@@ -389,7 +389,21 @@ class Poly:
 
     @staticmethod
     def make(field, coeffs):
-        coeffs = [c % field.q if 0 <= c < field.q else c for c in coeffs]
+        """Over F_p any integer coefficient is reduced mod p; over F_{p^d}
+        with d > 1 a coefficient must already be an encoding in [0, q)."""
+        if field.d == 1:
+            coeffs = [c % field.q for c in coeffs]
+        else:
+            coeffs = list(coeffs)
+            if any(c < 0 or c >= field.q for c in coeffs):
+                raise FieldMismatch(
+                    f"coefficient encodings of F_{field.q} lie in [0, {field.q})"
+                )
+        return Poly._trimmed(field, coeffs)
+
+    @staticmethod
+    def _trimmed(field, coeffs):
+        # coeffs: a list of valid encodings that the caller hands over
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         return Poly(field, tuple(coeffs))
@@ -432,7 +446,7 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = F.add(out[i], c)
-        return Poly.make(F, out)
+        return Poly._trimmed(F, out)
 
     def neg(self):
         F = self.field
@@ -475,7 +489,7 @@ class Poly:
                 for j in range(db + 1):
                     rem[shift + j] = F.sub(rem[shift + j], F.mul(c, other.coeffs[j]))
             rem.pop()
-        return Poly.make(F, quo), Poly.make(F, rem)
+        return Poly._trimmed(F, quo), Poly._trimmed(F, rem)
 
     def mod(self, other):
         return self.divmod(other)[1]
@@ -515,6 +529,12 @@ def monic_irreducibles(field, deg):
             out.append(cand)
     cache[deg] = out
     return out
+
+
+def first_monic_irreducible(field, deg):
+    """monic_irreducibles(field, deg)[0], found by a lazy scan of the same
+    candidates that stops at the first irreducible one."""
+    return next(c for c in _candidate_polys(field, deg) if _is_irreducible(field, c))
 
 
 def _candidate_polys(field, deg):

@@ -284,12 +284,13 @@ def theory_torsion_test(y, kind, theory, n=None):
 
 
 def minus_one_power(field, k):
-    """The model element [-1]^k (k >= 0)."""
-    out = MWElem.one(field)
-    m1 = MWElem.from_unit(field.minus_one())
-    for _ in range(k):
-        out = out.mul(m1)
-    return out
+    """The model element [-1]^k (k >= 0), in closed form: 1, [-1], and then
+    zero, since the model's groups of degree >= 2 are trivial."""
+    if k >= 2:
+        return MWElem.zero(field, k)
+    if k == 1:
+        return MWElem.from_unit(field.minus_one())
+    return MWElem.one(field)
 
 
 def base_change(elem, target):

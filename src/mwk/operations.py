@@ -13,6 +13,7 @@ base field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -446,7 +447,10 @@ ADMISSIBILITY_RULES = {
 }
 
 
+@lru_cache(maxsize=1 << 16)
 def _passes_torsion(a, kind, n, target):
+    # Memoised: model elements are never mutated after construction, hash
+    # by value and field identity, and fields are built once per (p, d).
     if kind == "delta_two":
         return delta(n) == 0 or theory_torsion_test(a, "2", target)
     if kind == "two":
@@ -498,9 +502,6 @@ class OpSequence:
         if 0 <= l < len(self.coeffs):
             return self.coeffs[l]
         return MWElem.zero(self.field, self.m - self.n * l)
-
-    def tau(self, a):
-        return minus_one_power(self.field, self.n).mul(a)
 
     def torsion_flags(self):
         """Per-index record of the imposed torsion constraints and results."""
@@ -568,11 +569,12 @@ class OpSequence:
         if sign not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
         parity = 1 if sign == +1 else 0
+        twist = minus_one_power(self.field, self.n)
         out = []
         for l in range(max(self.trunc, 1)):
             b = self.coeff(l + 1)
             if l % 2 == parity:
-                b = b.add(self.tau(self.coeff(l + 2)))
+                b = b.add(twist.mul(self.coeff(l + 2)))
             out.append(b)
         return OpSequence(self.source, self.target, self.n, self.m - self.n, self.field, out)
 
@@ -590,10 +592,29 @@ class OpSequence:
     def g_map(self, minus_first=True):
         """Recover the coefficients: the l-th entry is the value at 0 of the
         operation shifted floor((l+1)/2) times positively and floor(l/2)
-        times negatively (evaluation at 0 reads off the 0-th coefficient)."""
+        times negatively (evaluation at 0 reads off the 0-th coefficient).
+
+        Entry l is read from self.shifted((l + 1) // 2, l // 2, minus_first),
+        built along shared prefixes: the chain of first-direction shifts is
+        walked once, and from each sequence on it one chain of
+        second-direction shifts serves every l with that many first-direction
+        shifts.  Both counts never decrease in l, and every sequence shifted
+        here is one that shifted() shifts, so the same NotAdmissible raises.
+        """
+        first, second = (-1, +1) if minus_first else (+1, -1)
+        prefix, outer = self, 0  # self after `outer` first-direction shifts
+        seq, inner = self, 0  # prefix after `inner` second-direction shifts
         out = []
         for l in range(len(self.coeffs)):
-            seq = self.shifted((l + 1) // 2, l // 2, minus_first)
+            plus, minus = (l + 1) // 2, l // 2
+            i, j = (minus, plus) if minus_first else (plus, minus)
+            if i > outer:
+                for _ in range(i - outer):
+                    prefix = prefix.shift(first)
+                outer, seq, inner = i, prefix, 0
+            for _ in range(j - inner):
+                seq = seq.shift(second)
+            inner = j
             out.append(seq.coeff(0))
         return out
 

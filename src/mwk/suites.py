@@ -14,7 +14,15 @@ import time
 from dataclasses import dataclass
 
 from .errors import FieldMismatch, TorsionViolation
-from .fields import FFUnit, FiniteField, Place, Poly, RatFuncField
+from .fields import (
+    FFUnit,
+    FiniteField,
+    Place,
+    Poly,
+    RatFuncField,
+    first_monic_irreducible,
+    size_bound,
+)
 from .model import (
     MILNOR,
     MOD2,
@@ -210,7 +218,7 @@ def run_lemma32(config):
     def zero(a, label, degree=None):
         rep.check(oracle.is_zero(a, MW, degree), label)
 
-    if isinstance(field, FiniteField) and (field.q - 1) ** 2 <= 10_000:
+    if isinstance(field, FiniteField) and (field.q - 1) ** 2 <= size_bound():
         pairs = [
             (FFUnit(field, i), FFUnit(field, j))
             for i in range(field.q - 1)
@@ -420,7 +428,7 @@ def run_lambda_wd(config):
 
             violated = False
             witt_gens = [g for kind, g in generators if kind == "witt"][:12]
-            deg2 = field.from_poly(_smallest_deg2_irreducible(field.base))
+            deg2 = field.from_poly(first_monic_irreducible(field.base, 2))
             filler = tuple(field.t_unit() for _ in range(n - 1))
             witt_gens.insert(
                 0, witt_generator(1, (field.t_unit(), deg2) + filler, 0)
@@ -446,12 +454,6 @@ def run_lambda_wd(config):
             rep.check(violated, "negative control produced no detectable violation")
         rep.note("negative control: precondition rejection verified")
     return rep
-
-
-def _smallest_deg2_irreducible(base):
-    from .fields import monic_irreducibles
-
-    return monic_irreducibles(base, 2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1226,15 +1228,14 @@ def run_table1(config):
             )
             seq = OpSequence(MW, MW, n, m, field, coeffs)
             sampler = unit_sampler(config.field, rng, max_degree=2)
-            from .fields import monic_irreducibles
             from .symbols import witt_generator
 
             t_unit = config.field.t_unit()
             # witnesses at places of degree 2 and 3: the surviving
             # h-multiples there have orders 2 and 13, so together they
             # catch every nonzero rank of a rejected coefficient
-            deg2 = config.field.from_poly(_smallest_deg2_irreducible(field))
-            deg3 = config.field.from_poly(monic_irreducibles(field, 3)[0])
+            deg2 = config.field.from_poly(first_monic_irreducible(field, 2))
+            deg3 = config.field.from_poly(first_monic_irreducible(field, 3))
             gens = [
                 witt_generator(1, (t_unit, deg2), 0),
                 witt_generator(1, (t_unit, deg3), 0),

@@ -43,6 +43,8 @@ def test_eval_command(capsys):
 def test_eval_parse_error_exit_code(capsys):
     code = main(["eval", "[2", "--field", "3"])
     assert code == 2
+    # an integer literal that is no encoding of F_9 is an input error
+    assert main(["eval", "[t+10]", "--field", "9(t)"]) == 2
 
 
 def test_verify_command(capsys):

@@ -5,6 +5,7 @@ import pytest
 from mwk.errors import (
     DegreeBound,
     EvenCharacteristic,
+    FieldMismatch,
     NotPrime,
     NotRegularAtPlace,
     SizeBound,
@@ -16,6 +17,7 @@ from mwk.fields import (
     Poly,
     ff_build,
     ff_build_q,
+    first_monic_irreducible,
     is_irreducible,
     monic_irreducibles,
     poly_factor,
@@ -247,3 +249,33 @@ def test_monic_irreducibles_counts():
     assert len(monic_irreducibles(F3, 2)) == 3
     assert len(monic_irreducibles(F3, 3)) == 8
     assert all(is_irreducible(p) for p in monic_irreducibles(F3, 3))
+
+
+def test_first_monic_irreducible_is_the_first_of_the_list():
+    for q, deg in ((3, 1), (3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (9, 2)):
+        field = ff_build_q(q)
+        assert first_monic_irreducible(field, deg) == monic_irreducibles(field, deg)[0]
+    # over F_25 the cubic is found without listing all 15625 candidates
+    from mwk.exprtext import format_poly
+
+    F25 = ff_build_q(25)
+    assert format_poly(first_monic_irreducible(F25, 3)) == "t^3+6"
+    assert 3 not in F25._irreducibles
+
+
+def test_poly_make_reduces_prime_field_coefficients():
+    F3 = ff_build(3, 1)
+    f = Poly.make(F3, [5, 1])
+    assert f.coeffs == (2, 1)
+    assert Poly.make(F3, [-1, 3]).coeffs == (2,)
+    assert f.mul(f).coeffs == (1, 1, 1)
+    rf = rat_func_field(F3)
+    assert rf.from_poly(f) == rf.from_poly(Poly.make(F3, [2, 1]))
+
+
+def test_poly_make_rejects_out_of_range_extension_encodings():
+    F9 = ff_build(3, 2)
+    assert Poly.make(F9, [8, 1, 0]).coeffs == (8, 1)
+    for bad in ([9, 1], [-1, 1]):
+        with pytest.raises(FieldMismatch):
+            Poly.make(F9, bad)

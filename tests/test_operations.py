@@ -1,10 +1,10 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from mwk.errors import Inhomogeneous, NotAdmissible, TorsionViolation
-from mwk.fields import Poly, ff_build, rat_func_field
+from mwk.fields import Poly, ff_build, ff_build_q, rat_func_field
 from mwk.model import (
     MILNOR,
     MOD2,
@@ -17,6 +17,7 @@ from mwk.model import (
     theory_torsion_test,
 )
 from mwk.operations import (
+    ADMISSIBILITY_RULES,
     ModelOracle,
     OpSequence,
     Presentation,
@@ -419,3 +420,85 @@ def test_divided_power_series_examples():
     assert empty[0] == y and all(v.is_zero() for v in empty[1:])
     with pytest.raises(TorsionViolation):
         divided_power_series(1, x, MWElem.one(F3), 2, OM)
+
+
+def windowed_sequences(field, source, target, n, m, trunc=8):
+    """Every sequence whose coefficients in degrees -2..2 run over the model
+    elements (rank window 2) and vanish elsewhere, as in thm84."""
+    slots = [l for l in range(trunc + 1) if abs(m - n * l) <= 2]
+    choices = [model_elements(field, m - n * l, rank_window=2) for l in slots]
+    for combo in product(*choices):
+        picked = dict(zip(slots, combo))
+        coeffs = [
+            picked[l] if l in picked else MWElem.zero(field, m - n * l)
+            for l in range(trunc + 1)
+        ]
+        yield OpSequence(source, target, n, m, field, coeffs)
+
+
+def test_shift_preserves_admissibility():
+    # pins the property a per-entry (instead of per-shift) admissibility
+    # check would rely on, for every row of the table
+    rng = random.Random(84)
+    checked = 0
+    for (source, target), n, m in product(ADMISSIBILITY_RULES, (1, 2), (0, 1, 2)):
+        f3 = list(windowed_sequences(F3, source, target, n, m))
+        f9 = list(windowed_sequences(F9, source, target, n, m))
+        f9 = rng.sample(f9, min(len(f9), 40))
+        for seq in f3 + f9:
+            if not seq.admissible():
+                continue
+            checked += 1
+            for sign in (1, -1):
+                assert seq.shift(sign).admissible(), (source, target, n, m, sign, seq)
+    assert checked > 5000
+
+
+def test_g_map_reads_the_shifted_sequences():
+    rng = random.Random(12)
+    for field in (F3, F9):
+        for _ in range(40):
+            n = rng.choice([1, 2])
+            m = rng.randrange(0, 3)
+            seq = rng.choice(list(windowed_sequences(field, MW, MW, n, m)))
+            if not seq.admissible():
+                continue
+            for minus_first in (True, False):
+                want = [
+                    seq.shifted((l + 1) // 2, l // 2, minus_first).coeff(0)
+                    for l in range(seq.trunc + 1)
+                ]
+                assert seq.g_map(minus_first=minus_first) == want
+
+
+def test_g_map_shares_shift_prefixes(monkeypatch):
+    calls = [0]
+    shift = OpSequence.shift
+
+    def counting_shift(self, sign):
+        calls[0] += 1
+        return shift(self, sign)
+
+    monkeypatch.setattr(OpSequence, "shift", counting_shift)
+    seq = OpSequence(MW, MW, 1, 2, F3, [MWElem.zero(F3, 2 - l) for l in range(9)])
+    for minus_first in (True, False):
+        calls[0] = 0
+        seq.g_map(minus_first=minus_first)
+        assert calls[0] <= 18, (minus_first, calls[0])
+
+
+def test_g_map_of_an_inadmissible_sequence_raises():
+    bad = OpSequence(MW, MW, 1, 2, F3, [MWElem.zero(F3, 2), MWElem.zero(F3, 1), MWElem.one(F3)])
+    for minus_first in (True, False):
+        with pytest.raises(NotAdmissible):
+            bad.g_map(minus_first=minus_first)
+
+
+def test_minus_one_power_closed_form():
+    for q in (3, 5, 7, 9, 25):
+        field = ff_build_q(q)
+        m1 = MWElem.from_unit(field.minus_one())
+        product_ = MWElem.one(field)
+        for k in range(7):
+            assert minus_one_power(field, k) == product_, (q, k)
+            product_ = product_.mul(m1)

@@ -79,3 +79,15 @@ def test_umbrella_reports():
         SuiteConfig(field=RF3, n=1, m=2, trials=6, trunc=3, seed=31)
     ).to_json()
     assert rep["passed"] and rep["trials"] > 0
+
+
+def test_lemma32_exhaustive_branch_follows_the_size_bound(monkeypatch):
+    F5 = ff_build(5, 1)  # (q-1)^2 = 16 unit pairs
+
+    def notes():
+        return run_suite("lemma32", SuiteConfig(field=F5, trials=5, seed=3)).to_json()["notes"]
+
+    monkeypatch.setenv("MWK_SIZE_BOUND", "16")
+    assert "exhaustive over 16 unit pairs" in notes()
+    monkeypatch.setenv("MWK_SIZE_BOUND", "15")
+    assert not any(note.startswith("exhaustive") for note in notes())
