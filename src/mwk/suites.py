@@ -21,6 +21,7 @@ from .fields import (
     Poly,
     RatFuncField,
     first_monic_irreducible,
+    monic_irreducibles,
     size_bound,
 )
 from .model import (
@@ -1235,7 +1236,7 @@ def run_table1(config):
             # h-multiples there have orders 2 and 13, so together they
             # catch every nonzero rank of a rejected coefficient
             deg2 = config.field.from_poly(first_monic_irreducible(field, 2))
-            deg3 = config.field.from_poly(first_monic_irreducible(field, 3))
+            deg3 = config.field.from_poly(monic_irreducibles(field, 3)[0])
             gens = [
                 witt_generator(1, (t_unit, deg2), 0),
                 witt_generator(1, (t_unit, deg3), 0),
