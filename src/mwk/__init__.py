@@ -29,7 +29,7 @@ from .model import (
     group_structure_model,
     smith_normal_form,
     snf_oracle,
-    torsion_test,
+    theory_torsion_test,
 )
 from .operations import (
     ModelOracle,

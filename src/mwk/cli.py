@@ -127,7 +127,6 @@ def build_parser():
     v.add_argument("--trunc", type=int, default=8)
     v.add_argument("--d-max", dest="d_max", type=int, default=3)
     v.add_argument("--json", action="store_true")
-    v.add_argument("--text", action="store_true", help="plain-text report (default)")
     v.set_defaults(func=cmd_verify)
 
     return parser

@@ -249,43 +249,6 @@ class FiniteField:
 _FIELD_CACHE = {}
 
 
-def _monic_candidates(p, d):
-    # all monic degree-d coefficient tuples over F_p, lexicographic low-to-high
-    total = p**d
-    for idx in range(total):
-        digits = []
-        x = idx
-        for _ in range(d):
-            digits.append(x % p)
-            x //= p
-        yield tuple(digits) + (1,)
-
-
-def _poly_divides_intmod(p, g, f):
-    # trial division of coefficient tuples over F_p (monic divisor g)
-    f = list(f)
-    dg = len(g) - 1
-    while len(f) - 1 >= dg:
-        c = f[-1]
-        if c:
-            shift = len(f) - 1 - dg
-            for j in range(dg + 1):
-                f[shift + j] = (f[shift + j] - c * g[j]) % p
-        f.pop()
-    return all(c == 0 for c in f)
-
-
-def _irreducible_over_prime(p, coeffs, smaller):
-    d = len(coeffs) - 1
-    if d == 1:
-        return True
-    for k in range(1, d // 2 + 1):
-        for g in smaller[k]:
-            if _poly_divides_intmod(p, g, coeffs):
-                return False
-    return True
-
-
 def ff_build(p, d=1, bound=None):
     """Deterministic model of F_{p^d}: smallest modulus, smallest generator."""
     key = (p, d)
@@ -301,18 +264,11 @@ def ff_build(p, d=1, bound=None):
     limit = bound if bound is not None else size_bound()
     if p**d > limit:
         raise SizeBound(f"p^d = {p ** d} exceeds bound {limit}")
-    # find the lexicographically smallest monic irreducible of degree d
-    smaller = {k: [] for k in range(1, d // 2 + 1)}
-    for k in sorted(smaller):
-        for cand in _monic_candidates(p, k):
-            if _irreducible_over_prime(p, cand, smaller):
-                smaller[k].append(cand)
-    modulus = None
-    for cand in _monic_candidates(p, d):
-        if _irreducible_over_prime(p, cand, smaller):
-            modulus = cand
-            break
-    fld = FiniteField(p, d, modulus)
+    if d == 1:
+        fld = FiniteField(p, 1, (0, 1))
+    else:
+        # the lexicographically smallest monic irreducible of degree d over F_p
+        fld = FiniteField(p, d, first_monic_irreducible(ff_build(p, 1, limit), d).coeffs)
     _FIELD_CACHE[key] = fld
     return fld
 

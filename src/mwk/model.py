@@ -257,27 +257,16 @@ def eval_model(expr, degree=None):
     return acc
 
 
-def torsion_test(y, kind, n=None):
-    """h-torsion, 2-torsion or tau_n-torsion of a model element."""
-    if kind == "h":
-        return y.h_mul().is_zero()
-    if kind == "2":
-        return y.add(y).is_zero()
-    if kind == "tau":
-        if n is None:
-            raise ValueError("tau-torsion needs the source degree n")
-        t = minus_one_power(y.field, n - 1)
-        return t.mul(y).is_zero()
-    raise ValueError(f"unknown torsion kind {kind}")
-
-
 def theory_torsion_test(y, kind, theory, n=None):
-    """Torsion tests taken inside a companion theory (on projections)."""
+    """h-torsion, 2-torsion or tau_n-torsion of a model element, taken inside
+    a companion theory (on projections); theory MW tests the element itself."""
     if kind == "h":
         return y.h_mul().is_zero_in(theory)
     if kind == "2":
         return y.add(y).is_zero_in(theory)
     if kind == "tau":
+        if n is None:
+            raise ValueError("tau-torsion needs the source degree n")
         t = minus_one_power(y.field, n - 1)
         return t.mul(y).is_zero_in(theory)
     raise ValueError(f"unknown torsion kind {kind}")

@@ -30,6 +30,7 @@ from .model import (
     MW,
     WITT,
     MWElem,
+    base_change,
     eval_model,
     minus_one_power,
     model_to_sym,
@@ -53,9 +54,9 @@ def delta(n):
 class ModelOracle:
     """Values are closed-form model elements over a finite field."""
 
-    def __init__(self, field, base=None):
+    def __init__(self, field):
         self.field = field
-        self.base = base or field
+        self.base = field
 
     def one(self):
         return MWElem.one(self.field)
@@ -73,9 +74,7 @@ class ModelOracle:
         return minus_one_power(self.field, k)
 
     def from_base(self, elem):
-        if elem.field is self.field:
-            return elem
-        return eval_model(embed_expr(model_to_sym(elem), self.field), elem.degree)
+        return base_change(elem, self.field)
 
     def is_zero(self, value, theory=MW, degree=None):
         if isinstance(value, SymExpr):
@@ -177,11 +176,12 @@ class Presentation:
 
 
 # ---------------------------------------------------------------------------
-# truncated series (index -> value; missing index means zero)
+# truncated series (index -> value)
 # ---------------------------------------------------------------------------
 
 
 def _series_mul(a, b, trunc):
+    # sparse: indices of structurally zero values are left out
     out = {}
     for i, va in a.items():
         for j, vb in b.items():
@@ -200,38 +200,29 @@ def _value_is_structural_zero(v):
 
 
 def _series_pow(s, k, trunc):
-    out = None
-    for _ in range(k):
-        out = dict(s) if out is None else _series_mul(out, s, trunc)
-    return out if out is not None else {}
+    out = dict(s)
+    for _ in range(k - 1):
+        out = _series_mul(out, s, trunc)
+    return out
 
 
-def _factor_series(oracle, symbol_value, n, exponent, trunc, inverse_mode="twisted"):
-    """(1 + [symbol] t)^exponent, truncated."""
-    if exponent == 0:
-        return {0: oracle.one()}
+def _factor_series(oracle, symbol_value, n, exponent, trunc):
+    """(1 + [symbol] t)^exponent, truncated (exponent != 0)."""
     if exponent > 0:
         base = {0: oracle.one(), 1: symbol_value}
         return _series_pow(base, exponent, trunc)
-    if inverse_mode == "twisted":
-        # coefficients (-1)^j [-1]^{n(j-1)} [symbol]
-        inv = {0: oracle.one()}
-        for j in range(1, trunc + 1):
-            coeff = oracle.minus_one_power(n * (j - 1)).mul(symbol_value)
-            inv[j] = coeff if j % 2 == 0 else coeff.neg()
-    else:
-        # plain geometric series sum (-[symbol])^j
-        inv = {0: oracle.one()}
-        power = None
-        for j in range(1, trunc + 1):
-            power = symbol_value if power is None else power.mul(symbol_value)
-            inv[j] = power if j % 2 == 0 else power.neg()
+    # the twisted inverse: coefficients (-1)^j [-1]^{n(j-1)} [symbol]
+    inv = {0: oracle.one()}
+    for j in range(1, trunc + 1):
+        coeff = oracle.minus_one_power(n * (j - 1)).mul(symbol_value)
+        inv[j] = coeff if j % 2 == 0 else coeff.neg()
     return _series_pow(inv, -exponent, trunc)
 
 
-def lambda_series(x, n, trunc, oracle, inverse_mode="twisted"):
+def lambda_series(x, n, trunc, oracle):
     """Coefficients of the divided-power generating series of x (before the
-    action on a coefficient), as {l: value}, truncated at degree `trunc`.
+    action on a coefficient), as {l: value} for every l = 0..trunc; a
+    vanishing coefficient is the oracle's zero of degree l*n.
 
     x is an expression in the presentation generators: every term is
     eta^d [a_1, ..., a_{d+n}] with d >= 0.  Each term of multiplicity m
@@ -261,9 +252,11 @@ def lambda_series(x, n, trunc, oracle, inverse_mode="twisted"):
                     continue
                 exponent = mult if (d + 1 - size) % 2 == 0 else -mult
                 value = oracle.bracket((prod,) + tail)
-                factor = _factor_series(oracle, value, n, exponent, trunc, inverse_mode)
+                factor = _factor_series(oracle, value, n, exponent, trunc)
                 series = _series_mul(series, factor, trunc)
-    return series
+    return {
+        l: series[l] if l in series else oracle.zero(l * n) for l in range(trunc + 1)
+    }
 
 
 def divided_power_series(n, x, y, trunc, oracle=None, theory=MW, skip_check=False):
@@ -271,16 +264,8 @@ def divided_power_series(n, x, y, trunc, oracle=None, theory=MW, skip_check=Fals
     [lambda_0(x).y, lambda_1(x).y, ..., lambda_trunc(x).y]."""
     oracle = oracle or _oracle_of(x)
     require_torsion(n, y, theory, skip_check)
-    series = lambda_series(x, n, trunc, oracle)
     y_val = oracle.from_base(y)
-    out = []
-    for l in range(trunc + 1):
-        v = series.get(l)
-        if v is None:
-            out.append(_zero_value(oracle, y.degree + l * n))
-        else:
-            out.append(v.mul(y_val))
-    return out
+    return [v.mul(y_val) for v in lambda_series(x, n, trunc, oracle).values()]
 
 
 # ---------------------------------------------------------------------------
@@ -303,38 +288,37 @@ def _act(value, y, oracle):
     return value.mul(oracle.from_base(y))
 
 
-def lambda_eval(n, l, y, x, oracle=None, theory=MW, skip_check=False, inverse_mode="twisted"):
+def twisted_sum(terms, n, minus_one_power):
+    """sum_i c_i [-1]^{ni} v_i over a nonempty iterable of (i, c_i, v_i),
+    with [-1]^k = minus_one_power(k).  Every conversion between the divided
+    powers lambda, sigma and f is a sum of this shape."""
+    acc = None
+    for i, c, v in terms:
+        term = minus_one_power(n * i).mul(v) if i else v
+        if c != 1:
+            term = term.scale(c)
+        acc = term if acc is None else acc.add(term)
+    return acc
+
+
+def lambda_eval(n, l, y, x, oracle=None, theory=MW, skip_check=False):
     """The l-th divided power of x acting on y."""
     oracle = oracle or _oracle_of(x)
     require_torsion(n, y, theory, skip_check)
-    series = lambda_series(x, n, l, oracle, inverse_mode)
-    coeff = series.get(l)
-    if coeff is None:
-        return _zero_value(oracle, y.degree + l * n)
-    return _act(coeff, y, oracle)
+    return _act(lambda_series(x, n, l, oracle)[l], y, oracle)
 
 
 def sigma_operator_values(series, n, lmax, oracle):
     """Values sigma_l(x) for l = 0..lmax from a lambda series, before the
     coefficient action: sigma_l = sum_j C(floor((l-1)/2), j) [-1]^{nj} lambda_{l-j}."""
-    out = {}
-    for l in range(lmax + 1):
-        if l == 0:
-            out[0] = series.get(0)
-            continue
-        acc = None
+    out = {0: series[0]}
+    for l in range(1, lmax + 1):
         m = (l - 1) // 2
-        for j in range(m + 1):
-            lam = series.get(l - j)
-            if lam is None:
-                continue
-            term = oracle.minus_one_power(n * j).mul(lam) if j else lam
-            c = comb(m, j)
-            if c != 1:
-                term = term.scale(c)
-            acc = term if acc is None else acc.add(term)
-        if acc is not None:
-            out[l] = acc
+        out[l] = twisted_sum(
+            ((j, comb(m, j), series[l - j]) for j in range(m + 1)),
+            n,
+            oracle.minus_one_power,
+        )
     return out
 
 
@@ -342,10 +326,7 @@ def sigma_eval(n, l, y, x, oracle=None, theory=MW, skip_check=False):
     oracle = oracle or _oracle_of(x)
     require_torsion(n, y, theory, skip_check)
     series = lambda_series(x, n, l, oracle)
-    value = sigma_operator_values(series, n, l, oracle).get(l)
-    if value is None:
-        return _zero_value(oracle, y.degree + l * n)
-    return _act(value, y, oracle)
+    return _act(sigma_operator_values(series, n, l, oracle)[l], y, oracle)
 
 
 def f_eval(n, l, y, x, oracle=None, theory=MW, skip_check=False, direct=False):
@@ -359,28 +340,17 @@ def f_eval(n, l, y, x, oracle=None, theory=MW, skip_check=False, direct=False):
     if l == 0:
         return _act(oracle.one(), y, oracle)
     if direct:
+        # independent oracle, kept on purpose: checks the twisted-sum formula
         neg = _negate_presentation(x, oracle)
-        series = lambda_series(neg, n, l, oracle)
-        coeff = series.get(l)
-        if coeff is None:
-            return _zero_value(oracle, y.degree + l * n)
-        return _act(coeff, y, oracle)
+        return _act(lambda_series(neg, n, l, oracle)[l], y, oracle)
     series = lambda_series(x, n, l, oracle)
-    acc = None
-    for i in range(l):
-        lam = series.get(l - i)
-        if lam is None:
-            continue
-        term = oracle.minus_one_power(n * i).mul(lam) if i else lam
-        c = comb(l - 1, i)
-        if c != 1:
-            term = term.scale(c)
-        acc = term if acc is None else acc.add(term)
-    if acc is None:
-        return _zero_value(oracle, y.degree + l * n)
-    if l % 2 == 1:
-        acc = acc.neg()
-    return _act(acc, y, oracle)
+    sign = -1 if l % 2 else 1
+    value = twisted_sum(
+        ((i, sign * comb(l - 1, i), series[l - i]) for i in range(l)),
+        n,
+        oracle.minus_one_power,
+    )
+    return _act(value, y, oracle)
 
 
 def f_lambda_convert(coeffs, n, field):
@@ -390,22 +360,14 @@ def f_lambda_convert(coeffs, n, field):
     involution on coefficient tuples; m = 0 passes through.
     """
     L = len(coeffs) - 1
-    out = []
-    for m in range(L + 1):
-        if m == 0:
-            out.append(coeffs[0])
-            continue
-        acc = None
-        for i in range(0, L - m + 1):
-            a = coeffs[m + i]
-            term = minus_one_power(field, n * i).mul(a) if i else a
-            c = comb(m + i - 1, i)
-            if c != 1:
-                term = term.scale(c)
-            if (m + i) % 2 == 1:
-                term = term.neg()
-            acc = term if acc is None else acc.add(term)
-        out.append(acc)
+    power = lambda k: minus_one_power(field, k)
+    out = [coeffs[0]]
+    for m in range(1, L + 1):
+        terms = (
+            (i, (-1) ** (m + i) * comb(m + i - 1, i), coeffs[m + i])
+            for i in range(L - m + 1)
+        )
+        out.append(twisted_sum(terms, n, power))
     return out
 
 
@@ -413,12 +375,6 @@ def _negate_presentation(x, oracle):
     if isinstance(x, Presentation):
         return Presentation(x.n, tuple((-s, u) for s, u in x.entries))
     return x.neg()
-
-
-def _zero_value(oracle, degree):
-    if isinstance(oracle, ModelOracle):
-        return oracle.zero(degree)
-    return SymExpr.zero(oracle.field)
 
 
 def _oracle_of(x):
@@ -540,24 +496,24 @@ class OpSequence:
     def apply(self, x, oracle=None):
         """Evaluate sum_l sigma_l(x) . a_l through the oracle of x's field."""
         self.require_admissible()
-        oracle = oracle or _oracle_of(x)
+        return self.evaluate(x, oracle or _oracle_of(x))
+
+    def evaluate(self, x, oracle):
+        """apply() without the admissibility check, for sequences that are
+        evaluated to show what goes wrong when they are not admissible."""
         L = self.trunc
-        series = lambda_series(x, self.n, L, oracle)
-        sig = sigma_operator_values(series, self.n, L, oracle)
-        acc = None
+        sig = sigma_operator_values(lambda_series(x, self.n, L, oracle), self.n, L, oracle)
+        acc = oracle.zero(self.m)
         for l, a in enumerate(self.coeffs):
-            if a.is_zero_in(self.target):
-                continue
-            op_val = sig.get(l)
-            if op_val is None:
-                continue
-            term = op_val.mul(oracle.from_base(a))
-            acc = term if acc is None else acc.add(term)
-        if acc is None:
-            return _zero_value(oracle, self.m)
+            if not a.is_zero_in(self.target):
+                acc = acc.add(sig[l].mul(oracle.from_base(a)))
         return acc
 
     # -- the shift transform ----------------------------------------------------
+    #
+    # The public entries check admissibility once; the steps after it do
+    # not, since a shift of an admissible sequence is admissible again
+    # (pinned by test_shift_preserves_admissibility).
 
     def shift(self, sign):
         """The coefficient transform of the positive or negative shift.
@@ -568,6 +524,9 @@ class OpSequence:
         self.require_admissible()
         if sign not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
+        return self._shift(sign)
+
+    def _shift(self, sign):
         parity = 1 if sign == +1 else 0
         twist = minus_one_power(self.field, self.n)
         out = []
@@ -579,14 +538,15 @@ class OpSequence:
         return OpSequence(self.source, self.target, self.n, self.m - self.n, self.field, out)
 
     def shifted(self, plus, minus, minus_first=True):
+        self.require_admissible()
         seq = self
         first, second = (-1, +1) if minus_first else (+1, -1)
         count_first = minus if minus_first else plus
         count_second = plus if minus_first else minus
         for _ in range(count_first):
-            seq = seq.shift(first)
+            seq = seq._shift(first)
         for _ in range(count_second):
-            seq = seq.shift(second)
+            seq = seq._shift(second)
         return seq
 
     def g_map(self, minus_first=True):
@@ -598,9 +558,9 @@ class OpSequence:
         built along shared prefixes: the chain of first-direction shifts is
         walked once, and from each sequence on it one chain of
         second-direction shifts serves every l with that many first-direction
-        shifts.  Both counts never decrease in l, and every sequence shifted
-        here is one that shifted() shifts, so the same NotAdmissible raises.
+        shifts.  Both counts never decrease in l.
         """
+        self.require_admissible()
         first, second = (-1, +1) if minus_first else (+1, -1)
         prefix, outer = self, 0  # self after `outer` first-direction shifts
         seq, inner = self, 0  # prefix after `inner` second-direction shifts
@@ -610,10 +570,10 @@ class OpSequence:
             i, j = (minus, plus) if minus_first else (plus, minus)
             if i > outer:
                 for _ in range(i - outer):
-                    prefix = prefix.shift(first)
+                    prefix = prefix._shift(first)
                 outer, seq, inner = i, prefix, 0
             for _ in range(j - inner):
-                seq = seq.shift(second)
+                seq = seq._shift(second)
             inner = j
             out.append(seq.coeff(0))
         return out

@@ -484,28 +484,14 @@ def run_prop64(config):
         sxp = lambda_series(xp, n, L, oracle)
         sboth = lambda_series(x.as_expr(field).add(xp.as_expr(field)), n, L, oracle)
         l = rng.randrange(1, L + 1)
-        lhs = sboth.get(l)
-        acc = None
+        acc = oracle.zero(l * n)
         for i in range(l + 1):
-            vi, vj = sx.get(i), sxp.get(l - i)
-            if vi is None or vj is None:
-                continue
-            term = vi.mul(vj)
-            acc = term if acc is None else acc.add(term)
+            acc = acc.add(sx[i].mul(sxp[l - i]))
         y_val = oracle.from_base(y)
-        lhs_val = lhs.mul(y_val) if lhs is not None else None
-        rhs_val = acc.mul(y_val) if acc is not None else None
-        if lhs_val is None and rhs_val is None:
-            rep.check(True, "")
-        elif lhs_val is None:
-            rep.check(oracle.is_zero(rhs_val, MW, y.degree + l * n), f"sum formula trial {trial}")
-        elif rhs_val is None:
-            rep.check(oracle.is_zero(lhs_val, MW, y.degree + l * n), f"sum formula trial {trial}")
-        else:
-            rep.check(
-                oracle.equal(lhs_val, rhs_val, MW, y.degree + l * n),
-                f"sum formula trial {trial} (l={l})",
-            )
+        rep.check(
+            oracle.equal(sboth[l].mul(y_val), acc.mul(y_val), MW, y.degree + l * n),
+            f"sum formula trial {trial} (l={l})",
+        )
 
         # elementary-symmetric evaluation on all-positive presentations,
         # in both index orders (the values live in a commutative setting
@@ -519,7 +505,7 @@ def run_prop64(config):
             got = lambda_eval(n, l2, y, pos, oracle)
             from itertools import combinations as _comb
 
-            acc2 = rev2 = None
+            acc2 = rev2 = oracle.zero(l2 * n)
             for subset in _comb(range(r), l2):
                 term = oracle.one()
                 rterm = oracle.one()
@@ -527,24 +513,18 @@ def run_prop64(config):
                     term = term.mul(oracle.bracket(pos.entries[i][1]))
                 for i in reversed(subset):
                     rterm = rterm.mul(oracle.bracket(pos.entries[i][1]))
-                acc2 = term if acc2 is None else acc2.add(term)
-                rev2 = rterm if rev2 is None else rev2.add(rterm)
+                acc2 = acc2.add(term)
+                rev2 = rev2.add(rterm)
             y_val = oracle.from_base(y)
             deg2 = y.degree + l2 * n
-            if acc2 is None:
-                rep.check(
-                    oracle.is_zero(got, MW, deg2),
-                    f"elementary symmetric trial {trial}",
-                )
-            else:
-                rep.check(
-                    oracle.equal(got, acc2.mul(y_val), MW, deg2),
-                    f"elementary symmetric trial {trial} (l={l2}, r={r})",
-                )
-                rep.check(
-                    oracle.equal(got, rev2.mul(y_val), MW, deg2),
-                    f"permuted-presentation symmetry trial {trial} (l={l2}, r={r})",
-                )
+            rep.check(
+                oracle.equal(got, acc2.mul(y_val), MW, deg2),
+                f"elementary symmetric trial {trial} (l={l2}, r={r})",
+            )
+            rep.check(
+                oracle.equal(got, rev2.mul(y_val), MW, deg2),
+                f"permuted-presentation symmetry trial {trial} (l={l2}, r={r})",
+            )
 
         # eta-carrying terms: the subset-product series must agree with the
         # series of the pure-symbol rewriting of the same element
@@ -559,22 +539,10 @@ def run_prop64(config):
             sb = lambda_series(reduced, n, 2, oracle)
             y_val = oracle.from_base(y)
             for l3 in (1, 2):
-                va, vb = sa.get(l3), sb.get(l3)
-                va = va.mul(y_val) if va is not None else None
-                vb = vb.mul(y_val) if vb is not None else None
-                deg3 = y.degree + l3 * n
-                if va is None and vb is None:
-                    rep.check(True, "")
-                elif va is None or vb is None:
-                    rep.check(
-                        oracle.is_zero(vb if va is None else va, MW, deg3),
-                        f"eta-form series trial {trial} (l={l3})",
-                    )
-                else:
-                    rep.check(
-                        oracle.equal(va, vb, MW, deg3),
-                        f"eta-form series trial {trial} (l={l3})",
-                    )
+                rep.check(
+                    oracle.equal(sa[l3].mul(y_val), sb[l3].mul(y_val), MW, y.degree + l3 * n),
+                    f"eta-form series trial {trial} (l={l3})",
+                )
     return rep
 
 
@@ -656,33 +624,19 @@ def run_shift73(config):
             sig_series = lambda_series(x, n, l, oracle)
             sig = sigma_operator_values(sig_series, n, l, oracle)
             y_val = oracle.from_base(y)
-
-            def sig_val(k):
-                v = sig.get(k)
-                return v.mul(y_val) if v is not None else None
-
             basis = [MWElem.zero(base, m_local - n * i) for i in range(l + 1)]
             basis[l] = y
             seq_l = OpSequence(MW, MW, n, m_local, base, basis)
             for sgn in (1, -1):
                 direct = seq_l.shift(sgn).apply(x, oracle)
-                want = sig_val(l - 1)
+                want = sig[l - 1].mul(y_val)
                 plain = (l % 2 == 0) == (sgn == 1)
                 if not plain:
-                    extra = sig.get(l - 2)
-                    if extra is not None:
-                        tw = oracle.minus_one_power(n).mul(extra).mul(y_val)
-                        want = tw if want is None else want.add(tw)
-                if want is None:
-                    rep.check(
-                        oracle.is_zero(direct, MW, m_local - n),
-                        f"sigma shift trial {trial} sign {sgn}",
-                    )
-                else:
-                    rep.check(
-                        oracle.equal(direct, want, MW, m_local - n),
-                        f"sigma shift trial {trial} sign {sgn}",
-                    )
+                    want = want.add(oracle.minus_one_power(n).mul(sig[l - 2]).mul(y_val))
+                rep.check(
+                    oracle.equal(direct, want, MW, m_local - n),
+                    f"sigma shift trial {trial} sign {sgn}",
+                )
     return rep
 
 
@@ -779,12 +733,8 @@ def run_prop83(config):
         sig = sigma_operator_values(series, n, L, oracle)
         y_val = oracle.from_base(y)
         for l in range(bound, L + 1):
-            v = sig.get(l)
-            if v is None:
-                rep.check(True, "")
-                continue
             rep.check(
-                oracle.is_zero(v.mul(y_val), MW, y.degree + l * n),
+                oracle.is_zero(sig[l].mul(y_val), MW, y.degree + l * n),
                 f"sigma_{l} nonzero beyond the bound (r={x.positives}, s={x.negatives}, trial {trial})",
             )
     return rep
@@ -1255,11 +1205,11 @@ def run_table1(config):
                 for _ in range(2)
             ]
             for x_expr in probes:
-                base_val = _apply_unchecked(seq, x_expr, oracle)
+                base_val = seq.evaluate(x_expr, oracle)
                 if not oracle.is_zero(base_val, MW, m):
                     acts_zero = False
                 for gen in gens:
-                    pert_val = _apply_unchecked(seq, x_expr.add(gen), oracle)
+                    pert_val = seq.evaluate(x_expr.add(gen), oracle)
                     if not oracle.equal(base_val, pert_val, MW, m):
                         violated = True
                         break
@@ -1272,24 +1222,6 @@ def run_table1(config):
             audited += 1
         rep.note(f"rejection audit over {audited} non-admissible sequences")
     return rep
-
-
-def _apply_unchecked(seq, x, oracle):
-    L = seq.trunc
-    series = lambda_series(x, seq.n, L, oracle)
-    sig = sigma_operator_values(series, seq.n, L, oracle)
-    acc = None
-    for l, a in enumerate(seq.coeffs):
-        if a.is_zero():
-            continue
-        v = sig.get(l)
-        if v is None:
-            continue
-        term = v.mul(oracle.from_base(a))
-        acc = term if acc is None else acc.add(term)
-    if acc is None:
-        return SymExpr.zero(oracle.field)
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,7 @@ class ValuationContext:
 
     def residue_model(self, x, degree, term_cap=MAX_TERM_SIZE):
         """The residue evaluated straight into the residue-field model."""
+        # independent oracle, kept on purpose: residue() computes the same map symbolically
         if x.field is not self.rf:
             raise FieldMismatch("expression over a different function field")
         if x.max_term_size() > term_cap:

@@ -55,6 +55,23 @@ def test_f9_modulus_is_lex_smallest_irreducible():
     assert brute_order(F9, F9.generator) == 8
 
 
+def test_ff_build_moduli_are_pinned():
+    # the defining polynomials (coefficients low to high) of the reference
+    # build; every canonical form and field encoding depends on them
+    expected = {
+        (3, 2): (1, 0, 1),
+        (3, 3): (1, 2, 0, 1),
+        (3, 4): (2, 1, 0, 0, 1),
+        (3, 8): (2, 0, 1, 0, 0, 0, 0, 0, 1),
+        (5, 2): (2, 0, 1),
+        (5, 4): (2, 0, 0, 0, 1),
+        (7, 2): (1, 0, 1),
+        (7, 3): (2, 0, 0, 1),
+    }
+    for (p, d), modulus in expected.items():
+        assert ff_build(p, d).modulus == modulus, (p, d)
+
+
 def test_even_characteristic_rejected():
     with pytest.raises(EvenCharacteristic):
         ff_build(2, 1)

@@ -20,7 +20,7 @@ from mwk.model import (
     smith_normal_form,
     snf_oracle,
     theory_elements,
-    torsion_test,
+    theory_torsion_test,
 )
 from mwk.symbols import SymExpr, relation_generators
 
@@ -111,11 +111,13 @@ def test_compatibility_preserved_by_ops():
 
 def test_torsion_examples():
     y = eval_model(SymExpr.bracket(F3.minus_one()).eta_mul(), 0)
-    assert torsion_test(y, "h")
-    assert not torsion_test(MWElem.one(F3), "h")
-    assert torsion_test(MWElem.zero(F3, 1), "tau", 1)
+    assert theory_torsion_test(y, "h", MW)
+    assert not theory_torsion_test(MWElem.one(F3), "h", MW)
+    assert theory_torsion_test(MWElem.zero(F3, 1), "tau", MW, 1)
     nonzero = eval_model(SymExpr.bracket(F3.unit(2)), 1)
-    assert not torsion_test(nonzero, "tau", 1)  # tau_1 is the identity action
+    assert not theory_torsion_test(nonzero, "tau", MW, 1)  # tau_1 is the identity action
+    with pytest.raises(ValueError):
+        theory_torsion_test(nonzero, "tau", MW)
 
 
 def test_degree_mismatch():

@@ -254,3 +254,32 @@ def test_residue_place_at_infinity():
     # a degree-0 unit at infinity is regular: residue of its bracket is 0
     u = RF.from_fraction(Poly.make(F3, [1, 2]), Poly.make(F3, [2, 1]))
     assert eval_model(ctx.residue(SymExpr.bracket(u, u)), 1).is_zero()
+
+
+def test_model_valued_scan_matches_the_symbolic_residue():
+    # the model-valued residue and specialization used by the zero test
+    # against eval_model of the symbolic rewriting, at the support places,
+    # the place t, a degree-2 place and infinity
+    from mwk.fields import ff_build_q, first_monic_irreducible
+    from mwk.suites import sample_expr, unit_sampler
+
+    rng = random.Random(2024)
+    compared = 0
+    for q in (3, 5, 7, 9):
+        rf = rat_func_field(ff_build_q(q))
+        sampler = unit_sampler(rf, rng, max_degree=2)
+        fixed = [
+            Place(rf, rf.var_poly()),
+            Place(rf, first_monic_irreducible(rf.base, 2)),
+            Place(rf, None),
+        ]
+        for _ in range(12):
+            deg = rng.choice([-1, 0, 1, 2])
+            x = sample_expr(rf, deg, rng, max_terms=2, max_eta=1, sampler=sampler)
+            places = dict.fromkeys(fixed + list(x.support_places()))
+            for place in places:
+                ctx = ValuationContext(place)
+                assert ctx.residue_model(x, deg) == eval_model(ctx.residue(x), deg - 1), (q, x, place)
+                assert ctx.specialize_model(x, deg) == eval_model(ctx.specialize(x), deg), (q, x, place)
+                compared += 1
+    assert compared > 150
