@@ -687,9 +687,6 @@ class RatFuncUnit:
             return -sum(e * p.degree for p, e in self.factors)
         return dict(self.factors).get(place.poly, 0)
 
-    def support(self):
-        return [Place(self.rf, p) for p, _ in self.factors]
-
     def to_fraction(self, degree_cap=3 * DEFAULT_DEGREE_BOUND):
         """Expand to a (numerator, denominator) pair of polynomials."""
         base = self.rf.base

@@ -5,14 +5,24 @@ An element of degree n is a compatible pair (Milnor part, Witt part):
 * the Milnor part lives in Z (n = 0), in Z/(q-1) via discrete logs (n = 1),
   and in the zero group otherwise;
 * the Witt part is a class in the Witt ring W(F_q), encoded as a canonical
-  pair (rank mod h, discriminant) and constrained to I^max(n,0); over a
+  pair (rank mod 2, discriminant) and constrained to I^max(n,0); over a
   finite field I^2 = 0, so only degrees <= 1 carry Witt information.
 
 Compatibility says the Milnor part mod 2 equals the class of the Witt part
-in I^n/I^{n+1}.  Negative degrees are pure Witt classes.  The module also
-provides the independent presentation oracle: the standard generators and
-relations truncated at a maximal eta power, resolved by integer Smith normal
-form, for cross-checking the closed-form groups.
+in I^n/I^{n+1}.  Negative degrees are pure Witt classes.  Every value is
+held in the normal form of its degree:
+
+* n >= 2: milnor 0, witt (0, 0);
+* n == 1: milnor m in [0, q-1), witt (0, m mod 2);
+* n == 0: milnor the rank m in Z, witt the canonical pair (m mod 2, disc);
+* n < 0:  milnor 0, witt the canonical pair.
+
+Arithmetic builds its results in that form directly (`_build`) and checks
+nothing; only the public constructors `MWElem(...)` and `witt_class`
+check their input.  The module also provides the independent presentation
+oracle: the standard generators and relations truncated at a maximal eta
+power, resolved by integer Smith normal form, for cross-checking the
+closed-form groups.
 """
 
 from __future__ import annotations
@@ -42,97 +52,87 @@ def _disc_minus_one(field):
 def _w_canonical(field, rank, disc):
     """Canonical representative (rank in {0,1}, disc) of a Witt class."""
     r = rank % 2
-    k = (rank - r) // 2
-    return (r, (disc + k * _disc_minus_one(field)) % 2)
-
-
-def _w_add(field, w1, w2):
-    return _w_canonical(field, w1[0] + w2[0], w1[1] + w2[1])
-
-
-def _w_neg(field, w):
-    return _w_canonical(field, -w[0], w[1])
-
-
-def _w_mul(field, w1, w2):
-    r1, d1 = w1
-    r2, d2 = w2
-    return _w_canonical(field, r1 * r2, r2 * d1 + r1 * d2)
-
-
-def _w_scale(field, c, w):
-    return _w_canonical(field, c * w[0], c * w[1])
+    return (r, (disc + (rank - r) // 2 * _disc_minus_one(field)) % 2)
 
 
 W_ZERO = (0, 0)
-W_ONE = (1, 0)
+
+_new = object.__new__
 
 
-def _milnor_mod(field, n, value):
-    if n == 0:
-        return value
-    if n == 1:
-        return value % (field.q - 1)
-    return 0
+def _build(field, degree, milnor, rank, disc):
+    """The element of the given degree with Milnor part `milnor` and Witt
+    class (rank, disc), in normal form and unchecked: the caller must pass a
+    compatible pair (every arithmetic result is one)."""
+    x = _new(MWElem)
+    x.field = field
+    x.degree = degree
+    if degree >= 2:
+        x.milnor = 0
+        x.witt = W_ZERO
+    elif degree == 1:
+        m = milnor % (field.q - 1)
+        x.milnor = m
+        x.witt = (0, m % 2)
+    else:
+        x.milnor = milnor if degree == 0 else 0
+        x.witt = _w_canonical(field, rank, disc)
+    return x
 
 
 class MWElem:
-    """An element of degree-n Milnor-Witt K-theory of F_q in pair form."""
+    """An element of degree-n Milnor-Witt K-theory of F_q in pair form.
+
+    Values are held in the normal form of their degree (see the module
+    docstring).  `MWElem(field, degree, milnor, witt)` is the checked entry
+    for outside input: it canonicalises the Witt pair, raises
+    `DegreeMismatch` for an incompatible pair in degrees 0 and 1, and stores
+    the normal form.
+    """
 
     __slots__ = ("field", "degree", "milnor", "witt")
 
     def __init__(self, field, degree, milnor, witt):
-        milnor = _milnor_mod(field, degree, milnor)
-        if degree < 0:
-            milnor = 0
-        if degree >= 2:
-            witt = W_ZERO
-        self.field = field
-        self.degree = degree
-        self.milnor = milnor
-        self.witt = witt
-        if degree == 1 and witt[0] != 0:
+        rank, disc = _w_canonical(field, *witt)
+        if degree == 1 and rank != 0:
             raise DegreeMismatch("degree-1 Witt part must lie in I")
-        if not self._compatible():
+        if (degree == 0 and milnor % 2 != rank) or (degree == 1 and milnor % 2 != disc):
             raise DegreeMismatch(
                 f"incompatible pair (degree {degree}, milnor {milnor}, witt {witt})"
             )
-
-    def _compatible(self):
-        n = self.degree
-        if n == 0:
-            return self.milnor % 2 == self.witt[0]
-        if n == 1:
-            return self.milnor % 2 == self.witt[1]
-        return True
+        nf = _build(field, degree, milnor, rank, disc)
+        self.field = field
+        self.degree = degree
+        self.milnor = nf.milnor
+        self.witt = nf.witt
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def zero(field, degree):
-        return MWElem(field, degree, 0, W_ZERO)
+        return _build(field, degree, 0, 0, 0)
 
     @staticmethod
     def one(field):
-        return MWElem(field, 0, 1, W_ONE)
+        return _build(field, 0, 1, 1, 0)
 
     @staticmethod
     def from_unit(u):
         """[a]: Milnor symbol {a} paired with the Pfister-type class <a> - <1>."""
-        return MWElem(u.field, 1, u.exp, (0, u.exp % 2))
+        return _build(u.field, 1, u.exp, 0, u.exp)
 
     @staticmethod
     def angle(u):
         """<a> = 1 + eta [a] in degree 0."""
-        return MWElem(u.field, 0, 1, (1, u.exp % 2))
+        return _build(u.field, 0, 1, 1, u.exp)
 
     @staticmethod
     def h(field):
-        return MWElem(field, 0, 2, W_ZERO)
+        return _build(field, 0, 2, 0, 0)
 
     @staticmethod
     def eps(field):
-        return MWElem(field, 0, -1, W_ONE)
+        return _build(field, 0, -1, 1, 0)
 
     @staticmethod
     def witt_class(field, degree, w):
@@ -151,43 +151,33 @@ class MWElem:
         self._check(other)
         if other.degree != self.degree:
             raise DegreeMismatch(f"degrees {self.degree} and {other.degree}")
-        return MWElem(
-            self.field,
-            self.degree,
-            self.milnor + other.milnor,
-            _w_add(self.field, self.witt, other.witt),
-        )
+        (r1, d1), (r2, d2) = self.witt, other.witt
+        return _build(self.field, self.degree, self.milnor + other.milnor, r1 + r2, d1 + d2)
 
     def neg(self):
-        return MWElem(self.field, self.degree, -self.milnor, _w_neg(self.field, self.witt))
+        r, d = self.witt
+        return _build(self.field, self.degree, -self.milnor, -r, d)
 
     def sub(self, other):
         return self.add(other.neg())
 
     def scale(self, c):
-        return MWElem(
-            self.field, self.degree, c * self.milnor, _w_scale(self.field, c, self.witt)
-        )
+        r, d = self.witt
+        return _build(self.field, self.degree, c * self.milnor, c * r, c * d)
 
     def mul(self, other):
         self._check(other)
         n, m = self.degree, other.degree
-        if n == 0:
-            milnor = self.milnor * other.milnor
-        elif m == 0:
-            milnor = self.milnor * other.milnor
-        else:
-            milnor = 0  # positive-degree Milnor products die in K^M_{>=2} = 0
-        return MWElem(
-            self.field, n + m, milnor, _w_mul(self.field, self.witt, other.witt)
-        )
+        # positive-degree Milnor products die in K^M_{>=2} = 0
+        milnor = self.milnor * other.milnor if n == 0 or m == 0 else 0
+        (r1, d1), (r2, d2) = self.witt, other.witt
+        return _build(self.field, n + m, milnor, r1 * r2, r2 * d1 + r1 * d2)
 
     def eta_mul(self, power=1):
         """Multiply by eta^power: kill the Milnor part, keep the Witt class."""
-        out = self
-        for _ in range(power):
-            out = MWElem(out.field, out.degree - 1, 0, out.witt)
-        return out
+        if power <= 0:
+            return self
+        return _build(self.field, self.degree - power, 0, *self.witt)
 
     def h_mul(self):
         return MWElem.h(self.field).mul(self)
@@ -293,32 +283,20 @@ def base_change(elem, target):
 
 
 def model_to_sym(elem):
-    """A symbolic representative over F_q evaluating to the given element."""
+    """A symbolic representative over F_q evaluating to the given element:
+    [g^m] in degree 1, otherwise c + eta [g^j] (times eta^-n below degree 0)
+    with c the rank and j fixed by the discriminant, for g the generator."""
     field = elem.field
     n = elem.degree
-    g = field.gen_unit()
     if elem.is_zero():
-        return SymExpr.zero(field)
-    if n >= 2:
         return SymExpr.zero(field)
     if n == 1:
         return SymExpr.bracket(FFUnit(field, elem.milnor))
-    if n == 0:
-        for j in (0, 1):
-            cand = SymExpr.const(field, elem.milnor).add(
-                SymExpr.bracket(g.pow(j)).eta_mul()
-            )
-            if eval_model(cand, 0) == elem:
-                return cand
-        raise DegreeMismatch("no degree-0 representative found")
-    # negative degrees: eta^{|n|} times a degree-0 combination
-    for c in range(4):
-        for j in (0, 1):
-            cand = SymExpr.const(field, c).add(SymExpr.bracket(g.pow(j)).eta_mul())
-            cand = cand.eta_mul(-n)
-            if eval_model(cand, n) == elem:
-                return cand
-    raise DegreeMismatch("no negative-degree representative found")
+    c = elem.milnor if n == 0 else elem.witt[0]
+    # const(c) carries the discriminant (c // 2) disc(-1); eta [g^j] adds j
+    j = (elem.witt[1] - (c // 2) * _disc_minus_one(field)) % 2
+    rep = SymExpr.const(field, c).add(SymExpr.bracket(field.gen_unit().pow(j)).eta_mul())
+    return rep.eta_mul(-n) if n < 0 else rep
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +310,14 @@ def model_elements(field, degree, rank_window=2):
     if degree >= 2:
         return [MWElem.zero(field, degree)]
     if degree == 1:
-        return [MWElem(field, 1, m, (0, m % 2)) for m in range(field.q - 1)]
+        return [_build(field, 1, m, 0, m) for m in range(field.q - 1)]
     if degree == 0:
-        out = []
-        for r in range(-rank_window, rank_window + 1):
-            for delta in (0, 1):
-                out.append(MWElem(field, 0, r, (r % 2, delta)))
-        return out
-    return [
-        MWElem(field, degree, 0, (r, delta)) for r in (0, 1) for delta in (0, 1)
-    ]
+        return [
+            _build(field, 0, r, r % 2, delta)
+            for r in range(-rank_window, rank_window + 1)
+            for delta in (0, 1)
+        ]
+    return [_build(field, degree, 0, r, delta) for r in (0, 1) for delta in (0, 1)]
 
 
 def theory_elements(field, theory, degree, rank_window=2):
@@ -420,14 +396,6 @@ def group_structure_model(field, n, rank_window=4):
 
     if field.q > size_bound():
         raise SizeBound(f"q = {field.q} exceeds the enumeration bound")
-    if n >= 2:
-        return []
-    if n == 1:
-        elems = model_elements(field, 1)
-        facs = finite_abelian_invariants(
-            elems, lambda a, b: a.add(b), lambda a: a.neg(), MWElem.zero(field, 1)
-        )
-        return [f for f in facs if f != 1]
     if n == 0:
         # the rank splits off a free summand; the complement is the finite
         # torsion subgroup {pairs of rank 0}, enumerated exhaustively

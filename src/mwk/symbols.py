@@ -264,11 +264,6 @@ def rewrite_mw2(a, b):
     return SymExpr(field, [((0, (a,)), 1), ((0, (b,)), 1), ((1, (a, b)), 1)])
 
 
-def angle_bracket(a, b):
-    """<a>[b]; evaluates equal to [ab] - [a]."""
-    return SymExpr.angle(a).mul(SymExpr.bracket(b))
-
-
 def eta_reduce(expr):
     """Rewrite a positive-degree expression as a combination of pure symbols.
 

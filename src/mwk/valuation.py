@@ -24,7 +24,7 @@ from .errors import (
     NotAUniformizer,
     PlaceMismatch,
 )
-from .fields import Place, RatFuncField
+from .fields import Place, RatFuncField, residue_field
 from .model import MW, MWElem
 from .symbols import SymExpr
 
@@ -57,12 +57,11 @@ class ValuationContext:
         self.rf = rf
         self.place = place
         self.pi = uniformizer
-        self.kappa, self.reduce_unit = _residue(place)
+        self.kappa, self.reduce_unit = residue_field(place)
         self._minus_one = rf.minus_one()
         self._eps_kappa = SymExpr.eps_elem(self.kappa)
         self._eps_model = MWElem.eps(self.kappa)
         self._m1_model = MWElem.from_unit(self.kappa.minus_one())
-        self._m1k_model = self._m1_model
         self._eps_m1k = self._eps_model.mul(self._m1_model)
         self._expand_cache = {}
         self._residue_cache = {}
@@ -82,7 +81,6 @@ class ValuationContext:
         if found is not None:
             return found
         e, u = self.split(a)
-        rf = self.rf
         if e == 0:
             out = SymExpr.bracket(u)
         else:
@@ -199,36 +197,22 @@ class ValuationContext:
 
     def _pair_prepend_unit(self, u_bar_elem, eps_u_bar, pair):
         s, d = pair
-        return (
-            u_bar_elem.mul(s),
-            eps_u_bar.mul(d) if d is not None else None,
-        )
+        return (u_bar_elem.mul(s), eps_u_bar.mul(d))
 
     def _pair_prepend_pi(self, pair):
         s, d = pair
-        new_d = s
-        if d is not None:
-            new_d = s.add(self._m1_model.mul(d))
-        return (MWElem.zero(self.kappa, s.degree + 1), new_d)
+        return (MWElem.zero(self.kappa, s.degree + 1), s.add(self._m1_model.mul(d)))
 
     def _pair_prepend_eta(self, pair):
         s, d = pair
-        return (s.eta_mul(), d.eta_mul() if d is not None else None)
+        return (s.eta_mul(), d.eta_mul())
 
     def _pair_add(self, a, b):
-        sa, da = a
-        sb, db = b
-        if da is None:
-            d = db
-        elif db is None:
-            d = da
-        else:
-            d = da.add(db)
-        return (sa.add(sb), d)
+        return (a[0].add(b[0]), a[1].add(b[1]))
 
     def _pair_scale(self, pair, c):
         s, d = pair
-        return (s.scale(c), d.scale(c) if d is not None else None)
+        return (s.scale(c), d.scale(c))
 
     def _pair_prepend_pi_power(self, e, pair):
         """[pi^e] . x  via  e [pi] + floor(e/2) eta [-1][pi]  (eps-twisted
@@ -238,13 +222,13 @@ class ValuationContext:
         out = self._pair_scale(base, mag)
         if mag // 2:
             tw = self._pair_prepend_eta(
-                self._pair_prepend_unit(self._m1k_model, self._eps_m1k, base)
+                self._pair_prepend_unit(self._m1_model, self._eps_m1k, base)
             )
             out = self._pair_add(out, self._pair_scale(tw, mag // 2))
         if e < 0:
             # eps z = -z - eta [-1] z
             twisted = self._pair_prepend_eta(
-                self._pair_prepend_unit(self._m1k_model, self._eps_m1k, out)
+                self._pair_prepend_unit(self._m1_model, self._eps_m1k, out)
             )
             out = self._pair_scale(self._pair_add(out, twisted), -1)
         return out
@@ -266,11 +250,12 @@ class ValuationContext:
         )
 
     def _scan_term(self, d, units):
-        pair = (MWElem.one(self.kappa), None)
+        # the empty product: specialization 1, residue the zero of degree -1
+        pair = (MWElem.one(self.kappa), MWElem.zero(self.kappa, -1))
         for a in reversed(units):
             pair = self._pair_prepend_entry(a, pair)
         s, dd = pair
-        return (s.eta_mul(d), dd.eta_mul(d) if dd is not None else None)
+        return (s.eta_mul(d), dd.eta_mul(d))
 
     def residue_model(self, x, degree, term_cap=MAX_TERM_SIZE):
         """The residue evaluated straight into the residue-field model."""
@@ -284,8 +269,7 @@ class ValuationContext:
             if len(units) - d != degree:
                 raise Inhomogeneous("expression mixes degrees")
             _, res = self._scan_term(d, units)
-            if res is not None:
-                total = total.add(res.scale(coeff))
+            total = total.add(res.scale(coeff))
         return total
 
     def specialize_model(self, x, degree):
@@ -320,12 +304,6 @@ class ValuationContext:
         shifted = SymExpr.bracket(self.pi.negate()).mul(x)
         res = self.residue(shifted)
         return SymExpr.angle(self.kappa.minus_one()).mul(res)
-
-
-def _residue(place):
-    from .fields import residue_field
-
-    return residue_field(place)
 
 
 def residue(x, place, uniformizer=None):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from mwk.errors import DegreeMismatch, Inhomogeneous
+from mwk.exprtext import format_expr
 from mwk.fields import ff_build
 from mwk.model import (
     MILNOR,
@@ -95,6 +96,59 @@ def test_eps_squared_is_one():
         assert MWElem.eps(F).mul(MWElem.eps(F)) == MWElem.one(F)
 
 
+def assert_normal(r):
+    n, m, (rank, disc) = r.degree, r.milnor, r.witt
+    assert rank in (0, 1) and disc in (0, 1), r
+    if n >= 2:
+        assert m == 0 and r.witt == (0, 0), r
+    elif n == 1:
+        assert 0 <= m < r.field.q - 1 and r.witt == (0, m % 2), r
+    elif n == 0:
+        assert rank == m % 2, r
+    else:
+        assert m == 0, r
+    # the checked public constructor stores the normal form of its input
+    assert r == MWElem(r.field, r.degree, r.milnor, r.witt), r
+
+
+def test_arithmetic_results_are_in_normal_form():
+    # arithmetic skips every check, so its results must already be normal
+    for F in (F3, F5, F9):
+        by_degree = {d: model_elements(F, d) for d in range(-2, 4)}
+        elems = [x for xs in by_degree.values() for x in xs]
+        for x in elems:
+            assert_normal(x)
+            assert_normal(x.neg())
+            for c in range(-3, 4):
+                assert_normal(x.scale(c))
+            for k in range(3):
+                assert_normal(x.eta_mul(k))
+            for y in by_degree[x.degree]:
+                assert_normal(x.add(y))
+                assert_normal(x.sub(y))
+            for y in elems:
+                assert_normal(x.mul(y))
+    # the public constructor still rejects what is not a normal form of anything
+    with pytest.raises(DegreeMismatch):
+        MWElem(F3, 0, 1, (0, 0))  # odd rank, even Witt rank
+    with pytest.raises(DegreeMismatch):
+        MWElem(F5, 1, 1, (0, 0))  # odd Milnor part, trivial discriminant
+    with pytest.raises(DegreeMismatch):
+        MWElem(F5, 1, 0, (1, 1))  # Witt part outside I
+
+
+def test_public_constructor_canonicalises_witt_pairs():
+    # -1 is a nonsquare in F_3, so the pair (r + 2, d) is canonically (r, d + 1)
+    x = MWElem.witt_class(F3, -1, (3, 0))
+    assert x.witt == (1, 1)
+    assert x.add(MWElem.zero(F3, -1)) == x
+    assert MWElem(F3, -2, 0, (1, 5)).witt == (1, 1)
+    assert MWElem(F3, -2, 5, (1, 5)) == MWElem.witt_class(F3, -2, (1, 1))
+    assert MWElem(F3, 1, 2, (2, 1)) == MWElem.zero(F3, 1)
+    assert MWElem(F3, 0, 2, (2, 1)).witt == (0, 0)
+    assert MWElem(F5, 0, 2, (2, 1)).witt == (0, 1)
+
+
 def test_compatibility_preserved_by_ops():
     rng = random.Random(3)
     for _ in range(300):
@@ -102,11 +156,11 @@ def test_compatibility_preserved_by_ops():
         d2 = rng.choice([-2, -1, 0, 1, 2])
         x = rng.choice(model_elements(F5, d1, rank_window=3))
         y = rng.choice(model_elements(F5, d2, rank_window=3))
-        x.mul(y)  # constructor asserts the compatibility invariant
+        results = [x.mul(y), x.eta_mul(), x.neg()]
         if d1 == d2:
-            x.add(y)
-        x.eta_mul()
-        x.neg()
+            results.append(x.add(y))
+        for r in results:
+            assert_normal(r)
 
 
 def test_torsion_examples():
@@ -134,12 +188,36 @@ def test_group_structure_examples():
     assert group_structure_model(F5, -1) == [2, 2]  # W(F_5) = Z/2 x Z/2
 
 
+# format_expr(model_to_sym(e)) for e in model_elements(F, degree), in order:
+# the values of the F_q(t) oracle over the base field depend on this choice
+SYM_REPRESENTATIVES = {
+    (F3, -2): ["0", "eta^3*[2]", "eta^2 + eta^3*[1]", "eta^2 + eta^3*[2]"],
+    (F3, -1): ["0", "eta^2*[2]", "eta + eta^2*[1]", "eta + eta^2*[2]"],
+    (F3, 0): [
+        "-2 + eta*[2]", "-2 + eta*[1]", "-1 + eta*[2]", "-1 + eta*[1]", "0",
+        "eta*[2]", "1 + eta*[1]", "1 + eta*[2]", "2 + eta*[2]", "2 + eta*[1]",
+    ],
+    (F3, 1): ["0", "[2]"],
+    (F3, 2): ["0"],
+    (F9, -2): ["0", "eta^3*[4]", "eta^2 + eta^3*[1]", "eta^2 + eta^3*[4]"],
+    (F9, -1): ["0", "eta^2*[4]", "eta + eta^2*[1]", "eta + eta^2*[4]"],
+    (F9, 0): [
+        "-2 + eta*[1]", "-2 + eta*[4]", "-1 + eta*[1]", "-1 + eta*[4]", "0",
+        "eta*[4]", "1 + eta*[1]", "1 + eta*[4]", "2 + eta*[1]", "2 + eta*[4]",
+    ],
+    (F9, 1): ["0", "[4]", "[6]", "[7]", "[2]", "[8]", "[3]", "[5]"],
+    (F9, 2): ["0"],
+}
+
+
 def test_model_to_sym_roundtrip():
-    rng = random.Random(4)
-    for F in (F3, F5):
+    for F in (F3, F5, F9):
         for deg in (-2, -1, 0, 1, 2):
             for e in model_elements(F, deg, rank_window=2):
                 assert eval_model(model_to_sym(e), deg) == e
+    for (F, deg), want in SYM_REPRESENTATIVES.items():
+        got = [format_expr(model_to_sym(e)) for e in model_elements(F, deg)]
+        assert got == want, (F.q, deg)
 
 
 def test_smith_normal_form_examples():
