@@ -249,7 +249,7 @@ class FiniteField:
 _FIELD_CACHE = {}
 
 
-def ff_build(p, d=1, bound=None):
+def ff_build(p, d=1):
     """Deterministic model of F_{p^d}: smallest modulus, smallest generator."""
     key = (p, d)
     cached = _FIELD_CACHE.get(key)
@@ -261,25 +261,25 @@ def ff_build(p, d=1, bound=None):
         raise NotPrime(f"{p} is not prime")
     if d < 1:
         raise SizeBound("extension degree must be >= 1")
-    limit = bound if bound is not None else size_bound()
+    limit = size_bound()
     if p**d > limit:
         raise SizeBound(f"p^d = {p ** d} exceeds bound {limit}")
     if d == 1:
         fld = FiniteField(p, 1, (0, 1))
     else:
         # the lexicographically smallest monic irreducible of degree d over F_p
-        fld = FiniteField(p, d, first_monic_irreducible(ff_build(p, 1, limit), d).coeffs)
+        fld = FiniteField(p, d, first_monic_irreducible(ff_build(p, 1), d).coeffs)
     _FIELD_CACHE[key] = fld
     return fld
 
 
-def ff_build_q(q, bound=None):
+def ff_build_q(q):
     """ff_build from a prime power q."""
     fac = factorint(q)
     if len(fac) != 1:
         raise NotPrime(f"{q} is not a prime power")
     (p, d), = fac.items()
-    return ff_build(p, d, bound)
+    return ff_build(p, d)
 
 
 @dataclass(frozen=True)
@@ -316,9 +316,6 @@ class FFUnit:
 
     def is_one(self):
         return self.exp == 0
-
-    def square_class(self):
-        return self.exp % 2
 
     def embed(self, big):
         return big.unit(self.field.embed_value(big, self.value))
@@ -521,15 +518,17 @@ def is_irreducible(f):
     return _is_irreducible(f.field, f if f.is_monic() else f.monic())
 
 
-def poly_factor(f, degree_cap=DEFAULT_DEGREE_BOUND):
+def poly_factor(f):
     """Factor a nonzero polynomial into monic irreducibles by trial division.
 
     Returns (leading unit, {monic irreducible Poly: multiplicity}).
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    if f.degree > degree_cap:
-        raise DegreeBound(f"degree {f.degree} exceeds factorization cap {degree_cap}")
+    if f.degree > DEFAULT_DEGREE_BOUND:
+        raise DegreeBound(
+            f"degree {f.degree} exceeds factorization cap {DEFAULT_DEGREE_BOUND}"
+        )
     field = f.field
     lead = field.unit(f.lead())
     rem = f.monic()
@@ -568,7 +567,7 @@ class RatFuncField:
     def var_poly(self):
         return Poly.var(self.base)
 
-    def unit_one(self):
+    def one_unit(self):
         return RatFuncUnit(self, 0, ())
 
     def minus_one(self):
@@ -668,7 +667,7 @@ class RatFuncUnit:
 
     def pow(self, e):
         if e == 0:
-            return self.rf.unit_one()
+            return self.rf.one_unit()
         return RatFuncUnit(
             self.rf, self.const_exp * e, tuple((p, k * e) for p, k in self.factors)
         )
@@ -687,8 +686,9 @@ class RatFuncUnit:
             return -sum(e * p.degree for p, e in self.factors)
         return dict(self.factors).get(place.poly, 0)
 
-    def to_fraction(self, degree_cap=3 * DEFAULT_DEGREE_BOUND):
-        """Expand to a (numerator, denominator) pair of polynomials."""
+    def to_fraction(self):
+        """Expand to a (numerator, denominator) pair of polynomials, each of
+        degree at most 3 * DEFAULT_DEGREE_BOUND."""
         base = self.rf.base
         num = Poly.const(base, FFUnit(base, self.const_exp).value)
         den = Poly.const(base, 1)
@@ -698,7 +698,7 @@ class RatFuncUnit:
                     num = num.mul(p)
                 else:
                     den = den.mul(p)
-            if num.degree > degree_cap or den.degree > degree_cap:
+            if max(num.degree, den.degree) > 3 * DEFAULT_DEGREE_BOUND:
                 raise DegreeBound("fraction expansion exceeds the degree cap")
         return num, den
 
@@ -747,12 +747,6 @@ class Place:
         from .exprtext import format_poly
 
         return format_poly(self.poly)
-
-
-def place_at(rf, poly_or_inf):
-    if poly_or_inf is None:
-        return Place(rf, None)
-    return Place(rf, poly_or_inf if poly_or_inf.is_monic() else poly_or_inf.monic())
 
 
 class _ResidueData:

@@ -86,7 +86,9 @@ class MWElem:
     Values are held in the normal form of their degree (see the module
     docstring).  `MWElem(field, degree, milnor, witt)` is the checked entry
     for outside input: it canonicalises the Witt pair, raises
-    `DegreeMismatch` for an incompatible pair in degrees 0 and 1, and stores
+    `DegreeMismatch` for an incompatible pair in degrees 0 and 1 and for
+    data the degree cannot hold (a nonzero Milnor part outside degrees 0
+    and 1, a nonzero Witt class in degree >= 2, where I^2 = 0), and stores
     the normal form.
     """
 
@@ -94,6 +96,10 @@ class MWElem:
 
     def __init__(self, field, degree, milnor, witt):
         rank, disc = _w_canonical(field, *witt)
+        if milnor and not 0 <= degree <= 1:
+            raise DegreeMismatch(f"Milnor part must be 0 in degree {degree}")
+        if degree >= 2 and (rank, disc) != W_ZERO:
+            raise DegreeMismatch(f"Witt part must be 0 in degree {degree} (I^2 = 0)")
         if degree == 1 and rank != 0:
             raise DegreeMismatch("degree-1 Witt part must lie in I")
         if (degree == 0 and milnor % 2 != rank) or (degree == 1 and milnor % 2 != disc):
@@ -285,7 +291,8 @@ def base_change(elem, target):
 def model_to_sym(elem):
     """A symbolic representative over F_q evaluating to the given element:
     [g^m] in degree 1, otherwise c + eta [g^j] (times eta^-n below degree 0)
-    with c the rank and j fixed by the discriminant, for g the generator."""
+    with c the rank and j fixed by the discriminant, for g the generator;
+    for j = 0 the term eta [1] = 0 is left out."""
     field = elem.field
     n = elem.degree
     if elem.is_zero():
@@ -295,7 +302,9 @@ def model_to_sym(elem):
     c = elem.milnor if n == 0 else elem.witt[0]
     # const(c) carries the discriminant (c // 2) disc(-1); eta [g^j] adds j
     j = (elem.witt[1] - (c // 2) * _disc_minus_one(field)) % 2
-    rep = SymExpr.const(field, c).add(SymExpr.bracket(field.gen_unit().pow(j)).eta_mul())
+    rep = SymExpr.const(field, c)
+    if j:
+        rep = rep.add(SymExpr.bracket(field.gen_unit()).eta_mul())
     return rep.eta_mul(-n) if n < 0 else rep
 
 
@@ -320,10 +329,11 @@ def model_elements(field, degree, rank_window=2):
     return [_build(field, degree, 0, r, delta) for r in (0, 1) for delta in (0, 1)]
 
 
-def theory_elements(field, theory, degree, rank_window=2):
-    """One model representative per element of the theory's degree-n group."""
+def theory_elements(field, theory, degree):
+    """One model representative per element of the theory's degree-n group
+    (ranks -2..2 in degree 0)."""
     seen = {}
-    for elem in model_elements(field, degree, rank_window):
+    for elem in model_elements(field, degree):
         key = elem.project(theory)
         if key not in seen:
             seen[key] = elem
@@ -386,7 +396,7 @@ def finite_abelian_invariants(elements, add, neg, zero):
     return sub + [e]
 
 
-def group_structure_model(field, n, rank_window=4):
+def group_structure_model(field, n):
     """Invariant factors of the degree-n group, derived by enumeration.
 
     Finite factors come first in divisibility order; a trailing 0 denotes a
@@ -400,8 +410,9 @@ def group_structure_model(field, n, rank_window=4):
         # the rank splits off a free summand; the complement is the finite
         # torsion subgroup {pairs of rank 0}, enumerated exhaustively
         one = MWElem.one(field)
-        torsion = [e for e in model_elements(field, 0, rank_window) if e.milnor == 0]
-        for e in model_elements(field, 0, rank_window):
+        elems = model_elements(field, 0, rank_window=4)
+        torsion = [e for e in elems if e.milnor == 0]
+        for e in elems:
             t = e.sub(one.scale(e.milnor))
             if t not in torsion:
                 raise SizeBound("rank splitting failed")  # pragma: no cover
@@ -517,15 +528,6 @@ def _insert_row(basis, row):
             row = held
 
 
-def invariant_factors_of_presentation(num_generators, relation_rows):
-    """Invariant factors of Z^g / (row span), 1s dropped, 0s for free rank."""
-    diag = smith_normal_form(relation_rows, num_generators) if relation_rows else []
-    finite = [d for d in diag if d not in (0, 1)]
-    rank = sum(1 for d in diag if d != 0)
-    free = num_generators - rank
-    return sorted(finite) + [0] * free
-
-
 def _merge_pairs(pairs):
     out = {}
     for key, c in pairs:
@@ -542,12 +544,12 @@ class _Presentation:
     at eta power d_max, with eta-positive generators eliminated along the
     twisted-tensor pivots."""
 
-    def __init__(self, field, n, d_max, bound=None):
+    def __init__(self, field, n, d_max):
         if n < 0:
             raise SizeBound("presentation oracle needs n >= 0")
         from .fields import size_bound
 
-        limit = bound if bound is not None else size_bound()
+        limit = size_bound()
         self.field = field
         self.n = n
         self.d_max = d_max
@@ -671,14 +673,14 @@ class _Presentation:
         return finite + [0] * free
 
 
-def snf_oracle(field, n, d_max, bound=None):
+def snf_oracle(field, n, d_max):
     """Presentation-based invariant factors with an empirical stabilization report.
 
     Returns {"factors": per-d list, "stabilized": bool, "final": last factors}.
     """
     per_d = []
     for d in range(d_max + 1):
-        per_d.append(_Presentation(field, n, d, bound).invariant_factors())
+        per_d.append(_Presentation(field, n, d).invariant_factors())
     stabilized = len(per_d) >= 2 and per_d[-1] == per_d[-2]
     return {"factors": per_d, "stabilized": stabilized, "final": per_d[-1]}
 

@@ -105,7 +105,7 @@ class ValuationOracle:
     def one(self):
         return SymExpr.one(self.field)
 
-    def zero(self, degree=None):
+    def zero(self, degree):
         return SymExpr.zero(self.field)
 
     def bracket(self, units):
@@ -259,11 +259,10 @@ def lambda_series(x, n, trunc, oracle):
     }
 
 
-def divided_power_series(n, x, y, trunc, oracle=None, theory=MW, skip_check=False):
+def divided_power_series(n, x, y, trunc, oracle):
     """The truncated generating-series coefficients acting on y: the list
     [lambda_0(x).y, lambda_1(x).y, ..., lambda_trunc(x).y]."""
-    oracle = oracle or _oracle_of(x)
-    require_torsion(n, y, theory, skip_check)
+    require_torsion(n, y)
     y_val = oracle.from_base(y)
     return [v.mul(y_val) for v in lambda_series(x, n, trunc, oracle).values()]
 
@@ -273,11 +272,9 @@ def divided_power_series(n, x, y, trunc, oracle=None, theory=MW, skip_check=Fals
 # ---------------------------------------------------------------------------
 
 
-def require_torsion(n, y, theory=MW, skip_check=False):
-    """Odd source degree needs an h-torsion coefficient (in the target theory)."""
-    if skip_check or delta(n) == 0:
-        return
-    if not theory_torsion_test(y, "h", theory):
+def require_torsion(n, y):
+    """Odd source degree needs an h-torsion coefficient."""
+    if delta(n) and not theory_torsion_test(y, "h", MW):
         raise TorsionViolation(
             f"degree-{n} divided powers need an h-torsion coefficient"
         )
@@ -301,10 +298,10 @@ def twisted_sum(terms, n, minus_one_power):
     return acc
 
 
-def lambda_eval(n, l, y, x, oracle=None, theory=MW, skip_check=False):
+def lambda_eval(n, l, y, x, oracle, skip_check=False):
     """The l-th divided power of x acting on y."""
-    oracle = oracle or _oracle_of(x)
-    require_torsion(n, y, theory, skip_check)
+    if not skip_check:
+        require_torsion(n, y)
     return _act(lambda_series(x, n, l, oracle)[l], y, oracle)
 
 
@@ -322,26 +319,24 @@ def sigma_operator_values(series, n, lmax, oracle):
     return out
 
 
-def sigma_eval(n, l, y, x, oracle=None, theory=MW, skip_check=False):
-    oracle = oracle or _oracle_of(x)
-    require_torsion(n, y, theory, skip_check)
+def sigma_eval(n, l, y, x, oracle):
+    require_torsion(n, y)
     series = lambda_series(x, n, l, oracle)
     return _act(sigma_operator_values(series, n, l, oracle)[l], y, oracle)
 
 
-def f_eval(n, l, y, x, oracle=None, theory=MW, skip_check=False, direct=False):
+def f_eval(n, l, y, x, oracle, direct=False):
     """The inverse-series divided power: f_l = (-1)^l sum_i C(l-1,i) [-1]^{ni} lambda_{l-i}.
 
     With direct=True the value is computed from the inverted generating
     series (the l-th coefficient of the series of -x) instead.
     """
-    oracle = oracle or _oracle_of(x)
-    require_torsion(n, y, theory, skip_check)
+    require_torsion(n, y)
     if l == 0:
         return _act(oracle.one(), y, oracle)
     if direct:
         # independent oracle, kept on purpose: checks the twisted-sum formula
-        neg = _negate_presentation(x, oracle)
+        neg = _negate_presentation(x)
         return _act(lambda_series(neg, n, l, oracle)[l], y, oracle)
     series = lambda_series(x, n, l, oracle)
     sign = -1 if l % 2 else 1
@@ -371,17 +366,10 @@ def f_lambda_convert(coeffs, n, field):
     return out
 
 
-def _negate_presentation(x, oracle):
+def _negate_presentation(x):
     if isinstance(x, Presentation):
         return Presentation(x.n, tuple((-s, u) for s, u in x.entries))
     return x.neg()
-
-
-def _oracle_of(x):
-    field = x.field if isinstance(x, SymExpr) else None
-    if field is None:
-        raise FieldMismatch("pass an oracle when evaluating a Presentation")
-    return oracle_for(field)
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +481,10 @@ class OpSequence:
 
     # -- evaluation -----------------------------------------------------------
 
-    def apply(self, x, oracle=None):
+    def apply(self, x, oracle):
         """Evaluate sum_l sigma_l(x) . a_l through the oracle of x's field."""
         self.require_admissible()
-        return self.evaluate(x, oracle or _oracle_of(x))
+        return self.evaluate(x, oracle)
 
     def evaluate(self, x, oracle):
         """apply() without the admissibility check, for sequences that are

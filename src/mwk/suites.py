@@ -59,6 +59,7 @@ from .symbols import (
     power_symbol,
     relation_generators,
     rewrite_mw2,
+    unit_sampler,
 )
 from .valuation import ValuationContext, canonical_form
 
@@ -119,30 +120,7 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def unit_sampler(field, rng, max_degree=2):
-    if isinstance(field, FiniteField):
-        return lambda: FFUnit(field, rng.randrange(field.q - 1))
-    base = field.base
-
-    def sample():
-        while True:
-            deg = rng.randrange(0, max_degree + 1)
-            num = Poly.make(base, [rng.randrange(base.q) for _ in range(deg + 1)])
-            if num.is_zero():
-                continue
-            if rng.random() < 0.3:
-                dend = rng.randrange(1, max_degree + 1)
-                den = Poly.make(base, [rng.randrange(base.q) for _ in range(dend + 1)])
-                if den.is_zero():
-                    continue
-                return field.from_fraction(num, den)
-            return field.from_poly(num)
-
-    return sample
-
-
-def sample_presentation(field, n, rng, r_max=2, s_max=2, sampler=None):
-    sampler = sampler or unit_sampler(field, rng)
+def sample_presentation(field, n, rng, r_max, s_max, sampler):
     entries = []
     for _ in range(rng.randrange(0, r_max + 1)):
         entries.append((1, tuple(sampler() for _ in range(n))))
@@ -151,7 +129,7 @@ def sample_presentation(field, n, rng, r_max=2, s_max=2, sampler=None):
     return Presentation(n, tuple(entries))
 
 
-def sample_expr(field, degree, rng, max_terms=2, max_eta=2, sampler=None):
+def sample_expr(field, degree, rng, max_terms, max_eta, sampler=None):
     """A random homogeneous expression of the given degree."""
     sampler = sampler or unit_sampler(field, rng)
     terms = []
@@ -164,12 +142,12 @@ def sample_expr(field, degree, rng, max_terms=2, max_eta=2, sampler=None):
     return SymExpr(field, terms)
 
 
-def sample_torsion_coeff(base_field, degree, rng, theory=MW):
+def sample_torsion_coeff(base_field, degree, rng):
     """A random h-torsion coefficient of the given degree (possibly zero)."""
     cands = [
         e
         for e in model_elements(base_field, degree, rank_window=2)
-        if theory_torsion_test(e, "h", theory)
+        if theory_torsion_test(e, "h", MW)
     ]
     return rng.choice(cands)
 
@@ -178,21 +156,21 @@ def sample_coeff(base_field, degree, rng):
     return rng.choice(model_elements(base_field, degree, rank_window=2))
 
 
-def sample_sequence(field, source, target, n, m, L, rng, force_admissible=True):
+def sample_sequence(field, source, target, n, m, L, rng):
+    """A random admissible coefficient sequence."""
     start, kinds = ADMISSIBILITY_RULES[(source, target)]
     coeffs = []
     for l in range(L + 1):
         deg = m - n * l
-        cands = theory_elements(field, target, deg, rank_window=2)
-        if force_admissible:
-            if theory_group_is_trivial(field, target, deg):
-                cands = [a for a in cands if a.is_zero_in(target)]
-            if start is not None and l >= start:
-                cands = [
-                    a
-                    for a in cands
-                    if all(_passes_torsion(a, k, n, target) for k in kinds)
-                ]
+        cands = theory_elements(field, target, deg)
+        if theory_group_is_trivial(field, target, deg):
+            cands = [a for a in cands if a.is_zero_in(target)]
+        if start is not None and l >= start:
+            cands = [
+                a
+                for a in cands
+                if all(_passes_torsion(a, k, n, target) for k in kinds)
+            ]
         coeffs.append(rng.choice(cands) if cands else MWElem.zero(field, deg))
     return OpSequence(source, target, n, m, field, coeffs)
 
@@ -235,8 +213,8 @@ def run_lemma32(config):
     m1 = field.minus_one()
 
     zero(SymExpr.h_elem(field).eta_mul(), "MW4: eta*h = 0", -1)
-    zero(SymExpr.bracket(_one_unit(field)), "(i): [1] = 0", 1)
-    eq(SymExpr.angle(_one_unit(field)), one, "(i): <1> = 1", 0)
+    zero(SymExpr.bracket(field.one_unit()), "(i): [1] = 0", 1)
+    eq(SymExpr.angle(field.one_unit()), one, "(i): <1> = 1", 0)
     eq(eps.mul(eps), one, "(vi): eps^2 = 1", 0)
 
     for a, b in pairs:
@@ -323,12 +301,6 @@ def run_lemma32(config):
         )
         zero(SymExpr.bracket(a).eta_mul().sub(SymExpr.bracket(a).eta_mul()), "MW3", 0)
     return rep
-
-
-def _one_unit(field):
-    if isinstance(field, RatFuncField):
-        return field.unit_one()
-    return field.one_unit()
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +637,7 @@ def run_lemma75(config):
             f"(i) untwisted double-shift commutation trial {trial}",
         )
         if n % 2:
-            eps_val = oracle.from_base(eval_model(SymExpr.eps_elem(oracle.base), 0))
+            eps_val = oracle.from_base(MWElem.eps(oracle.base))
             v_mp_twisted = eps_val.mul(v_mp)
         else:
             v_mp_twisted = v_mp
@@ -1063,7 +1035,7 @@ _TABLE1_EXPECTED = {
 
 def _expected_subgroup(field, target, deg, n, l, start, kinds):
     out = []
-    for a in theory_elements(field, target, deg, rank_window=2):
+    for a in theory_elements(field, target, deg):
         if theory_group_is_trivial(field, target, deg) and not a.is_zero_in(target):
             continue
         if start is not None and l >= start:
@@ -1106,7 +1078,7 @@ def run_table1(config):
                         for a in _expected_subgroup(field, tgt, deg, n, l, start, kinds)
                     }
                     accepted = set()
-                    for a in theory_elements(field, tgt, deg, rank_window=2):
+                    for a in theory_elements(field, tgt, deg):
                         coeffs = [
                             a if k == l else MWElem.zero(field, m - n * k)
                             for k in range(L + 1)
@@ -1164,7 +1136,7 @@ def run_table1(config):
             deg = m - n * l
             cands = [
                 a
-                for a in theory_elements(field, MW, deg, rank_window=2)
+                for a in theory_elements(field, MW, deg)
                 if not _passes_torsion(a, "delta_h", n, MW)
             ]
             if not cands:

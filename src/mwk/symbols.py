@@ -14,10 +14,6 @@ from .errors import DegreeBound, FieldMismatch, Inhomogeneous
 from .fields import FFUnit, FiniteField, Poly, RatFuncField
 
 
-def _unit_field(u):
-    return u.field
-
-
 class SymExpr:
     """An integer combination of terms eta^d [a_1, ..., a_r] over one field.
 
@@ -63,27 +59,27 @@ class SymExpr:
         """The pure symbol [a_1, ..., a_r]."""
         if not units:
             raise ValueError("bracket needs at least one unit")
-        field = _unit_field(units[0])
+        field = units[0].field
         for u in units[1:]:
-            if _unit_field(u) is not field:
+            if u.field is not field:
                 raise FieldMismatch("bracket entries from different fields")
         return SymExpr(field, {(0, tuple(units)): 1})
 
     @staticmethod
     def angle(a):
         """The unit form <a> = 1 + eta [a]."""
-        field = _unit_field(a)
+        field = a.field
         return SymExpr(field, {(0, ()): 1, (1, (a,)): 1})
 
     @staticmethod
     def h_elem(field):
         """h = <1> + <-1> = 2 + eta [-1]."""
-        return SymExpr(field, {(0, ()): 2, (1, (_minus_one(field),)): 1})
+        return SymExpr(field, {(0, ()): 2, (1, (field.minus_one(),)): 1})
 
     @staticmethod
     def eps_elem(field):
         """eps = -<-1> = -1 - eta [-1]."""
-        return SymExpr(field, {(0, ()): -1, (1, (_minus_one(field),)): -1})
+        return SymExpr(field, {(0, ()): -1, (1, (field.minus_one(),)): -1})
 
     # -- ring structure ------------------------------------------------------
 
@@ -210,10 +206,6 @@ def _unit_sort_key(u):
     return (1, u.const_exp, tuple((p.coeffs, e) for p, e in u.factors))
 
 
-def _minus_one(field):
-    return field.minus_one()
-
-
 def embed_expr(expr, target_field):
     """Embed an expression over F_q into F_{q^k} or into F_q(t)."""
     src = expr.field
@@ -243,11 +235,11 @@ def power_symbol(a, e):
     corresponding sum for -e; for e = 0 it is the empty expression.
     Exact products are kept in the written order ([-1] precedes [a]).
     """
-    field = _unit_field(a)
+    field = a.field
     if e == 0:
         return SymExpr.zero(field)
     mag = abs(e)
-    m1 = _minus_one(field)
+    m1 = field.minus_one()
     terms = {(0, (a,)): mag}
     odd = mag // 2
     if odd:
@@ -260,7 +252,7 @@ def power_symbol(a, e):
 
 def rewrite_mw2(a, b):
     """[a] + [b] + eta [a][b]; evaluates equal to [ab]."""
-    field = _unit_field(a)
+    field = a.field
     return SymExpr(field, [((0, (a,)), 1), ((0, (b,)), 1), ((1, (a, b)), 1)])
 
 
@@ -297,13 +289,13 @@ def eta_reduce(expr):
 
 def steinberg_generator(d, units):
     """eta^d [a_1, ..., a_r] with some adjacent pair summing to 1."""
-    field = _unit_field(units[0])
+    field = units[0].field
     return SymExpr(field, {(d, tuple(units)): 1})
 
 
 def twisted_tensor_generator(d, prefix, b, bp, suffix):
     """The three-term difference expressing [.. b b' ..] via [.. b ..], [.. b' ..]."""
-    field = _unit_field(b)
+    field = b.field
     prefix, suffix = tuple(prefix), tuple(suffix)
     return SymExpr(
         field,
@@ -318,9 +310,9 @@ def twisted_tensor_generator(d, prefix, b, bp, suffix):
 
 def witt_generator(e, units, position):
     """2 eta^e [units] + eta^{e+1} [units with -1 inserted at position]."""
-    field = _unit_field(units[0])
+    field = units[0].field
     units = tuple(units)
-    inserted = units[:position] + (_minus_one(field),) + units[position:]
+    inserted = units[:position] + (field.minus_one(),) + units[position:]
     return SymExpr(field, [((e, units), 2), ((e + 1, inserted), 1)])
 
 
@@ -334,20 +326,23 @@ def _ff_unit_pairs_summing_to_one(field):
     return out
 
 
-def relation_generators(
-    field, n, d_max, sampler=None, rng=None, per_family=20, exhaustive_bound=2000
-):
+# largest instance space of a relation family that is enumerated in full
+EXHAUSTIVE_BOUND = 2000
+
+
+def relation_generators(field, n, d_max, rng, per_family, sampler=None):
     """Yield (kind, SymExpr) pairs that are zero in degree-n Milnor-Witt K-theory.
 
     Over a finite field, a family whose free-entry count keeps the instance
-    space under the exhaustive bound is enumerated completely; otherwise
-    (and always over F_q(t)) unit entries are drawn from the sampler.
-    Kinds are "steinberg", "twisted_tensor" and "witt".
+    space within EXHAUSTIVE_BOUND is enumerated completely; otherwise (and
+    always over F_q(t)) per_family instances are drawn, with unit entries
+    from the sampler (by default unit_sampler(field, rng)).  Kinds are
+    "steinberg", "twisted_tensor" and "witt".
     """
     if n < 0:
         raise DegreeBound("relation generators need degree >= 0")
     if sampler is None:
-        sampler = _default_sampler(field, rng)
+        sampler = unit_sampler(field, rng)
     finite = isinstance(field, FiniteField)
 
     def units_for(count):
@@ -360,7 +355,7 @@ def relation_generators(
         return out
 
     def exhaustive(count):
-        return finite and (field.q - 1) ** max(count, 1) <= exhaustive_bound
+        return finite and (field.q - 1) ** max(count, 1) <= EXHAUSTIVE_BOUND
 
     # Steinberg: adjacent pair (a, 1-a) somewhere in the tuple
     for d in range(0, d_max + 1):
@@ -376,10 +371,10 @@ def relation_generators(
                         yield "steinberg", steinberg_generator(d, units)
         else:
             for _ in range(per_family):
-                pair = _sample_steinberg_pair(field, sampler)
+                pair = _sample_steinberg_pair(sampler)
                 if pair is None:
                     continue
-                i = (rng.randrange(r - 1)) if rng else 0
+                i = rng.randrange(r - 1)
                 rest = units_for(r - 2)
                 units = rest[:i] + pair + rest[i:]
                 yield "steinberg", steinberg_generator(d, units)
@@ -399,7 +394,7 @@ def relation_generators(
                             )
         else:
             for _ in range(per_family):
-                i = (rng.randrange(r)) if rng else 0
+                i = rng.randrange(r)
                 pre = units_for(i)
                 suf = units_for(r - 1 - i)
                 yield "twisted_tensor", twisted_tensor_generator(
@@ -418,13 +413,14 @@ def relation_generators(
         else:
             for _ in range(per_family):
                 units = units_for(r)
-                pos = (rng.randrange(r + 1)) if rng else 0
+                pos = rng.randrange(r + 1)
                 yield "witt", witt_generator(e, units, pos)
 
 
-def _sample_steinberg_pair(field, sampler, attempts=50):
-    """A pair (a, 1-a) of units, drawn through the sampler."""
-    for _ in range(attempts):
+def _sample_steinberg_pair(sampler):
+    """A pair (a, 1-a) of units, drawn through the sampler (None after 50
+    draws of a = 1)."""
+    for _ in range(50):
         a = sampler()
         b = one_minus(a)
         if b is not None:
@@ -444,23 +440,25 @@ def one_minus(a):
     return a.rf.from_fraction(diff, den)
 
 
-def _default_sampler(field, rng):
-    import random
-
-    r = rng or random.Random(0)
+def unit_sampler(field, rng, max_degree=2):
+    """A function drawing random units of F_q, or of F_q(t) as a ratio of
+    polynomials of degree at most max_degree (a denominator 30% of the time)."""
     if isinstance(field, FiniteField):
-        return lambda: FFUnit(field, r.randrange(field.q - 1))
+        return lambda: FFUnit(field, rng.randrange(field.q - 1))
     base = field.base
 
     def sample():
         while True:
-            num = Poly.make(base, [r.randrange(base.q) for _ in range(r.randrange(1, 4))])
-            if not num.is_zero():
-                break
-        while True:
-            den = Poly.make(base, [r.randrange(base.q) for _ in range(r.randrange(1, 3))])
-            if not den.is_zero():
-                break
-        return field.from_fraction(num, den)
+            deg = rng.randrange(0, max_degree + 1)
+            num = Poly.make(base, [rng.randrange(base.q) for _ in range(deg + 1)])
+            if num.is_zero():
+                continue
+            if rng.random() < 0.3:
+                dend = rng.randrange(1, max_degree + 1)
+                den = Poly.make(base, [rng.randrange(base.q) for _ in range(dend + 1)])
+                if den.is_zero():
+                    continue
+                return field.from_fraction(num, den)
+            return field.from_poly(num)
 
     return sample

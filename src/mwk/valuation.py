@@ -33,12 +33,13 @@ MAX_TERM_SIZE = 8
 _CONTEXT_CACHE = {}
 
 
-def valuation_context(place, uniformizer=None):
-    """A cached ValuationContext (the rewrite caches persist across calls)."""
-    key = (id(place.rf), place, uniformizer)
+def valuation_context(place):
+    """The cached ValuationContext of a place with its standard uniformizer
+    (the rewrite caches persist across calls)."""
+    key = (id(place.rf), place)
     ctx = _CONTEXT_CACHE.get(key)
     if ctx is None:
-        ctx = ValuationContext(place, uniformizer)
+        ctx = ValuationContext(place)
         _CONTEXT_CACHE[key] = ctx
     return ctx
 
@@ -107,12 +108,12 @@ class ValuationContext:
 
     # -- the residue homomorphism --------------------------------------------
 
-    def residue(self, x, term_cap=MAX_TERM_SIZE):
+    def residue(self, x):
         """The residue of a symbolic expression, over the residue field."""
         if x.field is not self.rf:
             raise FieldMismatch("expression over a different function field")
-        if x.max_term_size() > term_cap:
-            raise DegreeBound(f"term size exceeds {term_cap}")
+        if x.max_term_size() > MAX_TERM_SIZE:
+            raise DegreeBound(f"term size exceeds {MAX_TERM_SIZE}")
         total = SymExpr.zero(self.kappa)
         for (d, units), coeff in x.terms.items():
             expanded = SymExpr.const(self.rf, 1)
@@ -306,12 +307,12 @@ class ValuationContext:
         return SymExpr.angle(self.kappa.minus_one()).mul(res)
 
 
-def residue(x, place, uniformizer=None):
-    return ValuationContext(place, uniformizer).residue(x)
+def residue(x, place):
+    return valuation_context(place).residue(x)
 
 
-def specialize(x, place, uniformizer=None):
-    return ValuationContext(place, uniformizer).specialize(x)
+def specialize(x, place):
+    return valuation_context(place).specialize(x)
 
 
 # ---------------------------------------------------------------------------

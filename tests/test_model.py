@@ -143,10 +143,23 @@ def test_public_constructor_canonicalises_witt_pairs():
     assert x.witt == (1, 1)
     assert x.add(MWElem.zero(F3, -1)) == x
     assert MWElem(F3, -2, 0, (1, 5)).witt == (1, 1)
-    assert MWElem(F3, -2, 5, (1, 5)) == MWElem.witt_class(F3, -2, (1, 1))
+    with pytest.raises(DegreeMismatch):
+        MWElem(F3, -2, 5, (1, 5))  # a Milnor part in negative degree
     assert MWElem(F3, 1, 2, (2, 1)) == MWElem.zero(F3, 1)
     assert MWElem(F3, 0, 2, (2, 1)).witt == (0, 0)
     assert MWElem(F5, 0, 2, (2, 1)).witt == (0, 1)
+
+
+def test_public_constructor_rejects_data_the_degree_cannot_hold():
+    for args in (
+        (-1, 5, (0, 0)),  # a Milnor part in negative degree
+        (2, 7, (1, 1)),  # K^M_2(F_q) = 0, and (1, 1) is not even in I
+        (2, 0, (0, 1)),  # a nonzero Witt class in I^2 = 0
+        (3, 1, (0, 0)),
+    ):
+        with pytest.raises(DegreeMismatch):
+            MWElem(F3, *args)
+    assert MWElem(F3, 2, 0, (2, 1)) == MWElem.zero(F3, 2)  # (2, 1) is zero in W(F_3)
 
 
 def test_compatibility_preserved_by_ops():
@@ -191,19 +204,19 @@ def test_group_structure_examples():
 # format_expr(model_to_sym(e)) for e in model_elements(F, degree), in order:
 # the values of the F_q(t) oracle over the base field depend on this choice
 SYM_REPRESENTATIVES = {
-    (F3, -2): ["0", "eta^3*[2]", "eta^2 + eta^3*[1]", "eta^2 + eta^3*[2]"],
-    (F3, -1): ["0", "eta^2*[2]", "eta + eta^2*[1]", "eta + eta^2*[2]"],
+    (F3, -2): ["0", "eta^3*[2]", "eta^2", "eta^2 + eta^3*[2]"],
+    (F3, -1): ["0", "eta^2*[2]", "eta", "eta + eta^2*[2]"],
     (F3, 0): [
-        "-2 + eta*[2]", "-2 + eta*[1]", "-1 + eta*[2]", "-1 + eta*[1]", "0",
-        "eta*[2]", "1 + eta*[1]", "1 + eta*[2]", "2 + eta*[2]", "2 + eta*[1]",
+        "-2 + eta*[2]", "-2", "-1 + eta*[2]", "-1", "0",
+        "eta*[2]", "1", "1 + eta*[2]", "2 + eta*[2]", "2",
     ],
     (F3, 1): ["0", "[2]"],
     (F3, 2): ["0"],
-    (F9, -2): ["0", "eta^3*[4]", "eta^2 + eta^3*[1]", "eta^2 + eta^3*[4]"],
-    (F9, -1): ["0", "eta^2*[4]", "eta + eta^2*[1]", "eta + eta^2*[4]"],
+    (F9, -2): ["0", "eta^3*[4]", "eta^2", "eta^2 + eta^3*[4]"],
+    (F9, -1): ["0", "eta^2*[4]", "eta", "eta + eta^2*[4]"],
     (F9, 0): [
-        "-2 + eta*[1]", "-2 + eta*[4]", "-1 + eta*[1]", "-1 + eta*[4]", "0",
-        "eta*[4]", "1 + eta*[1]", "1 + eta*[4]", "2 + eta*[1]", "2 + eta*[4]",
+        "-2", "-2 + eta*[4]", "-1", "-1 + eta*[4]", "0",
+        "eta*[4]", "1", "1 + eta*[4]", "2", "2 + eta*[4]",
     ],
     (F9, 1): ["0", "[4]", "[6]", "[7]", "[2]", "[8]", "[3]", "[5]"],
     (F9, 2): ["0"],
