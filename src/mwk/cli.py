@@ -8,6 +8,7 @@ failures), 1 on a failed check, 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -96,6 +97,7 @@ def cmd_verify(args):
     return 0 if payload["passed"] else 1
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mwk",

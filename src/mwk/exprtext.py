@@ -168,7 +168,10 @@ class _Parser:
             u = self.field.gen_unit().pow(e)
             return (u.value, 1)
         if tok is not None and tok.isdigit():
-            return (int(tok) % self.field.q if self.field.d == 1 else int(tok), 1)
+            # Poly.make's rule: reduced mod p over F_p, and over F_{p^d} an
+            # encoding in [0, q) or FieldMismatch
+            const = Poly.const(self.field, int(tok)).coeffs
+            return (const[0] if const else 0, 1)
         if tok == "(":
             inner = self._parse_value_sum(self._parse_ff_atom)
             self.expect(")")
@@ -184,7 +187,7 @@ class _Parser:
         if tok == "t":
             return (Poly.var(base), Poly.const(base, 1))
         if tok is not None and tok.isdigit():
-            return (Poly.const(base, int(tok) % base.q if base.d == 1 else int(tok)), Poly.const(base, 1))
+            return (Poly.const(base, int(tok)), Poly.const(base, 1))
         if tok == "(":
             inner = self._parse_value_sum(self._parse_poly_atom)
             self.expect(")")

@@ -10,13 +10,16 @@ classes and n-th powers O(1).
 Units of F_q(t) are kept in fully factored form: a constant of the base field
 times a product of monic irreducible polynomials with integer exponents.
 Unique factorization makes equality, valuations and residue-field reductions
-exact and cheap.
+exact and cheap.  Factoring is Cantor-Zassenhaus and irreducibility is
+Rabin's test; the residue field at a place P of degree >= 2 is F_q[t]/(P)
+(`QuotientField`), with no tables and discrete logarithms by Pohlig-Hellman.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from math import isqrt
 
 from .errors import (
     DegreeBound,
@@ -48,14 +51,20 @@ def _is_prime(n):
 
 
 def factorint(n):
-    """Prime factorization of a positive integer as {prime: multiplicity}."""
+    """Prime factorization of a positive integer as {prime: multiplicity}, by
+    trial division up to size_bound(): a cofactor without prime factors up
+    to the bound is prime when it is below the bound's square, and raises
+    SizeBound otherwise."""
+    limit = size_bound()
     out = {}
     p = 2
-    while p * p <= n:
+    while p <= limit and p * p <= n:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
         p += 1
+    if n >= limit * limit:
+        raise SizeBound(f"a cofactor {n} >= {limit}^2 has no prime factors up to {limit}")
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
@@ -100,13 +109,22 @@ class FiniteField:
     def add(self, a, b):
         if self.d == 1:
             return (a + b) % self.p
-        da, db = self._decode(a), self._decode(b)
-        return self._encode([(x + y) % self.p for x, y in zip(da, db)])
+        # Zech logarithms: g^i + g^j = g^i (1 + g^(j-i)) = g^(i + Z(j-i))
+        if not a:
+            return b
+        if not b:
+            return a
+        dlog = self._dlog
+        i = dlog[a]
+        z = self._zech[(dlog[b] - i) % self._order]
+        return 0 if z is None else self._exp[(i + z) % self._order]
 
     def neg(self, a):
         if self.d == 1:
             return (-a) % self.p
-        return self._encode([(-x) % self.p for x in self._decode(a)])
+        if not a:
+            return 0
+        return self._exp[(self._dlog[a] + self._order // 2) % self._order]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -158,7 +176,7 @@ class FiniteField:
         return r
 
     def _build_tables(self):
-        order = self.q - 1
+        order = self._order = self.q - 1
         fac = factorint(order)
         gen = None
         for a in range(2, self.q):
@@ -173,6 +191,13 @@ class FiniteField:
             exp[k] = self._mul_raw(exp[k - 1], gen)
         self._exp = exp
         self._dlog = {v: k for k, v in enumerate(exp)}
+        # Zech logarithms Z(k) = log(1 + g^k), None where 1 + g^k = 0
+        p = self.p
+        self._zech = [self._dlog.get(v - v % p + (v + 1) % p) for v in exp]
+
+    def gen_power(self, k):
+        """The encoding of generator^k, 0 <= k < q - 1."""
+        return self._exp[k]
 
     # -- units -------------------------------------------------------------
 
@@ -294,7 +319,7 @@ class FFUnit:
 
     @property
     def value(self):
-        return self.field._exp[self.exp]
+        return self.field.gen_power(self.exp)
 
     def mul(self, other):
         if other.field is not self.field:
@@ -430,18 +455,20 @@ class Poly:
         if other.is_zero():
             raise ZeroPolynomial("division by the zero polynomial")
         F = self.field
+        add, mul = F.add, F.mul
         rem = list(self.coeffs)
         db = other.degree
         inv_lead = F.inv(other.lead())
+        # subtracting c * other from the top: add c * (-other) below the lead
+        neg = [(j, F.neg(c)) for j, c in enumerate(other.coeffs[:db]) if c]
         quo = [0] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db and rem:
-            c = F.mul(rem[-1], inv_lead)
-            shift = len(rem) - 1 - db
+        for shift in range(len(rem) - 1 - db, -1, -1):
+            c = rem.pop()
             if c:
+                c = mul(c, inv_lead)
                 quo[shift] = c
-                for j in range(db + 1):
-                    rem[shift + j] = F.sub(rem[shift + j], F.mul(c, other.coeffs[j]))
-            rem.pop()
+                for j, y in neg:
+                    rem[shift + j] = add(rem[shift + j], mul(c, y))
         return Poly._trimmed(F, quo), Poly._trimmed(F, rem)
 
     def mod(self, other):
@@ -452,15 +479,12 @@ class Poly:
             raise ZeroPolynomial("cannot normalize the zero polynomial")
         return self.scale(self.field.inv(self.lead()))
 
-    def eval_in(self, big, point, coeff_map=None):
-        """Evaluate at `point` in the (possibly larger) field `big`.
-
-        coeff_map maps coefficient encodings into `big`; None means identity.
-        """
+    def evaluate(self, point):
+        """The value at a point of the coefficient field (Horner's rule)."""
+        F = self.field
         acc = 0
         for c in reversed(self.coeffs):
-            img = c if coeff_map is None else coeff_map[c]
-            acc = big.add(big.mul(acc, point), img)
+            acc = F.add(F.mul(acc, point), c)
         return acc
 
     def __str__(self):
@@ -501,27 +525,185 @@ def _candidate_polys(field, deg):
         yield Poly(field, tuple(digits) + (1,))
 
 
+def _mulmod(field, a, b, m):
+    """a * b mod m for coefficient tuples (low to high), m monic of degree
+    >= 1; the result is trimmed."""
+    if not a or not b:
+        return ()
+    # discrete logs, None for 0; g^r + g^s = g^(r + Z(s - r))
+    exp, dlog, zech, order = field._exp, field._dlog, field._zech, field._order
+    n = len(m) - 1
+    out = [None] * (len(a) + len(b) - 1)
+    lb = [dlog[y] if y else None for y in b]
+    for i, x in enumerate(a):
+        if x:
+            x = dlog[x]
+            for j, y in enumerate(lb):
+                if y is not None:
+                    r = out[i + j]
+                    if r is None:
+                        out[i + j] = x + y
+                    else:
+                        z = zech[(x + y - r) % order]
+                        out[i + j] = None if z is None else r + z
+    lm = [dlog[c] if c else None for c in m]
+    half = order // 2
+    for i in range(len(out) - 1, n - 1, -1):
+        c = out[i]
+        if c is not None:
+            c += half  # subtract c * m
+            for j in range(n):
+                y = lm[j]
+                if y is not None:
+                    r = out[i - n + j]
+                    if r is None:
+                        out[i - n + j] = c + y
+                    else:
+                        z = zech[(c + y - r) % order]
+                        out[i - n + j] = None if z is None else r + z
+    out = [0 if r is None else exp[r % order] for r in out[:n]]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _powmod(field, a, e, m):
+    """a^e mod m (e >= 0) for coefficient tuples, m monic of degree >= 1."""
+    result = (1,)
+    while e:
+        if e & 1:
+            result = _mulmod(field, result, a, m)
+        e >>= 1
+        if e:
+            a = _mulmod(field, a, a, m)
+    return result
+
+
+def _gcd(a, b):
+    """The monic gcd of two polynomials, not both zero."""
+    while not b.is_zero():
+        a, b = b, a.mod(b)
+    return a.monic()
+
+
+def _minus_t(field, h):
+    """The polynomial h - t, for h a coefficient tuple."""
+    return Poly._trimmed(field, list(h)).sub(Poly.var(field))
+
+
 def _is_irreducible(field, f):
-    d = f.degree
-    if d <= 0:
+    """Rabin's test for a monic f of degree n: f divides t^(q^n) - t, and
+    t^(q^(n/r)) - t is prime to f for every prime r dividing n."""
+    n = f.degree
+    if n <= 0:
         return False
-    if d == 1:
+    if n == 1:
         return True
-    for k in range(1, d // 2 + 1):
-        for g in monic_irreducibles(field, k):
-            if f.mod(g).is_zero():
-                return False
-    return True
+    frob = [(0, 1)]  # t^(q^i) mod f
+    for _ in range(n):
+        frob.append(_powmod(field, frob[-1], field.q, f.coeffs))
+    if frob[n] != (0, 1):
+        return False
+    return all(_gcd(f, _minus_t(field, frob[n // r])).is_one() for r in factorint(n))
 
 
 def is_irreducible(f):
     return _is_irreducible(f.field, f if f.is_monic() else f.monic())
 
 
-def poly_factor(f):
-    """Factor a nonzero polynomial into monic irreducibles by trial division.
+def _derivative(f):
+    field = f.field
+    p = field.p
+    return Poly._trimmed(field, [field.mul(i % p, c) for i, c in enumerate(f.coeffs) if i])
 
-    Returns (leading unit, {monic irreducible Poly: multiplicity}).
+
+def _pth_root(f):
+    """g with g^p = f, for f a polynomial in t^p."""
+    field = f.field
+    e = field.q // field.p  # c^(1/p) = c^(q/p) in F_q
+    return Poly._trimmed(field, [field.pow(c, e) for c in f.coeffs[:: field.p]])
+
+
+def _square_free(f):
+    """[(g, m)] with f = prod g^m, the g monic, square-free, pairwise prime
+    (f monic of degree >= 1)."""
+    p = f.field.p
+    df = _derivative(f)
+    if df.is_zero():
+        return [(g, m * p) for g, m in _square_free(_pth_root(f))]
+    c = _gcd(f, df)
+    if c.is_one():
+        return [(f, 1)]
+    out = []
+    w = f.divmod(c)[0]
+    i = 1
+    while w.degree > 0:
+        y = _gcd(w, c)
+        fac = w.divmod(y)[0]
+        if fac.degree > 0:
+            out.append((fac, i))
+        w, c, i = y, c.divmod(y)[0], i + 1
+    if c.degree > 0:
+        out.extend((g, m * p) for g, m in _square_free(_pth_root(c)))
+    return out
+
+
+def _distinct_degree(f):
+    """[(g, k)]: g the product of the irreducible factors of degree k of a
+    monic square-free f."""
+    field = f.field
+    out = []
+    h = (0, 1)
+    k = 0
+    while f.degree >= 2 * (k + 1):
+        k += 1
+        h = _powmod(field, h, field.q, f.coeffs)
+        g = _gcd(f, _minus_t(field, h))
+        if g.degree > 0:
+            out.append((g, k))
+            f = f.divmod(g)[0]
+            h = Poly._trimmed(field, list(h)).mod(f).coeffs
+    if f.degree > 0:
+        out.append((f, f.degree))
+    return out
+
+
+def _equal_degree(g, k):
+    """The irreducible factors of a monic g whose irreducible factors are
+    distinct and all of degree k (Cantor-Zassenhaus, q odd).
+
+    Split candidates a are the monic polynomials of degree 1, 2, ... below
+    deg g in `_candidate_polys` order, so the result is the same in every
+    process.  The scan ends: for g = g1 * g2 * ..., the Chinese remainder
+    theorem gives some a of degree < deg g that is 1 mod g1 and a non-square
+    mod g2, and its monic multiple splits off g1 through
+    gcd(g, a^((q^k - 1)/2) - 1)."""
+    if g.degree == k:
+        return [g]
+    field = g.field
+    e = (field.q**k - 1) // 2
+    one = Poly.const(field, 1)
+    for deg in range(1, g.degree):
+        for a in _candidate_polys(field, deg):
+            b = Poly._trimmed(field, list(_powmod(field, a.coeffs, e, g.coeffs)))
+            d = _gcd(g, b.sub(one))
+            if 0 < d.degree < g.degree:
+                return _equal_degree(d, k) + _equal_degree(g.divmod(d)[0], k)
+    raise AssertionError("no split candidate: g is not a product of distinct degree-k factors")
+
+
+def _listing_order(poly):
+    # the order of monic_irreducibles: by degree, then by the candidate index
+    return (poly.degree, poly.coeffs[::-1])
+
+
+def poly_factor(f):
+    """Factor a nonzero polynomial of degree at most DEFAULT_DEGREE_BOUND
+    into monic irreducibles: square-free split, then distinct-degree and
+    equal-degree (Cantor-Zassenhaus) splitting.
+
+    Returns (leading unit, {monic irreducible Poly: multiplicity}), the
+    factors ordered by degree and then as in `monic_irreducibles`.
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
@@ -529,27 +711,15 @@ def poly_factor(f):
         raise DegreeBound(
             f"degree {f.degree} exceeds factorization cap {DEFAULT_DEGREE_BOUND}"
         )
-    field = f.field
-    lead = field.unit(f.lead())
-    rem = f.monic()
+    lead = f.field.unit(f.lead())
+    if f.degree == 0:
+        return lead, {}
     out = {}
-    k = 1
-    while rem.degree >= 1:
-        if k > rem.degree // 2:
-            out[rem] = out.get(rem, 0) + 1
-            break
-        for g in monic_irreducibles(field, k):
-            while True:
-                quo, r = rem.divmod(g)
-                if r.is_zero():
-                    out[g] = out.get(g, 0) + 1
-                    rem = quo
-                else:
-                    break
-            if rem.degree < 1:
-                break
-        k += 1
-    return lead, out
+    for g, m in _square_free(f.monic()):
+        for h, k in _distinct_degree(g):
+            for irreducible in _equal_degree(h, k):
+                out[irreducible] = m
+    return lead, {g: out[g] for g in sorted(out, key=_listing_order)}
 
 
 # ---------------------------------------------------------------------------
@@ -749,46 +919,166 @@ class Place:
         return format_poly(self.poly)
 
 
+class QuotientField(FiniteField):
+    """The residue field F_q[t]/(P) of a place P of degree k >= 2, built
+    without tables.
+
+    The class of c_0 + c_1 t + ... + c_{k-1} t^(k-1) is encoded as the sum of
+    c_i q^i (c_i encodings of F_q), and arithmetic is polynomial arithmetic
+    mod P over F_q.  The generator is the smallest encoding of order
+    q^k - 1; discrete logarithms against it are taken by Pohlig-Hellman,
+    with baby-step giant-step in each subgroup of prime-power order (digit
+    by digit where that order reaches the square of size_bound()), and
+    cached.
+    """
+
+    def __init__(self, poly):
+        base = poly.field
+        self.base = base
+        self.modulus = poly.coeffs  # P over F_q, low to high, monic
+        self.p = base.p
+        self.d = base.d * poly.degree
+        self.q = base.q**poly.degree
+        self._logs = {}
+        order = self.q - 1
+        self._factors = factorint(order)
+        # constants have order dividing q - 1 < q^k - 1: start at t
+        gen = next(
+            x
+            for x in map(self._decode, range(base.q, self.q))
+            if all(self._pow(x, order // ell) != (1,) for ell in self._factors)
+        )
+        self._gen = gen
+        self.generator = self._encode(gen)
+        # per prime power ell^e of the order: g_ell = g^(order / ell^e), of
+        # order ell^e, and the baby steps of its power gamma of order `step`,
+        # where step is ell^e itself when that is below the bound's square
+        # (one baby-step giant-step) and ell otherwise (one per base-ell digit)
+        limit = size_bound()
+        self._subgroups = []
+        for ell, e in self._factors.items():
+            size = ell**e
+            step = size if size < limit * limit else ell
+            g_ell = self._pow(gen, order // size)
+            gamma = self._pow(g_ell, size // step)
+            m = isqrt(step - 1) + 1
+            baby, y = {}, (1,)
+            for j in range(m):
+                baby[y] = j
+                y = self._mul(y, gamma)
+            giant = self._pow(gamma, (-m) % step)
+            self._subgroups.append((size, step, g_ell, baby, giant))
+
+    def _decode(self, x):
+        out = []
+        while x:
+            x, c = divmod(x, self.base.q)
+            out.append(c)
+        return tuple(out)
+
+    def _encode(self, coeffs):
+        out = 0
+        for c in reversed(coeffs):
+            out = out * self.base.q + c
+        return out
+
+    def _mul(self, x, y):
+        return _mulmod(self.base, x, y, self.modulus)
+
+    def _pow(self, x, e):
+        return _powmod(self.base, x, e, self.modulus)
+
+    def log(self, x):
+        """The exponent n in [0, q - 1) with generator^n = x, for x a nonzero
+        coefficient tuple (trimmed, reduced mod P)."""
+        found = self._logs.get(x)
+        if found is not None:
+            return found
+        if not x:
+            raise ZeroDivisionError("zero has no discrete logarithm")
+        order = self.q - 1
+        n, modulus = 0, 1
+        for size, step, g_ell, baby, giant in self._subgroups:
+            x_ell = self._pow(x, order // size)
+            acc, scale = 0, 1  # log of x_ell to the base g_ell, digit by digit
+            while scale < size:
+                y = x_ell if not acc else self._mul(x_ell, self._pow(g_ell, size - acc))
+                y = self._pow(y, size // (scale * step))
+                i = 0
+                while y not in baby:
+                    y = self._mul(y, giant)
+                    i += 1
+                acc += (i * len(baby) + baby[y]) * scale
+                scale *= step
+            n += modulus * ((acc - n) * pow(modulus, -1, size) % size)
+            modulus *= size
+        self._logs[x] = n
+        return n
+
+    def add(self, a, b):
+        base = self.base
+        return self._encode(Poly(base, self._decode(a)).add(Poly(base, self._decode(b))).coeffs)
+
+    def neg(self, a):
+        return self._encode(Poly(self.base, self._decode(a)).neg().coeffs)
+
+    def mul(self, a, b):
+        return self._encode(self._mul(self._decode(a), self._decode(b)))
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("zero has no inverse")
+        return self.pow(a, -1)
+
+    def pow(self, a, e):
+        if a == 0:
+            return FiniteField.pow(self, a, e)
+        return self._encode(self._pow(self._decode(a), e % (self.q - 1)))
+
+    def gen_power(self, k):
+        return self._encode(self._pow(self._gen, k))
+
+    def unit(self, value):
+        if value <= 0 or value >= self.q:
+            raise ZeroDivisionError(f"{value} is not a unit encoding of {self!r}")
+        return FFUnit(self, self.log(self._decode(value)))
+
+    def embedding(self, big):
+        raise FieldMismatch(f"no embeddings are defined for the residue field {self!r}")
+
+
 class _ResidueData:
-    """Residue field of a place, with the multiplicative reduction map."""
+    """Residue field of a place, with the multiplicative reduction map: F_q
+    at infinity and at places of degree 1, F_q[t]/(P) at a place P of
+    degree >= 2."""
 
     def __init__(self, rf, place):
         base = rf.base
         self.place = place
-        if place.is_infinity:
-            self.kappa = base
-            self._theta = None
-            self._coeff_map = None
-        else:
-            self.kappa = ff_build(base.p, base.d * place.poly.degree)
-            table = base.embedding(self.kappa)
-            self._coeff_map = table  # None when kappa is base itself
-            # smallest root of the place polynomial inside kappa
-            theta = None
-            for a in range(self.kappa.q):
-                if place.poly.eval_in(self.kappa, a, table) == 0:
-                    theta = a
-                    break
-            if theta is None:
-                raise NotRegularAtPlace("place polynomial has no root in residue field")
-            self._theta = theta
+        self.kappa = base
+        self._const_log = 1  # the exponent of base.generator in kappa
+        if place.degree >= 2:
+            self.kappa = QuotientField(place.poly)
+            self._const_log = self.kappa.log((base.generator,))
+
+    def _factor_log(self, poly):
+        """The exponent of the image in kappa of a monic irreducible poly != P."""
+        place_poly = self.place.poly
+        if place_poly.degree == 1:  # t - a: evaluate at a
+            return self.kappa.unit(poly.evaluate(self.kappa.neg(place_poly.coeffs[0]))).exp
+        return self.kappa.log(poly.mod(place_poly).coeffs)
 
     def reduce_unit(self, u):
         """Reduce a unit of valuation 0 at the place to a residue-field unit."""
         if u.valuation(self.place) != 0:
             raise NotRegularAtPlace(f"unit has nonzero valuation at {self.place}")
-        base = u.rf.base
-        kappa = self.kappa
         if self.place.is_infinity:
             # all stored factors are monic: the leading coefficient is the constant
-            return FFUnit(base, u.const_exp)
-        acc = base.embed_value(kappa, FFUnit(base, u.const_exp).value)
-        for p, e in u.factors:
-            val = p.eval_in(kappa, self._theta, self._coeff_map)
-            if val == 0:
-                raise NotRegularAtPlace("factor vanishes at the place")
-            acc = kappa.mul(acc, kappa.pow(val, e % (kappa.q - 1)))
-        return kappa.unit(acc)
+            return FFUnit(self.kappa, u.const_exp)
+        exp = u.const_exp * self._const_log
+        for poly, e in u.factors:
+            exp += e * self._factor_log(poly)
+        return FFUnit(self.kappa, exp)
 
 
 def residue_field(place):

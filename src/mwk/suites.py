@@ -21,7 +21,6 @@ from .fields import (
     Poly,
     RatFuncField,
     first_monic_irreducible,
-    monic_irreducibles,
     size_bound,
 )
 from .model import (
@@ -1154,11 +1153,14 @@ def run_table1(config):
             from .symbols import witt_generator
 
             t_unit = config.field.t_unit()
-            # witnesses at places of degree 2 and 3: the surviving
-            # h-multiples there have orders 2 and 13, so together they
-            # catch every nonzero rank of a rejected coefficient
+            # witnesses at the first places P of degree 2 and 3: the
+            # surviving h-multiples there are multiples of [tbar^2], whose
+            # order in kappa(P)^* is 2 and 13 over F_3.  At the cubic place
+            # tbar^2 lies outside F_q, so its order exceeds 2 for every q,
+            # and together they catch every nonzero rank (-2..2) of a
+            # rejected coefficient
             deg2 = config.field.from_poly(first_monic_irreducible(field, 2))
-            deg3 = config.field.from_poly(monic_irreducibles(field, 3)[0])
+            deg3 = config.field.from_poly(first_monic_irreducible(field, 3))
             gens = [
                 witt_generator(1, (t_unit, deg2), 0),
                 witt_generator(1, (t_unit, deg3), 0),

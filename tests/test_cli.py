@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from mwk.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -38,6 +44,13 @@ def test_eval_command(capsys):
     payload = json.loads(out)
     assert not payload["zero"]
     assert payload["canonical_form"]["residues"]
+    # residue fields of size 25^3 and 5^7, beyond the enumeration bound
+    code, out = run(capsys, "eval", "[t^3+t+1, t]", "--field", "25(t)", "--json")
+    assert code == 0
+    assert "t^3+t+1" in dict(json.loads(out)["canonical_form"]["residues"])
+    code, out = run(capsys, "eval", "[(t^7+t+1)^-1, t^4+1]", "--field", "5(t)", "--json")
+    assert code == 0
+    assert "t^7+t+1" in dict(json.loads(out)["canonical_form"]["residues"])
 
 
 def test_eval_parse_error_exit_code(capsys):
@@ -45,6 +58,24 @@ def test_eval_parse_error_exit_code(capsys):
     assert code == 2
     # an integer literal that is no encoding of F_9 is an input error
     assert main(["eval", "[t+10]", "--field", "9(t)"]) == 2
+    assert main(["eval", "[10]", "--field", "9"]) == 2
+    assert main(["eval", "<10^-1>", "--field", "9"]) == 2
+
+
+def test_eval_output_is_independent_of_hash_seed():
+    # factoring and the residue-field logarithms follow no hash order
+    text = "[(t^3+t+1)*(t^3+2*t+1)*(t^2+3)^2*(t+4)^2, t^4+1]"
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mwk.cli", "eval", text, "--field", "25(t)", "--json"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert len(json.loads(outs[0])["canonical_form"]["residues"]) >= 4
 
 
 def test_verify_command(capsys):

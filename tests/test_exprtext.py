@@ -131,5 +131,13 @@ def test_size_bound_env_override(monkeypatch):
     assert fields_mod.size_bound() == 10
     with pytest.raises(SizeBound):
         fields_mod.ff_build(11, 2)
+    # the residue-field logarithm trial-divides 3^7 - 1 = 2 * 1093 up to the
+    # bound and leaves the cofactor 1093 >= 10^2
+    F3 = fields_mod.ff_build(3, 1)
+    poly = fields_mod.first_monic_irreducible(F3, 7)
+    place = fields_mod.Place(fields_mod.rat_func_field(F3), poly)
+    with pytest.raises(SizeBound):
+        fields_mod.residue_field(place)
     monkeypatch.delenv("MWK_SIZE_BOUND")
     assert fields_mod.size_bound() == fields_mod.DEFAULT_SIZE_BOUND
+    assert fields_mod.residue_field(place)[0].q == 3**7

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 
 import pytest
@@ -15,6 +17,7 @@ from mwk.fields import (
     FFUnit,
     Place,
     Poly,
+    QuotientField,
     ff_build,
     ff_build_q,
     first_monic_irreducible,
@@ -296,3 +299,138 @@ def test_poly_make_rejects_out_of_range_extension_encodings():
     for bad in ([9, 1], [-1, 1]):
         with pytest.raises(FieldMismatch):
             Poly.make(F9, bad)
+
+
+# ---------------------------------------------------------------------------
+# trial division: the reference for factoring and irreducibility
+# ---------------------------------------------------------------------------
+
+
+def monic_polys(field, deg):
+    """Every monic polynomial of the given degree, in `monic_irreducibles`
+    order (the highest non-leading coefficient varies slowest)."""
+    for digits in itertools.product(range(field.q), repeat=deg):
+        yield Poly(field, tuple(reversed(digits)) + (1,))
+
+
+def trial_division_is_irreducible(f):
+    """No monic irreducible of degree at most half of deg f divides f."""
+    return f.degree >= 1 and all(
+        not f.mod(g).is_zero()
+        for k in range(1, f.degree // 2 + 1)
+        for g in trial_division_irreducibles(f.field, k)
+    )
+
+
+@functools.cache
+def trial_division_irreducibles(field, deg):
+    return [f for f in monic_polys(field, deg) if trial_division_is_irreducible(f)]
+
+
+def trial_division_factor(f):
+    """(leading coefficient, {monic irreducible: multiplicity}) by dividing
+    out the monic irreducibles of degree 1, 2, ... in turn."""
+    rem = f.monic()
+    out = {}
+    k = 1
+    while rem.degree >= 2 * k:
+        for g in trial_division_irreducibles(f.field, k):
+            quo, r = rem.divmod(g)
+            while r.is_zero():
+                out[g] = out.get(g, 0) + 1
+                rem = quo
+                quo, r = rem.divmod(g)
+        k += 1
+    if rem.degree >= 1:
+        out[rem] = out.get(rem, 0) + 1
+    return f.lead(), out
+
+
+def assert_factoring_agrees(f):
+    lead, fac = poly_factor(f)
+    ref_lead, ref = trial_division_factor(f)
+    assert lead.value == ref_lead
+    assert list(fac.items()) == list(ref.items()), f  # same factors, same order
+    assert is_irreducible(f) == (list(ref.values()) == [1])
+
+
+def test_factoring_agrees_with_trial_division_up_to_degree_4():
+    for q in (3, 5, 9):
+        field = ff_build_q(q)
+        for deg in range(1, 5):
+            for f in monic_polys(field, deg):
+                assert_factoring_agrees(f)
+
+
+def test_factoring_agrees_with_trial_division_on_seeded_products():
+    # products of seeded irreducibles (trial division lists them), with
+    # multiplicities up to p + 1 so that p-th powers go through the
+    # square-free split, up to the degree cap
+    rng = random.Random(7)
+    for q, max_factor_degree in ((5, 7), (25, 4)):
+        field = ff_build_q(q)
+        for _ in range(100):
+            lead = rng.randrange(1, q)
+            f = Poly.const(field, lead)
+            expected = {}
+            target = rng.randint(1, 12)
+            while f.degree < target:
+                deg = rng.randint(1, min(max_factor_degree, target - f.degree))
+                e = rng.choice((1, 1, 1, 2, 3, field.p, field.p + 1))
+                e = min(e, (target - f.degree) // deg)
+                g = Poly(field, tuple(rng.randrange(q) for _ in range(deg)) + (1,))
+                while not trial_division_is_irreducible(g):
+                    g = Poly(field, tuple(rng.randrange(q) for _ in range(deg)) + (1,))
+                expected[g] = expected.get(g, 0) + e
+                for _ in range(e):
+                    f = f.mul(g)
+            lead_unit, fac = poly_factor(f)
+            assert lead_unit.value == lead
+            order = sorted(expected, key=lambda g: (g.degree, g.coeffs[::-1]))
+            assert list(fac.items()) == [(g, expected[g]) for g in order], f
+            assert is_irreducible(f) == (list(expected.values()) == [1])
+
+
+def test_zech_addition_matches_digit_addition():
+    for q in (9, 25, 27):
+        F = ff_build_q(q)
+        for a in range(q):
+            assert F.neg(a) == F._encode([-c for c in F._decode(a)])
+            for b in range(q):
+                assert F.add(a, b) == F._encode(
+                    [x + y for x, y in zip(F._decode(a), F._decode(b))]
+                )
+
+
+def assert_log_matches_power_table(kappa):
+    table, x = {}, 1
+    for n in range(kappa.q - 1):
+        table[x] = n
+        x = kappa.mul(x, kappa.generator)
+    assert len(table) == kappa.q - 1 and x == 1
+    # the smallest encoding of full order
+    assert all(brute_order(kappa, a) < kappa.q - 1 for a in range(1, kappa.generator))
+    for value, n in table.items():
+        assert kappa.unit(value).exp == n
+        assert FFUnit(kappa, n).value == value
+
+
+def test_residue_field_log_matches_power_table():
+    for q, k in ((3, 2), (5, 2), (3, 3), (9, 2)):
+        F = ff_build_q(q)
+        rf = rat_func_field(F)
+        for poly in monic_irreducibles(F, k):
+            kappa, reduce_unit = residue_field(Place(rf, poly))
+            assert isinstance(kappa, QuotientField) and kappa.q == q**k
+            assert_log_matches_power_table(kappa)
+            # t reduces to the class of t, encoded as q
+            assert reduce_unit(rf.t_unit()).value == q
+
+
+def test_residue_field_log_digit_by_digit(monkeypatch):
+    # with the bound at 3, the 2-part 16 of 3^4 - 1 = 16 * 5 reaches the
+    # bound's square and its logarithm is taken one binary digit at a time
+    F3 = ff_build(3, 1)
+    monkeypatch.setenv("MWK_SIZE_BOUND", "3")
+    for poly in monic_irreducibles(F3, 4):
+        assert_log_matches_power_table(QuotientField(poly))
