@@ -143,10 +143,13 @@ class _Parser:
 
     def parse_unit(self):
         if isinstance(self.field, RatFuncField):
-            num, den = self.parse_poly_expr()
-            if num.is_zero() or den.is_zero():
+            product = self.parse_poly_expr()
+            if any(p.is_zero() for p, _ in product):
                 raise ParseError("0 is not a unit")
-            return self.field.from_fraction(num, den)
+            unit = self.field.one_unit()
+            for p, k in product:
+                unit = unit.mul(self.field.from_poly(p).pow(k))
+            return unit
         num, den = self.parse_ff_value()
         if num == 0 or den == 0:
             raise ParseError("0 is not a unit")
@@ -185,9 +188,9 @@ class _Parser:
         base = self.field.base
         tok, pos = self.next()
         if tok == "t":
-            return (Poly.var(base), Poly.const(base, 1))
+            return [(Poly.var(base), 1)]
         if tok is not None and tok.isdigit():
-            return (Poly.const(base, int(tok)), Poly.const(base, 1))
+            return [(Poly.const(base, int(tok)), 1)]
         if tok == "(":
             inner = self._parse_value_sum(self._parse_poly_atom)
             self.expect(")")
@@ -222,41 +225,50 @@ class _Parser:
         if self.peek() == "^":
             self.next()
             e = self.parse_int()
+            if isinstance(self.field, RatFuncField):
+                return [(p, k * e) for p, k in base] if e else []
             num, den = base
             if e < 0:
                 num, den = den, num
                 e = -e
-            out = self._value_one()
+            out = (1, 1)
             for _ in range(e):
                 out = self._value_mul(out, (num, den))
             return out
         return base
 
-    # fraction arithmetic shared by both unit kinds
-
-    def _value_one(self):
-        if isinstance(self.field, RatFuncField):
-            one = Poly.const(self.field.base, 1)
-            return (one, one)
-        return (1, 1)
+    # Value arithmetic.  Over F_q a value is a fraction (num, den) of
+    # encodings.  Over F_q(t) it is a formal product [(Poly, exponent), ...]
+    # with one entry per atom, so that parse_unit factors every atom on its
+    # own; only a sum expands its terms, into one fraction.
 
     def _value_neg(self, v):
-        num, den = v
         if isinstance(self.field, RatFuncField):
-            return (num.neg(), den)
-        return (self.field.neg(num), den)
+            return v + [(Poly.const(self.field.base, 1).neg(), 1)]
+        return (self.field.neg(v[0]), v[1])
 
     def _value_add(self, a, b):
         if isinstance(self.field, RatFuncField):
-            return (a[0].mul(b[1]).add(b[0].mul(a[1])), a[1].mul(b[1]))
+            (na, da), (nb, db) = self._expand(a), self._expand(b)
+            return [(na.mul(db).add(nb.mul(da)), 1), (da.mul(db), -1)]
         F = self.field
         return (F.add(F.mul(a[0], b[1]), F.mul(b[0], a[1])), F.mul(a[1], b[1]))
 
     def _value_mul(self, a, b):
         if isinstance(self.field, RatFuncField):
-            return (a[0].mul(b[0]), a[1].mul(b[1]))
+            return a + b
         F = self.field
         return (F.mul(a[0], b[0]), F.mul(a[1], b[1]))
+
+    def _expand(self, product):
+        num = den = Poly.const(self.field.base, 1)
+        for p, k in product:
+            for _ in range(abs(k)):
+                if k > 0:
+                    num = num.mul(p)
+                else:
+                    den = den.mul(p)
+        return num, den
 
 
 def parse_expr(text, field):

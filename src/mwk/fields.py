@@ -898,6 +898,15 @@ class Place:
             if not self.poly.is_monic() or not _is_irreducible(self.poly.field, self.poly):
                 raise NotRegularAtPlace("places are monic irreducible polynomials")
 
+    @staticmethod
+    def _known(rf, poly):
+        # poly: a monic irreducible the caller vouches for (a poly_factor
+        # factor), so the irreducibility test is not run again
+        place = object.__new__(Place)
+        object.__setattr__(place, "rf", rf)
+        object.__setattr__(place, "poly", poly)
+        return place
+
     @property
     def is_infinity(self):
         return self.poly is None

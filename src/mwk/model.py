@@ -505,7 +505,7 @@ def _insert_row(basis, row):
     """Insert an integer row into an echelon lattice basis (dict: lead -> row).
 
     Row operations only (subtraction and swap), so the Z-row-span is
-    preserved; used to compress many relation rows before the final SNF.
+    preserved; snf_oracle holds its relation lattice in one such basis.
     """
     while True:
         lead = None
@@ -542,7 +542,8 @@ def _merge_pairs(pairs):
 class _Presentation:
     """The standard presentation of degree-n Milnor-Witt K-theory, truncated
     at eta power d_max, with eta-positive generators eliminated along the
-    twisted-tensor pivots."""
+    twisted-tensor pivots.  Its relations come in levels: level d holds the
+    relations the truncation at eta power d adds to the one at d - 1."""
 
     def __init__(self, field, n, d_max):
         if n < 0:
@@ -553,6 +554,7 @@ class _Presentation:
         self.field = field
         self.n = n
         self.d_max = d_max
+        self.level = 0  # the level of the row relation_rows yielded last
         units = list(range(1, field.q))  # unit encodings
         for d in range(d_max + 1):
             if (field.q - 1) ** (n + d) > limit:
@@ -615,78 +617,95 @@ class _Presentation:
         for gen, c in combo.items():
             for base, cc in self._rewrite(gen).items():
                 row[self.base_index[base]] += c * cc
-        return row
+        return tuple(row)
 
-    def relation_combos(self):
-        """All relations (as generator -> coefficient dicts) except the
-        twisted-tensor pivots at position 0, which define the elimination."""
+    def relation_combos(self, d):
+        """The relations of level d (as generator -> coefficient dicts): the
+        Steinberg relations at eta power d, the twisted-tensor relations at
+        d - 1 except the pivots at position 0 (which define the elimination),
+        and the Witt relations at e = d - 1."""
         F = self.field
-        n, d_max = self.n, self.d_max
-        minus_one = F._exp[(F.q - 1) // 2]
+        n = self.n
         # Steinberg relations: adjacent entries summing to 1
-        for d in range(d_max + 1):
-            r = n + d
-            if r < 2:
-                continue
+        r = n + d
+        if r >= 2:
             for tup in self._tuples(r):
                 if any(F.add(tup[i], tup[i + 1]) == 1 for i in range(r - 1)):
                     yield {(d, tup): 1}
-        # twisted tensor relations at positions i >= 1 (position 0 is the pivot set)
-        for d in range(d_max):
-            r = n + d
-            for i in range(1, r):
-                for pre in self._tuples(i):
-                    for b in self.units:
-                        for bp in self.units:
-                            for suf in self._tuples(r - 1 - i):
-                                yield _merge_pairs(
-                                    [
-                                        ((d, pre + (F.mul(b, bp),) + suf), 1),
-                                        ((d, pre + (b,) + suf), -1),
-                                        ((d, pre + (bp,) + suf), -1),
-                                        ((d + 1, pre + (b, bp) + suf), -1),
-                                    ]
-                                )
+        e, r = d - 1, n + d - 1
+        # twisted tensor relations at positions i >= 1
+        for i in range(1, r if e >= 0 else 0):
+            for pre in self._tuples(i):
+                for b in self.units:
+                    for bp in self.units:
+                        for suf in self._tuples(r - 1 - i):
+                            yield _merge_pairs(
+                                [
+                                    ((e, pre + (F.mul(b, bp),) + suf), 1),
+                                    ((e, pre + (b,) + suf), -1),
+                                    ((e, pre + (bp,) + suf), -1),
+                                    ((d, pre + (b, bp) + suf), -1),
+                                ]
+                            )
         # Witt relations: 2 eta^e [tuple] + eta^{e+1} [tuple with -1 inserted]
-        for e in range(1, d_max):
-            r = n + e
-            if r < 1:
-                continue
+        if e >= 1:
+            minus_one = F._exp[(F.q - 1) // 2]
             for tup in self._tuples(r):
                 for pos in range(r + 1):
                     inserted = tup[:pos] + (minus_one,) + tup[pos:]
-                    yield {(e, tup): 2, (e + 1, inserted): 1}
+                    yield {(e, tup): 2, (d, inserted): 1}
 
     def relation_rows(self):
-        for combo in self.relation_combos():
-            row = self._row(combo)
-            if any(row):
-                yield row
-
-    def invariant_factors(self):
-        basis = {}
-        for row in self.relation_rows():
-            _insert_row(basis, row)
-        diag = smith_normal_form(list(basis.values()), len(self.base_gens))
-        finite = sorted(d for d in diag if d not in (0, 1))
-        free = len(self.base_gens) - sum(1 for d in diag if d != 0)
-        return finite + [0] * free
+        """The distinct nonzero relation rows, level by level."""
+        seen = set()
+        for d in range(self.d_max + 1):
+            self.level = d
+            for combo in self.relation_combos(d):
+                row = self._row(combo)
+                if any(row) and row not in seen:
+                    seen.add(row)
+                    yield row
 
 
 def snf_oracle(field, n, d_max):
     """Presentation-based invariant factors with an empirical stabilization report.
 
     Returns {"factors": per-d list, "stabilized": bool, "final": last factors}.
+    The rows of one presentation truncated at d_max go level by level into a
+    single echelon basis (incremental Hermite reduction), and the factors of
+    level d are read off the basis once every row of level <= d is in.  When
+    the basis turns unimodular the relation lattice is all of Z^m, and more
+    relations cannot change the quotient: generation stops, and that level and
+    every later one report the zero group.
     """
+    pres = _Presentation(field, n, d_max)
+    m = len(pres.base_gens)
+    basis = {}
     per_d = []
-    for d in range(d_max + 1):
-        per_d.append(_Presentation(field, n, d).invariant_factors())
+
+    def factors():
+        # level 0 of degree 0 has the single generator 1; eta [a] enters at 1
+        width = m if n or per_d else 1
+        diag = smith_normal_form(list(basis.values()), width)
+        free = width - sum(1 for d in diag if d != 0)
+        return sorted(d for d in diag if d not in (0, 1)) + [0] * free
+
+    for row in pres.relation_rows():
+        while len(per_d) < pres.level:
+            per_d.append(factors())
+        _insert_row(basis, row)
+        if len(basis) == m and all(basis[j][j] == 1 for j in range(m)):
+            per_d.extend([] for _ in range(len(per_d), d_max + 1))
+            break
+    while len(per_d) <= d_max:
+        per_d.append(factors())
     stabilized = len(per_d) >= 2 and per_d[-1] == per_d[-2]
     return {"factors": per_d, "stabilized": stabilized, "final": per_d[-1]}
 
 
 def presentation_matrix_triples(field, n, d_max):
-    """The relation matrix in sparse (row, col, value) triple format."""
+    """The relation matrix (its distinct nonzero rows, level by level) in
+    sparse (row, col, value) triple format."""
     pres = _Presentation(field, n, d_max)
     triples = []
     for i, row in enumerate(pres.relation_rows()):

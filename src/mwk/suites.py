@@ -1228,12 +1228,9 @@ def run_suite(suite_id, config):
 def _merge_reports(suite_id, anchor, config, parts):
     merged = Report(suite_id, anchor, config)
     for part in parts:
-        payload = part.to_json()
-        merged.trials += payload["trials"]
-        merged.failures.extend(
-            f"{payload['suite_id']}: {f}" for f in payload["failures"]
-        )
-        merged.notes.extend(payload["notes"])
+        merged.trials += part.trials
+        merged.failures.extend(f"{part.suite_id}: {f}" for f in part.failures)
+        merged.notes.extend(part.notes)
     return merged
 
 

@@ -166,7 +166,7 @@ class SymExpr:
             for u in units:
                 for p, _ in u.factors:
                     seen[p] = True
-        return [Place(self.field, p) for p in seen]
+        return [Place._known(self.field, p) for p in seen]
 
     def map_units(self, fn, new_field):
         """Apply fn to every unit entry, producing an expression over new_field."""

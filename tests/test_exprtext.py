@@ -12,8 +12,10 @@ from mwk.exprtext import (
     parse_field_spec,
     parse_unit,
 )
-from mwk.fields import Poly, ff_build, rat_func_field
+from mwk.cli import main
+from mwk.fields import Poly, ff_build, ff_build_q, rat_func_field
 from mwk.model import eval_model
+from mwk.symbols import SymExpr
 from mwk.valuation import is_zero
 
 F3 = ff_build(3, 1)
@@ -71,6 +73,34 @@ def test_roundtrip_random_exprs():
             assert parse_expr(text, field) == e, text
             # printing is stable
             assert format_expr(parse_expr(text, field)) == text
+
+
+def test_unit_atoms_are_factored_one_by_one():
+    # degree 13 in all, but each atom is within the factorization cap
+    assert main(["eval", "[(t^7+t+1)*(t^6+t+1), t]", "--field", "5(t)"]) == 0
+    rng = random.Random(5)
+    for q in (5, 9):
+        rf = rat_func_field(ff_build_q(q))
+        for _ in range(25):
+            atoms = []
+            budget = rng.randint(2, 12)
+            for k in range(rng.randint(2, 3)):
+                deg = rng.randint(0 if k else 1, min(4, budget))
+                e = rng.randint(1, 2) if 2 * deg <= budget else 1
+                budget -= e * deg
+                coeffs = [rng.randrange(q) for _ in range(deg)] + [rng.randrange(1, q)]
+                atoms.append((Poly.make(rf.base, coeffs), e))
+            expanded = Poly.const(rf.base, 1)
+            for p, e in atoms:
+                for _ in range(e):
+                    expanded = expanded.mul(p)
+            text = "*".join(
+                f"({format_poly(p)})" + (f"^{e}" if e > 1 else "") for p, e in atoms
+            )
+            u = parse_unit(text, rf)
+            assert u == parse_unit(format_poly(expanded), rf) == rf.from_poly(expanded), text
+            e = SymExpr.bracket(u, rf.t_unit())
+            assert parse_expr(format_expr(e), rf) == e
 
 
 def test_parse_generator_form():

@@ -247,6 +247,28 @@ def test_reduce_at_place_requires_regularity():
         reduce_unit(rf.t_unit())
 
 
+def test_support_places_skip_the_irreducibility_test(monkeypatch):
+    import mwk.fields as fields_mod
+    from mwk.exprtext import parse_expr
+
+    F5 = ff_build(5, 1)
+    rf = rat_func_field(F5)
+    expr = parse_expr("[(t^7+t+1)*(t^2+2), t^3+t+1] - [t, (t^2+1)^-1]", rf)
+    calls = []
+    test = fields_mod._is_irreducible
+    monkeypatch.setattr(
+        fields_mod, "_is_irreducible", lambda *args: calls.append(args) or test(*args)
+    )
+    places = expr.support_places()
+    assert calls == []
+    assert places == [Place(rf, p) for p in (pl.poly for pl in places)]
+    assert len(places) == 6  # t^2+1 = (t+2)(t+3) over F_5
+    calls.clear()
+    with pytest.raises(NotRegularAtPlace):
+        Place(rf, Poly.make(F5, [1, 0, 1]))
+    assert calls
+
+
 def test_infinity_place_reduction():
     F3 = ff_build(3, 1)
     rf = rat_func_field(F3)

@@ -2,15 +2,17 @@ import random
 
 import pytest
 
-from mwk.errors import DegreeMismatch, Inhomogeneous
+from mwk.errors import DegreeMismatch, Inhomogeneous, SizeBound
 from mwk.exprtext import format_expr
-from mwk.fields import ff_build
+from mwk.fields import ff_build, ff_build_q
 from mwk.model import (
     MILNOR,
     MOD2,
     MW,
     WITT,
     MWElem,
+    _insert_row,
+    _Presentation,
     base_change,
     eval_model,
     finite_abelian_invariants,
@@ -286,6 +288,55 @@ def test_snf_oracle_matches_model():
         rep = snf_oracle(F, n, d_max)
         assert rep["final"] == group_structure_model(F, n), (F, n, rep)
         assert rep["stabilized"], (F, n, rep)
+
+
+def reference_snf_factors(field, n, d_max):
+    """The presentation oracle without sharing between levels, kept as a
+    reference: a fresh presentation per level, every nonzero row of every
+    level inserted, no deduplication and no early stop."""
+    per_d = []
+    for d in range(d_max + 1):
+        pres = _Presentation(field, n, d)
+        basis = {}
+        for level in range(d + 1):
+            for combo in pres.relation_combos(level):
+                row = pres._row(combo)
+                if any(row):
+                    _insert_row(basis, row)
+        m = len(pres.base_gens)
+        diag = smith_normal_form(list(basis.values()), m)
+        free = m - sum(1 for x in diag if x != 0)
+        per_d.append(sorted(x for x in diag if x not in (0, 1)) + [0] * free)
+    return per_d
+
+
+def test_snf_oracle_matches_the_level_by_level_reference():
+    cases = [(q, n) for q in (3, 5, 7) for n in (0, 1, 2) if (q, n) != (7, 2)]
+    for q, n in cases + [(3, 3)]:
+        field = ff_build_q(q)
+        for d_max in range((4 if n == 0 else 3) + 1):
+            rep = snf_oracle(field, n, d_max)
+            ref = reference_snf_factors(field, n, d_max)
+            assert rep["factors"] == ref, (q, n, d_max)
+            assert rep["final"] == ref[-1]
+            assert rep["stabilized"] == (len(ref) >= 2 and ref[-1] == ref[-2])
+
+
+def test_snf_oracle_stops_once_the_relations_span_everything(monkeypatch):
+    # K^MW_3(F_5) = 0: the relation lattice is all of Z^64 early in level 1
+    built = []
+    row = _Presentation._row
+    monkeypatch.setattr(
+        _Presentation, "_row", lambda pres, combo: built.append(combo) or row(pres, combo)
+    )
+    rep = snf_oracle(F5, 3, 3)
+    assert set(rep["factors"][0]) == {0} and rep["factors"][1:] == [[], [], []]
+    assert len(built) <= 1000, len(built)
+
+
+def test_snf_oracle_size_bound():
+    with pytest.raises(SizeBound, match=r"^generator count \(q-1\)\^4 exceeds bound 10000$"):
+        snf_oracle(ff_build_q(13), 1, 3)
 
 
 def test_presentation_matrix_triples_export():

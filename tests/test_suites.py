@@ -91,3 +91,26 @@ def test_lemma32_exhaustive_branch_follows_the_size_bound(monkeypatch):
     assert "exhaustive over 16 unit pairs" in notes()
     monkeypatch.setenv("MWK_SIZE_BOUND", "15")
     assert not any(note.startswith("exhaustive") for note in notes())
+
+
+def test_merged_report_counts_every_failure():
+    from mwk.suites import Report, _merge_reports
+
+    config = SuiteConfig(field=F3, seed=0)
+
+    def failing(name, count):
+        part = Report(name, "anchor", config)
+        for i in range(count):
+            part.check(False, f"case {i}")
+        return part
+
+    payload = _merge_reports(
+        "merged", "anchor", config, [failing("first", 40), failing("second", 40)]
+    ).to_json()
+    assert payload["trials"] == 80
+    assert payload["failure_count"] == 80
+    assert len(payload["failures"]) == 50
+    assert payload["failures"][40] == "second: case 0"
+    # a part's own JSON keeps only its first 50 failures; the merge keeps all
+    payload = _merge_reports("merged", "anchor", config, [failing("only", 60)]).to_json()
+    assert payload["failure_count"] == 60
