@@ -33,15 +33,15 @@ def cmd_group(args):
 
     field = ff_build_q(args.q)
     model = group_structure_model(field, args.n)
-    oracle = snf_oracle(field, args.n, args.d_max) if args.n >= 0 else None
-    agree = oracle is not None and oracle["final"] == model
+    oracle = snf_oracle(field, args.n, args.d_max)
+    agree = oracle["final"] == model
     payload = {
         "q": args.q,
         "n": args.n,
         "d_max": args.d_max,
         "model_factors": model,
-        "presentation_factors": oracle["factors"] if oracle else None,
-        "stabilized": oracle["stabilized"] if oracle else None,
+        "presentation_factors": oracle["factors"],
+        "stabilized": oracle["stabilized"],
         "agree": agree,
     }
     _emit(payload, args.json)
@@ -97,6 +97,13 @@ def cmd_verify(args):
     return 0 if payload["passed"] else 1
 
 
+def _non_negative(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 @functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -108,7 +115,7 @@ def build_parser():
     g = sub.add_parser("group", help="compare the two group oracles")
     g.add_argument("--q", type=int, required=True, help="prime power")
     g.add_argument("--n", type=int, required=True, help="degree")
-    g.add_argument("--d-max", dest="d_max", type=int, default=3)
+    g.add_argument("--d-max", dest="d_max", type=_non_negative, default=3)
     g.add_argument("--json", action="store_true")
     g.set_defaults(func=cmd_group)
 
@@ -126,8 +133,8 @@ def build_parser():
     v.add_argument("--m", type=int, default=2)
     v.add_argument("--trials", type=int, default=200)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--trunc", type=int, default=8)
-    v.add_argument("--d-max", dest="d_max", type=int, default=3)
+    v.add_argument("--trunc", type=_non_negative, default=8)
+    v.add_argument("--d-max", dest="d_max", type=_non_negative, default=3)
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_verify)
 

@@ -1,11 +1,11 @@
 """Exact arithmetic for small finite fields F_{p^d} (p odd) and for the
 multiplicative structure of the rational function field F_q(t).
 
-Field elements are encoded as integers in [0, q): the base-p digits of the
+Field elements are encoded as integers in [0, q): F_{p^d} and the residue
+fields F_q[t]/(P) are both F_base[x]/(P), and the base-`base.q` digits of an
 encoding are the coefficients (low to high) of the residue polynomial modulo
-the field's defining polynomial.  Units additionally carry a discrete-log
-form (an exponent of the field's fixed primitive element), which makes square
-classes and n-th powers O(1).
+P.  Units additionally carry a discrete-log form (an exponent of the field's
+fixed primitive element), which makes square classes and n-th powers O(1).
 
 Units of F_q(t) are kept in fully factored form: a constant of the base field
 times a product of monic irreducible polynomials with integer exponents.
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import product
 from math import isqrt
 
 from .errors import (
@@ -73,10 +74,13 @@ def factorint(n):
 class FiniteField:
     """The field F_{p^d} with a deterministically chosen modulus and generator.
 
-    The modulus is the lexicographically smallest monic irreducible polynomial
-    of degree d over F_p (coefficients compared low to high), and the
-    generator is the smallest element (in integer encoding) of multiplicative
-    order p^d - 1.  Instances are cached by (p, d) and compared by identity.
+    For d > 1 it is the quotient F_p[x]/(modulus), on the same encoding and
+    arithmetic as `QuotientField`, plus exp/log/Zech tables.  The modulus is
+    the lexicographically smallest monic irreducible polynomial of degree d
+    over F_p (coefficients compared low to high), and the generator is the
+    smallest element (in integer encoding) of multiplicative order p^d - 1.
+    F_p itself is F_p[x]/(x), its own base.  Instances are cached by (p, d)
+    and compared by identity.
     """
 
     def __init__(self, p, d, modulus):
@@ -84,27 +88,51 @@ class FiniteField:
         self.d = d
         self.q = p**d
         self.modulus = modulus  # coefficient tuple over F_p, low to high, monic
+        self.base = self if d == 1 else ff_build(p, 1)
         self._irreducibles = {}  # degree -> list of monic irreducible Polys
         self._embeddings = {}  # id(bigger field) -> encoding map list
+        self.generator = self._smallest_generator(factorint(self.q - 1))
         self._build_tables()
 
-    # -- encoding helpers ------------------------------------------------
+    # -- F_base[x]/(modulus): encoding, multiply, power, generator ----------
 
     def _decode(self, x):
-        p, d = self.p, self.d
+        """The coefficient tuple (over the base, low to high, trimmed) of an
+        encoding: its digits in base `base.q`."""
         out = []
-        for _ in range(d):
-            out.append(x % p)
-            x //= p
-        return out
+        while x:
+            x, c = divmod(x, self.base.q)
+            out.append(c)
+        return tuple(out)
 
-    def _encode(self, digits):
+    def _encode(self, coeffs):
         out = 0
-        for c in reversed(digits):
-            out = out * self.p + (c % self.p)
+        for c in reversed(coeffs):
+            out = out * self.base.q + c
         return out
 
-    # -- raw element arithmetic ------------------------------------------
+    def _mul(self, x, y):
+        return _mulmod(self.base, x, y, self.modulus)
+
+    def _pow(self, x, e):
+        return _powmod(self.base, x, e, self.modulus)
+
+    def _smallest_generator(self, factors):
+        """The smallest encoding of multiplicative order q - 1, for `factors`
+        the prime factorization of q - 1."""
+        order = self.q - 1
+        cofactors = [order // ell for ell in factors]
+        if self.d == 1:
+            p = self.p
+            return next(a for a in range(2, p) if all(pow(a, c, p) != 1 for c in cofactors))
+        # the constants have order dividing base.q - 1 < q - 1: start at x
+        return next(
+            a
+            for a in range(self.base.q, self.q)
+            if all(self._pow(self._decode(a), c) != (1,) for c in cofactors)
+        )
+
+    # -- element arithmetic -------------------------------------------------
 
     def add(self, a, b):
         if self.d == 1:
@@ -129,26 +157,6 @@ class FiniteField:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def _mul_raw(self, a, b):
-        # polynomial multiplication modulo self.modulus, no tables
-        p, d = self.p, self.d
-        if self.d == 1:
-            return (a * b) % p
-        da, db = self._decode(a), self._decode(b)
-        prod = [0] * (2 * d - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce modulo the monic modulus
-        for i in range(len(prod) - 1, d - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(d):
-                    prod[i - d + j] = (prod[i - d + j] - c * self.modulus[j]) % p
-        return self._encode(prod[:d])
-
     def mul(self, a, b):
         if a == 0 or b == 0:
             return 0
@@ -166,29 +174,16 @@ class FiniteField:
             return 0
         return self._exp[(self._dlog[a] * e) % (self.q - 1)]
 
-    def _pow_raw(self, a, e):
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            e >>= 1
-        return r
-
     def _build_tables(self):
         order = self._order = self.q - 1
-        fac = factorint(order)
-        gen = None
-        for a in range(2, self.q):
-            if all(self._pow_raw(a, order // ell) != 1 for ell in fac):
-                gen = a
-                break
-        if gen is None:  # q == 2 cannot happen (p odd), q == 3 -> a = 2 works
-            raise SizeBound(f"no generator found for q={self.q}")
-        self.generator = gen
-        exp = [1] * order
-        for k in range(1, order):
-            exp[k] = self._mul_raw(exp[k - 1], gen)
+        gen = self.generator
+        if self.d == 1:
+            exp = [pow(gen, k, self.p) for k in range(order)]
+        else:
+            exp, x, g = [], (1,), self._decode(gen)
+            for _ in range(order):
+                exp.append(self._encode(x))
+                x = self._mul(x, g)
         self._exp = exp
         self._dlog = {v: k for k, v in enumerate(exp)}
         # Zech logarithms Z(k) = log(1 + g^k), None where 1 + g^k = 0
@@ -240,26 +235,12 @@ class FiniteField:
         found = self._embeddings.get(key)
         if found is not None:
             return found
-        root = None
-        for a in range(big.q):
-            acc, pw = 0, 1
-            for c in self.modulus:
-                if c:
-                    acc = big.add(acc, big.mul(c, pw))
-                pw = big._mul_raw(pw, a)
-            if acc == 0:
-                root = a
-                break
+        # coefficients over F_p are encoded alike in self, F_p and big
+        modulus = Poly(big, self.modulus)
+        root = next((a for a in range(big.q) if modulus.evaluate(a) == 0), None)
         if root is None:
             raise FieldMismatch("modulus has no root in extension")
-        table = [0] * self.q
-        for v in range(self.q):
-            img, pw = 0, 1
-            for c in self._decode(v):
-                if c:
-                    img = big.add(img, big.mul(c, pw))
-                pw = big._mul_raw(pw, root)
-            table[v] = img
+        table = [Poly(big, self._decode(v)).evaluate(root) for v in range(self.q)]
         self._embeddings[key] = table
         return table
 
@@ -515,14 +496,9 @@ def first_monic_irreducible(field, deg):
 
 
 def _candidate_polys(field, deg):
-    total = field.q**deg
-    for idx in range(total):
-        digits = []
-        x = idx
-        for _ in range(deg):
-            digits.append(x % field.q)
-            x //= field.q
-        yield Poly(field, tuple(digits) + (1,))
+    # the constant coefficient varies fastest
+    for digits in product(range(field.q), repeat=deg):
+        yield Poly(field, digits[::-1] + (1,))
 
 
 def _mulmod(field, a, b, m):
@@ -934,11 +910,11 @@ class QuotientField(FiniteField):
 
     The class of c_0 + c_1 t + ... + c_{k-1} t^(k-1) is encoded as the sum of
     c_i q^i (c_i encodings of F_q), and arithmetic is polynomial arithmetic
-    mod P over F_q.  The generator is the smallest encoding of order
-    q^k - 1; discrete logarithms against it are taken by Pohlig-Hellman,
-    with baby-step giant-step in each subgroup of prime-power order (digit
-    by digit where that order reaches the square of size_bound()), and
-    cached.
+    mod P over F_q: the encoding, multiply and generator rule of
+    `FiniteField` over the base F_q.  Discrete logarithms against the
+    generator are taken by Pohlig-Hellman, with baby-step giant-step in each
+    subgroup of prime-power order (digit by digit where that order reaches
+    the square of size_bound()), and cached.
     """
 
     def __init__(self, poly):
@@ -951,14 +927,8 @@ class QuotientField(FiniteField):
         self._logs = {}
         order = self.q - 1
         self._factors = factorint(order)
-        # constants have order dividing q - 1 < q^k - 1: start at t
-        gen = next(
-            x
-            for x in map(self._decode, range(base.q, self.q))
-            if all(self._pow(x, order // ell) != (1,) for ell in self._factors)
-        )
-        self._gen = gen
-        self.generator = self._encode(gen)
+        self.generator = self._smallest_generator(self._factors)
+        gen = self._gen = self._decode(self.generator)
         # per prime power ell^e of the order: g_ell = g^(order / ell^e), of
         # order ell^e, and the baby steps of its power gamma of order `step`,
         # where step is ell^e itself when that is below the bound's square
@@ -977,25 +947,6 @@ class QuotientField(FiniteField):
                 y = self._mul(y, gamma)
             giant = self._pow(gamma, (-m) % step)
             self._subgroups.append((size, step, g_ell, baby, giant))
-
-    def _decode(self, x):
-        out = []
-        while x:
-            x, c = divmod(x, self.base.q)
-            out.append(c)
-        return tuple(out)
-
-    def _encode(self, coeffs):
-        out = 0
-        for c in reversed(coeffs):
-            out = out * self.base.q + c
-        return out
-
-    def _mul(self, x, y):
-        return _mulmod(self.base, x, y, self.modulus)
-
-    def _pow(self, x, e):
-        return _powmod(self.base, x, e, self.modulus)
 
     def log(self, x):
         """The exponent n in [0, q - 1) with generator^n = x, for x a nonzero

@@ -548,6 +548,8 @@ class _Presentation:
     def __init__(self, field, n, d_max):
         if n < 0:
             raise SizeBound("presentation oracle needs n >= 0")
+        if d_max < 0:
+            raise SizeBound("presentation oracle needs d_max >= 0")
         from .fields import size_bound
 
         limit = size_bound()
@@ -702,14 +704,3 @@ def snf_oracle(field, n, d_max):
     stabilized = len(per_d) >= 2 and per_d[-1] == per_d[-2]
     return {"factors": per_d, "stabilized": stabilized, "final": per_d[-1]}
 
-
-def presentation_matrix_triples(field, n, d_max):
-    """The relation matrix (its distinct nonzero rows, level by level) in
-    sparse (row, col, value) triple format."""
-    pres = _Presentation(field, n, d_max)
-    triples = []
-    for i, row in enumerate(pres.relation_rows()):
-        for j, v in enumerate(row):
-            if v:
-                triples.append((i, j, v))
-    return {"generators": len(pres.base_gens), "triples": triples}

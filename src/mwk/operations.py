@@ -76,27 +76,20 @@ class ModelOracle:
     def from_base(self, elem):
         return base_change(elem, self.field)
 
-    def is_zero(self, value, theory=MW, degree=None):
+    def is_zero(self, value, theory, degree):
         if isinstance(value, SymExpr):
             if value.is_structurally_zero():
                 return True
             value = eval_model(value, degree)
         return value.is_zero_in(theory)
 
-    def equal(self, a, b, theory=MW, degree=None):
+    def equal(self, a, b, theory, degree):
         return self.is_zero(a.sub(b), theory, degree)
 
 
 class ValuationOracle:
     """Values are symbolic expressions over F_q(t); equality goes through
-    the canonical form of the split exact sequence.
-
-    Operation values are deliberate products (symbol times twist times
-    coefficient representative), so the oracle runs with a wider term-size
-    cap than the default valuation-module input bound.
-    """
-
-    term_cap = 20
+    the canonical form of the split exact sequence."""
 
     def __init__(self, rf):
         self.field = rf
@@ -112,18 +105,15 @@ class ValuationOracle:
         return SymExpr.bracket(*units)
 
     def minus_one_power(self, k):
-        if k == 0:
-            return self.one()
-        m1 = self.field.minus_one()
-        return SymExpr.bracket(*([m1] * k))
+        return self.from_base(minus_one_power(self.base, k))
 
     def from_base(self, elem):
         return embed_expr(model_to_sym(elem), self.field)
 
-    def is_zero(self, value, theory=MW, degree=None):
-        return val_is_zero(value, degree, theory, self.term_cap)
+    def is_zero(self, value, theory, degree):
+        return val_is_zero(value, degree, theory)
 
-    def equal(self, a, b, theory=MW, degree=None):
+    def equal(self, a, b, theory, degree):
         return self.is_zero(a.sub(b), theory, degree)
 
 
@@ -229,6 +219,8 @@ def lambda_series(x, n, trunc, oracle):
     contributes, per subset J of its first d+1 entries, a factor
     (1 + [prod_J, tail] t)^((-1)^(d+1-|J|) m).
     """
+    if n < 1:
+        raise NotAdmissible("source degree must be >= 1")
     if isinstance(x, Presentation):
         x = x.as_expr(oracle.field)
     if x.field is not oracle.field:
@@ -286,12 +278,19 @@ def _act(value, y, oracle):
 
 
 def twisted_sum(terms, n, minus_one_power):
-    """sum_i c_i [-1]^{ni} v_i over a nonempty iterable of (i, c_i, v_i),
-    with [-1]^k = minus_one_power(k).  Every conversion between the divided
-    powers lambda, sigma and f is a sum of this shape."""
+    """sum_i c_i [-1]^{ni} v_i over an iterable of (i, c_i, v_i) that starts
+    at i = 0, with [-1]^k = minus_one_power(k).  A term whose twist is zero
+    ([-1]^k = 0 for k >= 2) is left out.  Every conversion between the
+    divided powers lambda, sigma and f is a sum of this shape."""
     acc = None
     for i, c, v in terms:
-        term = minus_one_power(n * i).mul(v) if i else v
+        if i:
+            twist = minus_one_power(n * i)
+            if _value_is_structural_zero(twist):
+                continue
+            term = twist.mul(v)
+        else:
+            term = v
         if c != 1:
             term = term.scale(c)
         acc = term if acc is None else acc.add(term)

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .fields import Place, RatFuncField, residue_field
 from .model import MW, MWElem
-from .symbols import SymExpr
+from .symbols import SymExpr, power_symbol
 
 MAX_TERM_SIZE = 8
 
@@ -85,7 +85,7 @@ class ValuationContext:
         if e == 0:
             out = SymExpr.bracket(u)
         else:
-            pi_power = self._expand_pi_power(e)
+            pi_power = power_symbol(self.pi, e)
             if u.is_one():
                 out = pi_power
             else:
@@ -93,18 +93,6 @@ class ValuationContext:
                 out = pi_power.add(bu).add(pi_power.mul(bu).eta_mul())
         self._expand_cache[a] = out
         return out
-
-    def _expand_pi_power(self, e):
-        """[pi^e] with entries pi and -1, by the unit-power relation."""
-        rf = self.rf
-        mag = abs(e)
-        terms = {(0, (self.pi,)): mag}
-        if mag // 2:
-            terms[(1, (self._minus_one, self.pi))] = mag // 2
-        expr = SymExpr(rf, terms)
-        if e < 0:
-            expr = SymExpr.eps_elem(rf).mul(expr)
-        return expr
 
     # -- the residue homomorphism --------------------------------------------
 
@@ -258,13 +246,11 @@ class ValuationContext:
         s, dd = pair
         return (s.eta_mul(d), dd.eta_mul(d))
 
-    def residue_model(self, x, degree, term_cap=MAX_TERM_SIZE):
+    def residue_model(self, x, degree):
         """The residue evaluated straight into the residue-field model."""
         # independent oracle, kept on purpose: residue() computes the same map symbolically
         if x.field is not self.rf:
             raise FieldMismatch("expression over a different function field")
-        if x.max_term_size() > term_cap:
-            raise DegreeBound(f"term size exceeds {term_cap}")
         total = MWElem.zero(self.kappa, degree - 1)
         for (d, units), coeff in x.terms.items():
             if len(units) - d != degree:
@@ -368,7 +354,7 @@ def sorted_residues(residues):
     return sorted(residues.items(), key=lambda kv: (kv[0].degree, str(kv[0])))
 
 
-def canonical_form(x, degree=None, term_cap=MAX_TERM_SIZE):
+def canonical_form(x, degree=None):
     """The complete invariant of a homogeneous expression over F_q(t)."""
     rf = x.field
     if not isinstance(rf, RatFuncField):
@@ -386,18 +372,18 @@ def canonical_form(x, degree=None, term_cap=MAX_TERM_SIZE):
     base = valuation_context(t_place).specialize_model(x, degree)
     residues = {}
     for place in places:
-        r = valuation_context(place).residue_model(x, degree, term_cap)
+        r = valuation_context(place).residue_model(x, degree)
         if not r.is_zero():
             residues[place] = r
     return CanonicalForm(rf, degree, base, residues)
 
 
-def is_zero(x, degree=None, theory=MW, term_cap=MAX_TERM_SIZE):
+def is_zero(x, degree=None, theory=MW):
     """Authoritative equality-with-zero test over F_q(t)."""
     if x.is_structurally_zero():
         return True
-    return canonical_form(x, degree, term_cap).is_zero(theory)
+    return canonical_form(x, degree).is_zero(theory)
 
 
-def equal(x, y, degree=None, theory=MW, term_cap=MAX_TERM_SIZE):
-    return is_zero(x.sub(y), degree, theory, term_cap)
+def equal(x, y, degree=None, theory=MW):
+    return is_zero(x.sub(y), degree, theory)

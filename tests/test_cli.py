@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from mwk.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -62,6 +64,41 @@ def test_eval_parse_error_exit_code(capsys):
     assert main(["eval", "<10^-1>", "--field", "9"]) == 2
 
 
+def test_eval_has_no_term_size_cap(capsys):
+    # every term with three or more entries is zero over F_q(t)
+    code, out = run(capsys, "eval", "eta^7*[t+1,t,t,t,t,t,t,t,t]", "--field", "3(t)", "--json")
+    assert code == 0
+    assert json.loads(out)["zero"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(
+            ["verify", "--suite", suite, "--field", field, "--n", "0", "--trials", "2"]
+            for suite in ("lambda-wd", "prop64", "prop83")
+            for field in ("3", "3(t)")
+        ),
+        *(
+            ["verify", "--suite", suite, "--field", field, "--trunc", "-1", "--trials", "2"]
+            for suite in ("shift73", "lemma91", "lemma93")
+            for field in ("3", "3(t)")
+        ),
+        ["verify", "--suite", "relations34", "--d-max", "-1", "--trials", "2"],
+        ["group", "--q", "3", "--n", "1", "--d-max", "-1"],
+        ["group", "--q", "3", "--n", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_arguments_exit_2(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    assert code == 2
+    assert "agree" not in capsys.readouterr().out
+
+
 def test_eval_output_is_independent_of_hash_seed():
     # factoring and the residue-field logarithms follow no hash order
     text = "[(t^3+t+1)*(t^3+2*t+1)*(t^2+3)^2*(t+4)^2, t^4+1]"
@@ -100,8 +137,6 @@ def test_verify_deterministic_given_seed(capsys):
 
 
 def test_verify_unknown_suite_rejected(capsys):
-    import pytest
-
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "nope"])
 

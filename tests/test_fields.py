@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from math import isqrt
 
 import pytest
 
@@ -26,6 +27,7 @@ from mwk.fields import (
     poly_factor,
     rat_func_field,
     residue_field,
+    size_bound,
     unit_normalize,
 )
 
@@ -73,6 +75,64 @@ def test_ff_build_moduli_are_pinned():
     }
     for (p, d), modulus in expected.items():
         assert ff_build(p, d).modulus == modulus, (p, d)
+
+
+# the generator of every ff_build(p, d), p odd, d >= 2, p^d <= 10,000, of the
+# reference build; every unit exponent depends on them
+EXTENSION_GENERATORS = {
+    (3, 2): 4, (3, 3): 3, (3, 4): 3, (3, 5): 3, (3, 6): 3, (3, 7): 5, (3, 8): 38,
+    (5, 2): 6, (5, 3): 9, (5, 4): 6, (5, 5): 10, (7, 2): 9, (7, 3): 22, (7, 4): 12,
+    (11, 2): 15, (11, 3): 11, (13, 2): 15, (13, 3): 15, (17, 2): 19, (17, 3): 17,
+    (19, 2): 22, (19, 3): 29, (23, 2): 25, (29, 2): 30, (31, 2): 35, (37, 2): 41,
+    (41, 2): 43, (43, 2): 45, (47, 2): 49, (53, 2): 54, (59, 2): 62, (61, 2): 63,
+    (67, 2): 74, (71, 2): 79, (73, 2): 76, (79, 2): 85, (83, 2): 93, (89, 2): 91,
+    (97, 2): 101,
+}
+
+# embedding tables F_a -> F_b (encoding of the image of each encoding of F_a)
+EMBEDDINGS = {
+    (3, 9): [0, 1, 2],
+    (3, 27): [0, 1, 2],
+    (3, 81): [0, 1, 2],
+    (7, 49): [0, 1, 2, 3, 4, 5, 6],
+    (9, 81): [0, 1, 2, 42, 43, 44, 75, 76, 77],
+    (5, 25): [0, 1, 2, 3, 4],
+    (25, 625): [
+        0, 1, 2, 3, 4, 25, 26, 27, 28, 29, 50, 51, 52, 53, 54,
+        75, 76, 77, 78, 79, 100, 101, 102, 103, 104,
+    ],
+    (27, 729): [
+        0, 1, 2, 144, 145, 146, 207, 208, 209, 381, 382, 383, 444, 445,
+        446, 264, 265, 266, 681, 682, 683, 501, 502, 503, 645, 646, 647,
+    ],
+}
+
+
+def test_extension_fields_generators_exp_tables_and_embeddings_are_pinned():
+    bound = size_bound()
+    expected_keys = {
+        (p, d)
+        for p in range(3, isqrt(bound) + 1, 2)
+        if all(p % k for k in range(3, isqrt(p) + 1, 2))
+        for d in range(2, 64)
+        if p**d <= bound
+    }
+    assert set(EXTENSION_GENERATORS) == expected_keys
+    for (p, d), generator in EXTENSION_GENERATORS.items():
+        F = ff_build(p, d)
+        assert F.generator == generator, (p, d)
+        if F.q > 729:
+            continue
+        # the exp table against powers of the generator in F_p[x]/(modulus)
+        Fp = ff_build(p, 1)
+        modulus = Poly(Fp, F.modulus)
+        g = Poly.make(Fp, fixed_width_digits(F, generator))
+        power = Poly.const(Fp, 1)
+        for k in range(F.q - 1):
+            assert F.gen_power(k) == from_digits(F, power.coeffs), (p, d, k)
+            power = power.mul(g).mod(modulus)
+    for (a, b), table in EMBEDDINGS.items():
+        assert ff_build_q(a).embedding(ff_build_q(b)) == table, (a, b)
 
 
 def test_even_characteristic_rejected():
@@ -413,14 +473,24 @@ def test_factoring_agrees_with_trial_division_on_seeded_products():
             assert is_irreducible(f) == (list(expected.values()) == [1])
 
 
+def fixed_width_digits(F, a):
+    """The d base-p digits of an encoding of F_{p^d}, low to high."""
+    return [a // F.p**i % F.p for i in range(F.d)]
+
+
+def from_digits(F, digits):
+    """The encoding with the given base-p digits, each reduced mod p."""
+    return sum(c % F.p * F.p**i for i, c in enumerate(digits))
+
+
 def test_zech_addition_matches_digit_addition():
     for q in (9, 25, 27):
         F = ff_build_q(q)
         for a in range(q):
-            assert F.neg(a) == F._encode([-c for c in F._decode(a)])
+            assert F.neg(a) == from_digits(F, [-c for c in fixed_width_digits(F, a)])
             for b in range(q):
-                assert F.add(a, b) == F._encode(
-                    [x + y for x, y in zip(F._decode(a), F._decode(b))]
+                assert F.add(a, b) == from_digits(
+                    F, [x + y for x, y in zip(fixed_width_digits(F, a), fixed_width_digits(F, b))]
                 )
 
 

@@ -337,17 +337,8 @@ def test_snf_oracle_stops_once_the_relations_span_everything(monkeypatch):
 def test_snf_oracle_size_bound():
     with pytest.raises(SizeBound, match=r"^generator count \(q-1\)\^4 exceeds bound 10000$"):
         snf_oracle(ff_build_q(13), 1, 3)
-
-
-def test_presentation_matrix_triples_export():
-    from mwk.model import presentation_matrix_triples
-
-    out = presentation_matrix_triples(F3, 1, 2)
-    assert out["generators"] == 2  # [1] and [2] after elimination
-    assert out["triples"], "no relations exported"
-    for row, col, value in out["triples"]:
-        assert isinstance(row, int) and 0 <= col < out["generators"]
-        assert isinstance(value, int) and value != 0
+    with pytest.raises(SizeBound, match=r"^presentation oracle needs d_max >= 0$"):
+        snf_oracle(F3, 1, -1)
 
 
 def test_relation_generators_die_in_model():

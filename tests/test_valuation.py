@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mwk.errors import DegreeBound, NotAUniformizer
-from mwk.fields import Place, Poly, ff_build, rat_func_field
+from mwk.fields import Place, Poly, ff_build, ff_build_q, rat_func_field
 from mwk.model import MWElem, eval_model
 from mwk.symbols import SymExpr, embed_expr, one_minus, relation_generators, rewrite_mw2
 from mwk.valuation import (
@@ -283,3 +283,14 @@ def test_model_valued_scan_matches_the_symbolic_residue():
                 assert ctx.specialize_model(x, deg) == eval_model(ctx.specialize(x), deg), (q, x, place)
                 compared += 1
     assert compared > 150
+
+
+def test_minus_one_powers_of_length_two_and_more_vanish():
+    # [-1]^k = 0 for k >= 2 over every supported F_q(t): the closed form that
+    # ValuationOracle.minus_one_power and twisted_sum rely on
+    for q in (3, 5, 9, 25):
+        rf = rat_func_field(ff_build_q(q))
+        m1 = rf.minus_one()
+        for k in (2, 3):
+            form = canonical_form(SymExpr.bracket(*([m1] * k)), k)
+            assert form.is_zero() and not form.residues, (q, k)
