@@ -2,7 +2,8 @@
 the verification suites.
 
 Exit codes: 0 when the requested check holds (oracle agreement, zero
-failures), 1 on a failed check, 2 on usage or input errors.
+failures), 1 on a failed check, 2 on usage or input errors and on a group
+comparison whose presentation did not stabilize by --d-max.
 """
 
 from __future__ import annotations
@@ -45,10 +46,17 @@ def cmd_group(args):
         "agree": agree,
     }
     _emit(payload, args.json)
-    if not agree:
-        print("oracle disagreement", file=sys.stderr)
-        return 1
-    return 0
+    if agree:
+        return 0
+    if not oracle["stabilized"]:
+        # too shallow a truncation: no failed check, just no answer
+        print(
+            f"inconclusive: presentation not stabilized by --d-max {args.d_max}",
+            file=sys.stderr,
+        )
+        return 2
+    print("oracle disagreement", file=sys.stderr)
+    return 1
 
 
 def cmd_eval(args):
@@ -141,8 +149,34 @@ def build_parser():
     return parser
 
 
+def _expr_after_dashes(argv):
+    """The argv of `mwk eval` with an expression that starts with '-' moved
+    behind '--', so that argparse does not take it for an option.  Before
+    '--', a token with one leading '-' is the expression unless it is -h or
+    the value of --field or --n; no expression starts with '--', so long
+    options (and their abbreviations) stay options."""
+    args, exprs, i = [], [], 0
+    while i < len(argv) and argv[i] != "--":
+        token = argv[i]
+        if token in ("--field", "--n"):
+            args.extend(argv[i : i + 2])
+            i += 2
+            continue
+        if token.startswith("-") and not token.startswith("--") and token != "-h":
+            exprs.append(token)
+        else:
+            args.append(token)
+        i += 1
+    if not exprs:
+        return argv
+    return args + ["--"] + exprs + argv[i + 1 :]
+
+
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["eval"]:
+        argv = ["eval"] + _expr_after_dashes(argv[1:])
     args = parser.parse_args(argv)
     try:
         return args.func(args)

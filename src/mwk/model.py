@@ -27,6 +27,8 @@ closed-form groups.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .errors import (
     DegreeMismatch,
     FieldMismatch,
@@ -528,22 +530,31 @@ def _insert_row(basis, row):
             row = held
 
 
-def _merge_pairs(pairs):
-    out = {}
-    for key, c in pairs:
-        newc = out.get(key, 0) + c
-        if newc:
-            out[key] = newc
-        else:
-            out.pop(key, None)
-    return out
+def _unpack(packed, width, m):
+    """The m signed coefficients of a packed row (see _Presentation)."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    row = []
+    for _ in range(m):
+        c = ((packed + half) & mask) - half
+        row.append(c)
+        packed = (packed - c) >> width
+    return tuple(row)
 
 
 class _Presentation:
     """The standard presentation of degree-n Milnor-Witt K-theory, truncated
     at eta power d_max, with eta-positive generators eliminated along the
     twisted-tensor pivots.  Its relations come in levels: level d holds the
-    relations the truncation at eta power d adds to the one at d - 1."""
+    relations the truncation at eta power d adds to the one at d - 1.
+
+    A generator eta^d [a_1, ..., a_r] has r = n + d, so its unit tuple names
+    it.  A row over the m residual generators is packed into one int:
+    coefficient i sits in a signed field of `width` bits at offset width * i,
+    so adding the ints adds the rows.  A rewrite at eta power d has L1 norm
+    at most 3^d (each elimination is a sum of three rewrites at d - 1) and a
+    relation row at most 2 * 3^d (at most four rewrites), so `width` bits
+    hold every coefficient exactly and equal rows are equal ints.
+    """
 
     def __init__(self, field, n, d_max):
         if n < 0:
@@ -557,116 +568,75 @@ class _Presentation:
         self.n = n
         self.d_max = d_max
         self.level = 0  # the level of the row relation_rows yielded last
-        units = list(range(1, field.q))  # unit encodings
         for d in range(d_max + 1):
             if (field.q - 1) ** (n + d) > limit:
                 raise SizeBound(
                     f"generator count (q-1)^{n + d} exceeds bound {limit}"
                 )
-        self.units = units
-        self._rewrite_cache = {}
+        self.units = list(range(1, field.q))  # unit encodings
+        self.width = (2 * 3**d_max).bit_length() + 1
         # residual generators: eta^0 tuples, plus eta^1 singletons when n = 0
-        self.base_gens = []
-        if n >= 1:
-            self.base_gens = [(0, t) for t in self._tuples(n)]
-        else:
-            self.base_gens = [(0, ())]
-            if d_max >= 1:
-                self.base_gens.extend((1, (a,)) for a in units)
-        self.base_index = {g: i for i, g in enumerate(self.base_gens)}
+        base = self._tuples(n)
+        if n == 0 and d_max >= 1:
+            base = base + self._tuples(1)
+        self.m = len(base)
+        self._vecs = {tup: 1 << (self.width * i) for i, tup in enumerate(base)}
 
     def _tuples(self, r):
-        out = [()]
-        for _ in range(r):
-            out = [t + (a,) for t in out for a in self.units]
-        return out
+        return list(product(self.units, repeat=r))
 
-    def _eliminable(self, gen):
-        d, tup = gen
-        return d >= 1 and len(tup) >= 2
+    def _vec(self, tup):
+        """The packed rewrite of a generator into the residual generators:
+        eta^d [b, b', ...] = eta^(d-1) ([bb', ...] - [b, ...] - [b', ...])."""
+        v = self._vecs.get(tup)
+        if v is None:
+            vec, rest = self._vec, tup[2:]
+            b, bp = tup[0], tup[1]
+            v = vec((self.field.mul(b, bp),) + rest) - vec((b,) + rest) - vec((bp,) + rest)
+            self._vecs[tup] = v
+        return v
 
-    def _rewrite(self, gen):
-        """Expand a generator into a combination of residual generators."""
-        if gen in self.base_index:
-            return {gen: 1}
-        cached = self._rewrite_cache.get(gen)
-        if cached is not None:
-            return cached
-        d, tup = gen
-        assert self._eliminable(gen), gen
-        F = self.field
-        b, bp, rest = tup[0], tup[1], tup[2:]
-        parts = _merge_pairs(
-            [
-                ((d - 1, (F.mul(b, bp),) + rest), 1),
-                ((d - 1, (b,) + rest), -1),
-                ((d - 1, (bp,) + rest), -1),
-            ]
-        )
-        out = {}
-        for sub, c in parts.items():
-            for base, cc in self._rewrite(sub).items():
-                newc = out.get(base, 0) + c * cc
-                if newc:
-                    out[base] = newc
-                else:
-                    del out[base]
-        self._rewrite_cache[gen] = out
-        return out
-
-    def _row(self, combo):
-        row = [0] * len(self.base_gens)
-        for gen, c in combo.items():
-            for base, cc in self._rewrite(gen).items():
-                row[self.base_index[base]] += c * cc
-        return tuple(row)
-
-    def relation_combos(self, d):
-        """The relations of level d (as generator -> coefficient dicts): the
-        Steinberg relations at eta power d, the twisted-tensor relations at
-        d - 1 except the pivots at position 0 (which define the elimination),
-        and the Witt relations at e = d - 1."""
-        F = self.field
-        n = self.n
+    def packed_rows(self, d):
+        """The relations of level d as packed rows, zero rows and repeats
+        included: the Steinberg relations at eta power d, the twisted-tensor
+        relations at d - 1 except the pivots at position 0 (which define the
+        elimination), and the Witt relations at e = d - 1."""
+        F, units, vec = self.field, self.units, self._vec
         # Steinberg relations: adjacent entries summing to 1
-        r = n + d
+        r = self.n + d
         if r >= 2:
             for tup in self._tuples(r):
-                if any(F.add(tup[i], tup[i + 1]) == 1 for i in range(r - 1)):
-                    yield {(d, tup): 1}
-        e, r = d - 1, n + d - 1
+                if any(F.add(a, b) == 1 for a, b in zip(tup, tup[1:])):
+                    yield vec(tup)
+        e, r = d - 1, r - 1
         # twisted tensor relations at positions i >= 1
         for i in range(1, r if e >= 0 else 0):
+            sufs = self._tuples(r - 1 - i)
             for pre in self._tuples(i):
-                for b in self.units:
-                    for bp in self.units:
-                        for suf in self._tuples(r - 1 - i):
-                            yield _merge_pairs(
-                                [
-                                    ((e, pre + (F.mul(b, bp),) + suf), 1),
-                                    ((e, pre + (b,) + suf), -1),
-                                    ((e, pre + (bp,) + suf), -1),
-                                    ((d, pre + (b, bp) + suf), -1),
-                                ]
-                            )
+                # the eta^e rewrites [pre, c, suf], looked up once per prefix
+                low = {c: [vec(pre + (c,) + suf) for suf in sufs] for c in units}
+                for b in units:
+                    for bp in units:
+                        a, x, y = low[F.mul(b, bp)], low[b], low[bp]
+                        for j, suf in enumerate(sufs):
+                            yield a[j] - x[j] - y[j] - vec(pre + (b, bp) + suf)
         # Witt relations: 2 eta^e [tuple] + eta^{e+1} [tuple with -1 inserted]
         if e >= 1:
             minus_one = F._exp[(F.q - 1) // 2]
             for tup in self._tuples(r):
+                twice = 2 * vec(tup)
                 for pos in range(r + 1):
-                    inserted = tup[:pos] + (minus_one,) + tup[pos:]
-                    yield {(e, tup): 2, (d, inserted): 1}
+                    yield twice + vec(tup[:pos] + (minus_one,) + tup[pos:])
 
     def relation_rows(self):
-        """The distinct nonzero relation rows, level by level."""
-        seen = set()
+        """The distinct nonzero relation rows, level by level, as tuples."""
+        seen = {0}
         for d in range(self.d_max + 1):
             self.level = d
-            for combo in self.relation_combos(d):
-                row = self._row(combo)
-                if any(row) and row not in seen:
-                    seen.add(row)
-                    yield row
+            for packed in self.packed_rows(d):
+                if packed not in seen:
+                    seen.add(packed)
+                    yield _unpack(packed, self.width, self.m)
 
 
 def snf_oracle(field, n, d_max):
@@ -681,7 +651,7 @@ def snf_oracle(field, n, d_max):
     every later one report the zero group.
     """
     pres = _Presentation(field, n, d_max)
-    m = len(pres.base_gens)
+    m = pres.m
     basis = {}
     per_d = []
 

@@ -99,6 +99,62 @@ def test_out_of_range_arguments_exit_2(capsys, argv):
     assert "agree" not in capsys.readouterr().out
 
 
+def outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "expr, field",
+    [("-[2]", "3"), ("-1*[2]", "3"), ("-h*[2]", "3"), ("-eps*[2]", "3"), ("-[t+1, t]", "3(t)")],
+)
+def test_eval_expression_may_start_with_minus(capsys, expr, field):
+    # the grammar allows ['-'] term; without '--' it must read the same
+    want = outcome(capsys, ["eval", "--field", field, "--", expr])
+    assert want[0] == 0, want
+    assert outcome(capsys, ["eval", expr, "--field", field]) == want
+    assert outcome(capsys, ["eval", "--field", field, expr]) == want
+    assert outcome(capsys, ["eval", "--json", expr, "--field", field]) == outcome(
+        capsys, ["eval", "--json", "--field", field, "--", expr]
+    )
+
+
+def test_eval_options_stay_options_beside_a_leading_minus(capsys):
+    code, out, _ = outcome(capsys, ["eval", "-h"])
+    assert code == 0 and out.startswith("usage: mwk eval")
+    want = outcome(capsys, ["eval", "--json", "--n", "1", "--field", "3", "--", "-[2]"])
+    assert want[0] == 0, want
+    for argv in (
+        ["-[2]", "--n=1", "--field=3", "--json"],
+        ["--n", "1", "-[2]", "--fi", "3", "--js"],  # abbreviated long options
+    ):
+        assert outcome(capsys, ["eval", *argv]) == want, argv
+
+
+@pytest.mark.parametrize(
+    "q, n, d_max",
+    [(3, n, 0) for n in range(4)] + [(5, 0, 1), (5, 1, 1), (3, 0, 1), (3, 1, 1)],
+)
+def test_group_too_shallow_is_inconclusive(capsys, q, n, d_max):
+    argv = ["group", "--q", str(q), "--n", str(n), "--d-max", str(d_max), "--json"]
+    code, out, err = outcome(capsys, argv)
+    payload = json.loads(out)
+    assert code == 2 and not payload["agree"] and not payload["stabilized"]
+    assert err == f"inconclusive: presentation not stabilized by --d-max {d_max}\n"
+
+
+def test_group_disagreement_at_a_stabilized_depth_exits_1(capsys, monkeypatch):
+    assert outcome(capsys, ["group", "--q", "3", "--n", "0"])[0] == 0
+    monkeypatch.setattr("mwk.cli.group_structure_model", lambda field, n: [4, 0])
+    code, out, err = outcome(capsys, ["group", "--q", "3", "--n", "0", "--json"])
+    assert code == 1 and json.loads(out)["stabilized"]
+    assert err == "oracle disagreement\n"
+
+
 def test_eval_output_is_independent_of_hash_seed():
     # factoring and the residue-field logarithms follow no hash order
     text = "[(t^3+t+1)*(t^3+2*t+1)*(t^2+3)^2*(t+4)^2, t^4+1]"

@@ -13,6 +13,7 @@ from mwk.model import (
     MWElem,
     _insert_row,
     _Presentation,
+    _unpack,
     base_change,
     eval_model,
     finite_abelian_invariants,
@@ -290,17 +291,101 @@ def test_snf_oracle_matches_model():
         assert rep["stabilized"], (F, n, rep)
 
 
+class ReferencePresentation:
+    """The truncated presentation with dict-valued relations, kept as a
+    test-only reference for the packed rows of `_Presentation`.  A generator
+    is (eta power, unit tuple), a relation is a dict generator ->
+    coefficient, and each eta-positive generator is rewritten along the
+    twisted-tensor pivot at position 0 into a dict over the residual
+    generators."""
+
+    def __init__(self, field, n, d_max):
+        self.field, self.n, self.d_max = field, n, d_max
+        self.units = list(range(1, field.q))
+        if n >= 1:
+            self.base_gens = [(0, t) for t in self.tuples(n)]
+        else:
+            self.base_gens = [(0, ())]
+            if d_max >= 1:
+                self.base_gens.extend((1, (a,)) for a in self.units)
+        self.base_index = {g: i for i, g in enumerate(self.base_gens)}
+        self.cache = {}
+
+    def tuples(self, r):
+        out = [()]
+        for _ in range(r):
+            out = [t + (a,) for t in out for a in self.units]
+        return out
+
+    def rewrite(self, gen):
+        if gen in self.base_index:
+            return {gen: 1}
+        if gen not in self.cache:
+            d, (b, bp, *rest) = gen
+            rest = tuple(rest)
+            parts = [
+                ((d - 1, (self.field.mul(b, bp),) + rest), 1),
+                ((d - 1, (b,) + rest), -1),
+                ((d - 1, (bp,) + rest), -1),
+            ]
+            out = {}
+            for sub, c in parts:
+                for base, cc in self.rewrite(sub).items():
+                    out[base] = out.get(base, 0) + c * cc
+            self.cache[gen] = {g: c for g, c in out.items() if c}
+        return self.cache[gen]
+
+    def row(self, combo):
+        row = [0] * len(self.base_gens)
+        for gen, c in combo.items():
+            for base, cc in self.rewrite(gen).items():
+                row[self.base_index[base]] += c * cc
+        return tuple(row)
+
+    def relation_combos(self, d):
+        """Level d: Steinberg at eta power d, twisted tensor at d - 1 in
+        positions i >= 1, Witt at e = d - 1."""
+        F, n = self.field, self.n
+        r = n + d
+        if r >= 2:
+            for tup in self.tuples(r):
+                if any(F.add(tup[i], tup[i + 1]) == 1 for i in range(r - 1)):
+                    yield {(d, tup): 1}
+        e, r = d - 1, n + d - 1
+        for i in range(1, r if e >= 0 else 0):
+            for pre in self.tuples(i):
+                for b in self.units:
+                    for bp in self.units:
+                        for suf in self.tuples(r - 1 - i):
+                            combo = {}
+                            for gen, c in [
+                                ((e, pre + (F.mul(b, bp),) + suf), 1),
+                                ((e, pre + (b,) + suf), -1),
+                                ((e, pre + (bp,) + suf), -1),
+                                ((d, pre + (b, bp) + suf), -1),
+                            ]:
+                                combo[gen] = combo.get(gen, 0) + c
+                            yield combo
+        if e >= 1:
+            minus_one = F._exp[(F.q - 1) // 2]
+            for tup in self.tuples(r):
+                for pos in range(r + 1):
+                    yield {(e, tup): 2, (d, tup[:pos] + (minus_one,) + tup[pos:]): 1}
+
+    def level_rows(self, d):
+        return [self.row(combo) for combo in self.relation_combos(d)]
+
+
 def reference_snf_factors(field, n, d_max):
     """The presentation oracle without sharing between levels, kept as a
-    reference: a fresh presentation per level, every nonzero row of every
-    level inserted, no deduplication and no early stop."""
+    reference: a fresh dict-valued presentation per level, every nonzero row
+    of every level inserted, no deduplication and no early stop."""
     per_d = []
     for d in range(d_max + 1):
-        pres = _Presentation(field, n, d)
+        pres = ReferencePresentation(field, n, d)
         basis = {}
         for level in range(d + 1):
-            for combo in pres.relation_combos(level):
-                row = pres._row(combo)
+            for row in pres.level_rows(level):
                 if any(row):
                     _insert_row(basis, row)
         m = len(pres.base_gens)
@@ -322,16 +407,58 @@ def test_snf_oracle_matches_the_level_by_level_reference():
             assert rep["stabilized"] == (len(ref) >= 2 and ref[-1] == ref[-2])
 
 
+def test_packed_relation_rows_are_the_distinct_reference_rows_in_order():
+    cases = [(q, n) for q in (3, 5, 7, 9) for n in (0, 1, 2) if (q, n) not in ((7, 2), (9, 2))]
+    for q, n in cases:
+        field = ff_build_q(q)
+        for d_max in range((4 if n == 0 else 3) + 1):
+            pres = _Presentation(field, n, d_max)
+            got = [(pres.level, row) for row in pres.relation_rows()]
+            ref = ReferencePresentation(field, n, d_max)
+            want, seen = [], set()
+            for level in range(d_max + 1):
+                for row in ref.level_rows(level):
+                    if any(row) and row not in seen:
+                        seen.add(row)
+                        want.append((level, row))
+            assert pres.m == len(ref.base_gens), (q, n, d_max)
+            assert got == want, (q, n, d_max)
+
+
+def test_packed_width_holds_the_largest_coefficient():
+    # every coefficient of a relation row at eta power <= d_max is at most
+    # 2 * 3^d_max in absolute value; the chosen width must round-trip it
+    rng = random.Random(11)
+    for d_max in range(14):
+        width = _Presentation(F3, 0, d_max).width
+        big = 2 * 3**d_max
+        for _ in range(20):
+            row = tuple(rng.choice((-big, big, rng.randint(-big, big), 0)) for _ in range(9))
+            packed = sum(c << (width * i) for i, c in enumerate(row))
+            assert _unpack(packed, width, len(row)) == row, (d_max, row)
+        assert _unpack(big << width, width, 2) == (0, big)
+        assert _unpack(-big << width, width, 2) == (0, -big)
+
+
+def test_snf_oracle_deep_truncation_over_f3():
+    # level 13 is the deepest the size bound allows for degree 0 over F_3
+    assert snf_oracle(F3, 0, 13)["final"] == group_structure_model(F3, 0)
+
+
 def test_snf_oracle_stops_once_the_relations_span_everything(monkeypatch):
     # K^MW_3(F_5) = 0: the relation lattice is all of Z^64 early in level 1
-    built = []
-    row = _Presentation._row
-    monkeypatch.setattr(
-        _Presentation, "_row", lambda pres, combo: built.append(combo) or row(pres, combo)
-    )
+    pulled = []
+    rows = _Presentation.packed_rows
+
+    def counted(pres, d):
+        for packed in rows(pres, d):
+            pulled.append(packed)
+            yield packed
+
+    monkeypatch.setattr(_Presentation, "packed_rows", counted)
     rep = snf_oracle(F5, 3, 3)
     assert set(rep["factors"][0]) == {0} and rep["factors"][1:] == [[], [], []]
-    assert len(built) <= 1000, len(built)
+    assert len(pulled) <= 1000, len(pulled)
 
 
 def test_snf_oracle_size_bound():
