@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 
-from .errors import MWKError, ParseError
+from .errors import MWKError
 from .exprtext import format_field_spec, parse_expr, parse_field_spec
 from .fields import RatFuncField
 from .model import eval_model, group_structure_model, snf_oracle
@@ -180,9 +180,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
     except MWKError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -362,15 +362,17 @@ def format_expr(expr):
 
 
 def parse_field_spec(spec):
-    spec = spec.strip()
-    rational = spec.endswith("(t)")
+    text = spec.strip()
+    rational = text.endswith("(t)")
     if rational:
-        spec = spec[: -len("(t)")].strip()
-    if "," in spec:
-        p_text, d_text = spec.split(",", 1)
-        field = ff_build(int(p_text), int(d_text))
-    else:
-        field = ff_build_q(int(spec))
+        text = text[: -len("(t)")]
+    try:
+        numbers = [int(part) for part in text.split(",")]
+    except ValueError:
+        numbers = []
+    if not 1 <= len(numbers) <= 2:
+        raise ParseError(f"malformed field spec {spec!r}: expected q, p,d, q(t) or p,d(t)")
+    field = ff_build(*numbers) if len(numbers) == 2 else ff_build_q(numbers[0])
     return rat_func_field(field) if rational else field
 
 

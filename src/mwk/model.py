@@ -35,7 +35,7 @@ from .errors import (
     Inhomogeneous,
     SizeBound,
 )
-from .fields import FFUnit, FiniteField
+from .fields import FFUnit, FiniteField, RatFuncField
 from .symbols import SymExpr
 
 MW = "MW"
@@ -343,9 +343,13 @@ def theory_elements(field, theory, degree):
 
 
 def theory_group_is_trivial(field, theory, degree):
-    if theory in (MILNOR, MOD2):
-        return degree < 0 or degree >= 2
-    return degree >= 2  # Witt and MW: I^n = 0 over F_q for n >= 2
+    """Whether the theory's degree-n group over F_q or F_q(t) is zero.  Over
+    F_q all four vanish from n = 2 on (I^2 = 0, K^M_2 = 0); over F_q(t) the
+    split exact sequence adds the degree-(n-1) groups of the residue fields,
+    so from n = 3 on.  Milnor and mod-2 K-theory also vanish for n < 0."""
+    if theory in (MILNOR, MOD2) and degree < 0:
+        return True
+    return degree >= (3 if isinstance(field, RatFuncField) else 2)
 
 
 # ---------------------------------------------------------------------------

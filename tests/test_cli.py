@@ -203,6 +203,29 @@ def test_verify_wrong_field_kind_is_a_clean_error(capsys):
     assert "FieldMismatch" in capsys.readouterr().err
 
 
+MALFORMED_FIELD_SPECS = ["3(s)", "", "x", "3,", "3,2,1", "3(t)(t)", "(t)"]
+
+
+@pytest.mark.parametrize("command", ["eval", "verify"])
+@pytest.mark.parametrize("spec", MALFORMED_FIELD_SPECS)
+def test_malformed_field_spec_exits_2(capsys, command, spec):
+    if command == "eval":
+        argv = ["eval", "[1]", "--field", spec]
+    else:
+        argv = ["verify", "--suite", "lemma32", "--field", spec, "--trials", "2"]
+    assert main(argv) == 2
+    assert f"error: ParseError: malformed field spec {spec!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["3(t)", "5(t)"])
+def test_lambda_wd_skips_a_negative_control_whose_target_is_zero(capsys, spec):
+    # K^MW_6(F_q(t)) = 0, so no perturbation can witness the violation
+    argv = ["verify", "--suite", "lambda-wd", "--field", spec, "--n", "3", "--trials", "6"]
+    code, out = run(capsys, *argv)
+    assert code == 0, out
+    assert f"note: negative control: K^MW_6({spec}) = 0, violation search skipped" in out
+
+
 SUITE_FIELDS = {
     "lemma32": "3",
     "relations34": "3",

@@ -4,7 +4,7 @@ import pytest
 
 from mwk.errors import DegreeMismatch, Inhomogeneous, SizeBound
 from mwk.exprtext import format_expr
-from mwk.fields import ff_build, ff_build_q
+from mwk.fields import ff_build, ff_build_q, rat_func_field
 from mwk.model import (
     MILNOR,
     MOD2,
@@ -24,6 +24,7 @@ from mwk.model import (
     smith_normal_form,
     snf_oracle,
     theory_elements,
+    theory_group_is_trivial,
     theory_torsion_test,
 )
 from mwk.symbols import SymExpr, relation_generators
@@ -188,6 +189,24 @@ def test_torsion_examples():
     assert not theory_torsion_test(nonzero, "tau", MW, 1)  # tau_1 is the identity action
     with pytest.raises(ValueError):
         theory_torsion_test(nonzero, "tau", MW)
+
+
+@pytest.mark.parametrize("field", [F3, F5, F9], ids=["3", "5", "9"])
+def test_trivial_groups_over_fq_are_the_one_element_groups_of_the_model(field):
+    for theory in (MW, WITT, MILNOR, MOD2):
+        for degree in range(-2, 5):
+            one_element = len(theory_elements(field, theory, degree)) == 1
+            assert theory_group_is_trivial(field, theory, degree) == one_element, (theory, degree)
+
+
+def test_trivial_groups_over_fq_t_start_one_degree_later():
+    # K_n(F_q(t)) = K_n(F_q) + sum over places P of K_{n-1}(kappa(P))
+    for rf in (rat_func_field(F3), rat_func_field(F5)):
+        for theory in (MW, WITT, MILNOR, MOD2):
+            zero_below = theory in (MILNOR, MOD2)
+            for degree in range(-2, 6):
+                want = degree >= 3 or (degree < 0 and zero_below)
+                assert theory_group_is_trivial(rf, theory, degree) == want, (theory, degree)
 
 
 def test_degree_mismatch():

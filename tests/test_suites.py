@@ -1,7 +1,14 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+from mwk import suites
 from mwk.fields import ff_build, rat_func_field
-from mwk.suites import SUITES, SuiteConfig, run_suite
+from mwk.model import MW
+from mwk.operations import oracle_for
+from mwk.suites import SUITES, Report, SuiteConfig, run_suite
+from mwk.symbols import SymExpr
 
 F3 = ff_build(3, 1)
 RF3 = rat_func_field(F3)
@@ -70,17 +77,6 @@ def test_reports_deterministic():
     assert a == b
 
 
-def test_umbrella_reports():
-    from mwk.suites import sequence_checks, structural_checks
-
-    rep = sequence_checks(SuiteConfig(field=RF3, trials=10, seed=31)).to_json()
-    assert rep["passed"] and rep["trials"] > 0
-    rep = structural_checks(
-        SuiteConfig(field=RF3, n=1, m=2, trials=6, trunc=3, seed=31)
-    ).to_json()
-    assert rep["passed"] and rep["trials"] > 0
-
-
 def test_lemma32_exhaustive_branch_follows_the_size_bound(monkeypatch):
     F5 = ff_build(5, 1)  # (q-1)^2 = 16 unit pairs
 
@@ -93,24 +89,63 @@ def test_lemma32_exhaustive_branch_follows_the_size_bound(monkeypatch):
     assert not any(note.startswith("exhaustive") for note in notes())
 
 
-def test_merged_report_counts_every_failure():
-    from mwk.suites import Report, _merge_reports
+def test_report_equal_and_zero_record_through_check():
+    oracle = oracle_for(F3)
+    rep = Report("primitive", "anchor", SuiteConfig(field=F3))
+    one, minus_one = F3.one_unit(), F3.minus_one()
+    assert rep.equal(oracle, SymExpr.one(F3), SymExpr.angle(one), MW, 0, "<1> = 1")
+    assert rep.zero(oracle, SymExpr.bracket(one), MW, 1, "[1] = 0")
+    assert (rep.trials, rep.failures) == (2, [])
+    assert not rep.equal(oracle, SymExpr.one(F3), SymExpr.zero(F3), MW, 0, "1 = 0")
+    assert (rep.trials, rep.failures) == (3, ["1 = 0"])
+    assert not rep.zero(oracle, SymExpr.bracket(minus_one), MW, 1, "[-1] = 0")
+    assert (rep.trials, rep.failures) == (4, ["1 = 0", "[-1] = 0"])
+    assert not rep.to_json()["passed"]
 
-    config = SuiteConfig(field=F3, seed=0)
 
-    def failing(name, count):
-        part = Report(name, "anchor", config)
-        for i in range(count):
-            part.check(False, f"case {i}")
-        return part
+def _is_rep_check(node):
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "check"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "rep"
+    )
 
-    payload = _merge_reports(
-        "merged", "anchor", config, [failing("first", 40), failing("second", 40)]
-    ).to_json()
-    assert payload["trials"] == 80
-    assert payload["failure_count"] == 80
-    assert len(payload["failures"]) == 50
-    assert payload["failures"][40] == "second: case 0"
-    # a part's own JSON keeps only its first 50 failures; the merge keeps all
-    payload = _merge_reports("merged", "anchor", config, [failing("only", 60)]).to_json()
-    assert payload["failure_count"] == 60
+
+def _is_oracle_call(node):
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "oracle"
+    )
+
+
+def test_oracle_backed_checks_go_through_the_report_primitives():
+    # rep.equal/rep.zero know the oracle, theory, degree and operands of a
+    # check; a bare rep.check(oracle.…) would hide them
+    tree = ast.parse(Path(suites.__file__).read_text(encoding="utf-8"))
+    offenders = [
+        node.lineno
+        for node in ast.walk(tree)
+        if _is_rep_check(node)
+        and any(_is_oracle_call(sub) for arg in node.args for sub in ast.walk(arg))
+    ]
+    assert not offenders, f"rep.check wraps an oracle call at suites.py lines {offenders}"
+
+
+def test_lambda_wd_searches_for_a_violation_where_the_target_is_nonzero(monkeypatch):
+    found = []
+    search = suites._perturbation_search
+
+    def recording_search(*args):
+        result = search(*args)
+        found.append(result[0])
+        return result
+
+    monkeypatch.setattr(suites, "_perturbation_search", recording_search)
+    payload = run_suite("lambda-wd", SuiteConfig(field=RF3, n=1, trials=4, seed=11)).to_json()
+    assert payload["passed"], payload["failures"]
+    assert found == [True]
+    assert not any("skipped" in note for note in payload["notes"])
