@@ -319,7 +319,7 @@ def _format_unit_factor(poly, e):
 
 
 def format_rat_unit(u):
-    const = FFUnit(u.rf.base, u.const_exp).value
+    const = u.const
     if const == 1 and len(u.factors) == 1 and u.factors[0][1] == 1:
         return format_poly(u.factors[0][0])
     parts = []

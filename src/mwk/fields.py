@@ -4,15 +4,15 @@ multiplicative structure of the rational function field F_q(t).
 Field elements are encoded as integers in [0, q): F_{p^d} and the residue
 fields F_q[t]/(P) are both F_base[x]/(P), and the base-`base.q` digits of an
 encoding are the coefficients (low to high) of the residue polynomial modulo
-P.  Units additionally carry a discrete-log form (an exponent of the field's
-fixed primitive element), which makes square classes and n-th powers O(1).
+P.  A unit is its encoding; its square class is Euler's criterion, so no
+unit needs a discrete logarithm.
 
 Units of F_q(t) are kept in fully factored form: a constant of the base field
 times a product of monic irreducible polynomials with integer exponents.
 Unique factorization makes equality, valuations and residue-field reductions
 exact and cheap.  Factoring is Cantor-Zassenhaus and irreducibility is
 Rabin's test; the residue field at a place P of degree >= 2 is F_q[t]/(P)
-(`QuotientField`), with no tables and discrete logarithms by Pohlig-Hellman.
+(`QuotientField`), with no tables.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import product
-from math import isqrt
 
 from .errors import (
     DegreeBound,
@@ -91,7 +90,7 @@ class FiniteField:
         self.base = self if d == 1 else ff_build(p, 1)
         self._irreducibles = {}  # degree -> list of monic irreducible Polys
         self._embeddings = {}  # id(bigger field) -> encoding map list
-        self.generator = self._smallest_generator(factorint(self.q - 1))
+        self.generator = self._smallest_generator()
         self._build_tables()
 
     # -- F_base[x]/(modulus): encoding, multiply, power, generator ----------
@@ -117,11 +116,10 @@ class FiniteField:
     def _pow(self, x, e):
         return _powmod(self.base, x, e, self.modulus)
 
-    def _smallest_generator(self, factors):
-        """The smallest encoding of multiplicative order q - 1, for `factors`
-        the prime factorization of q - 1."""
+    def _smallest_generator(self):
+        """The smallest encoding of multiplicative order q - 1."""
         order = self.q - 1
-        cofactors = [order // ell for ell in factors]
+        cofactors = [order // ell for ell in factorint(order)]
         if self.d == 1:
             p = self.p
             return next(a for a in range(2, p) if all(pow(a, c, p) != 1 for c in cofactors))
@@ -200,24 +198,26 @@ class FiniteField:
         """The unit with the given integer encoding."""
         if self.d == 1:
             value %= self.p
-        if value == 0 or value < 0 or value >= self.q:
+        if not 0 < value < self.q:
             raise ZeroDivisionError(f"{value} is not a unit encoding of {self!r}")
-        return FFUnit(self, self._dlog[value])
+        return FFUnit(self, value)
 
     def unit_exp(self, k):
-        return FFUnit(self, k % (self.q - 1))
+        """The unit generator^k."""
+        return FFUnit(self, self.gen_power(k % (self.q - 1)))
 
     def one_unit(self):
-        return FFUnit(self, 0)
+        return FFUnit(self, 1)
 
     def minus_one(self):
-        return FFUnit(self, (self.q - 1) // 2)
+        return FFUnit(self, self.neg(1))
 
     def gen_unit(self):
-        return FFUnit(self, 1 % (self.q - 1))
+        return FFUnit(self, self.generator)
 
     def units(self):
-        return [FFUnit(self, k) for k in range(self.q - 1)]
+        """All units, as the powers generator^0, ..., generator^(q-2)."""
+        return [FFUnit(self, v) for v in self._exp]
 
     # -- embeddings --------------------------------------------------------
 
@@ -290,41 +290,35 @@ def ff_build_q(q):
 
 @dataclass(frozen=True)
 class FFUnit:
-    """A unit of a finite field, stored as generator^exponent."""
+    """A unit of a finite field, held as its encoding (nonzero, below q)."""
 
     field: FiniteField
-    exp: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "exp", self.exp % (self.field.q - 1))
-
-    @property
-    def value(self):
-        return self.field.gen_power(self.exp)
+    value: int
 
     def mul(self, other):
         if other.field is not self.field:
             raise FieldMismatch("units of different fields")
-        return FFUnit(self.field, self.exp + other.exp)
+        return FFUnit(self.field, self.field.mul(self.value, other.value))
 
     def inv(self):
-        return FFUnit(self.field, -self.exp)
+        return FFUnit(self.field, self.field.inv(self.value))
 
     def pow(self, e):
-        return FFUnit(self.field, self.exp * e)
+        return FFUnit(self.field, self.field.pow(self.value, e))
 
     def negate(self):
         """The unit -u."""
-        return FFUnit(self.field, self.exp + (self.field.q - 1) // 2)
+        return FFUnit(self.field, self.field.neg(self.value))
 
     def is_square(self):
-        return self.exp % 2 == 0
+        """Euler's criterion: u^((q-1)/2) = 1."""
+        return self.field.pow(self.value, (self.field.q - 1) // 2) == 1
 
     def is_one(self):
-        return self.exp == 0
+        return self.value == 1
 
     def embed(self, big):
-        return big.unit(self.field.embed_value(big, self.value))
+        return FFUnit(big, self.field.embed_value(big, self.value))
 
     def __str__(self):
         return str(self.value)
@@ -714,27 +708,27 @@ class RatFuncField:
         return Poly.var(self.base)
 
     def one_unit(self):
-        return RatFuncUnit(self, 0, ())
+        return RatFuncUnit(self, 1, ())
 
     def minus_one(self):
-        return RatFuncUnit(self, (self.base.q - 1) // 2, ())
+        return RatFuncUnit(self, self.base.neg(1), ())
 
     def constant(self, u):
         if isinstance(u, FFUnit):
             if u.field is not self.base:
                 raise FieldMismatch("constant from a different base field")
-            return RatFuncUnit(self, u.exp, ())
-        return RatFuncUnit(self, self.base.unit(u).exp, ())
+            return RatFuncUnit(self, u.value, ())
+        return RatFuncUnit(self, self.base.unit(u).value, ())
 
     def t_unit(self):
-        return RatFuncUnit(self, 0, ((self.var_poly(), 1),))
+        return RatFuncUnit(self, 1, ((self.var_poly(), 1),))
 
     def from_poly(self, f):
         if f.is_zero():
             raise ZeroPolynomial("0 is not a unit of F_q(t)")
         lead, fac = poly_factor(f)
         return RatFuncUnit(
-            self, lead.exp, tuple(sorted(fac.items(), key=_factor_sort_key))
+            self, lead.value, tuple(sorted(fac.items(), key=_factor_sort_key))
         )
 
     def from_fraction(self, num, den):
@@ -772,23 +766,17 @@ class RatFuncUnit:
     """A unit of F_q(t): constant times a product of monic irreducibles.
 
     `factors` is a sorted tuple of (monic irreducible Poly, nonzero exponent);
-    `const_exp` is the discrete log of the leading constant in the base field.
-    Equality of units is literal equality of the factored data.
+    `const` is the base-field encoding of the leading constant.  Equality of
+    units is literal equality of the factored data.
     """
 
     rf: RatFuncField
-    const_exp: int
+    const: int
     factors: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "const_exp", self.const_exp % (self.rf.base.q - 1))
 
     @property
     def field(self):
         return self.rf
-
-    def constant_unit(self):
-        return FFUnit(self.rf.base, self.const_exp)
 
     def mul(self, other):
         if other.rf is not self.rf:
@@ -802,30 +790,27 @@ class RatFuncUnit:
                 acc.pop(p, None)
         return RatFuncUnit(
             self.rf,
-            self.const_exp + other.const_exp,
+            self.rf.base.mul(self.const, other.const),
             tuple(sorted(acc.items(), key=_factor_sort_key)),
         )
 
     def inv(self):
         return RatFuncUnit(
-            self.rf, -self.const_exp, tuple((p, -e) for p, e in self.factors)
+            self.rf, self.rf.base.inv(self.const), tuple((p, -e) for p, e in self.factors)
         )
 
     def pow(self, e):
         if e == 0:
             return self.rf.one_unit()
         return RatFuncUnit(
-            self.rf, self.const_exp * e, tuple((p, k * e) for p, k in self.factors)
+            self.rf, self.rf.base.pow(self.const, e), tuple((p, k * e) for p, k in self.factors)
         )
 
     def negate(self):
         return self.mul(self.rf.minus_one())
 
     def is_one(self):
-        return self.const_exp == 0 and not self.factors
-
-    def is_constant(self):
-        return not self.factors
+        return self.const == 1 and not self.factors
 
     def valuation(self, place):
         if place.poly is None:
@@ -836,7 +821,7 @@ class RatFuncUnit:
         """Expand to a (numerator, denominator) pair of polynomials, each of
         degree at most 3 * DEFAULT_DEGREE_BOUND."""
         base = self.rf.base
-        num = Poly.const(base, FFUnit(base, self.const_exp).value)
+        num = Poly.const(base, self.const)
         den = Poly.const(base, 1)
         for p, e in self.factors:
             for _ in range(abs(e)):
@@ -893,8 +878,8 @@ class Place:
 
     def uniformizer(self):
         if self.poly is None:
-            return RatFuncUnit(self.rf, 0, ((self.rf.var_poly(), -1),))
-        return RatFuncUnit(self.rf, 0, ((self.poly, 1),))
+            return RatFuncUnit(self.rf, 1, ((self.rf.var_poly(), -1),))
+        return RatFuncUnit(self.rf, 1, ((self.poly, 1),))
 
     def __str__(self):
         if self.poly is None:
@@ -910,11 +895,9 @@ class QuotientField(FiniteField):
 
     The class of c_0 + c_1 t + ... + c_{k-1} t^(k-1) is encoded as the sum of
     c_i q^i (c_i encodings of F_q), and arithmetic is polynomial arithmetic
-    mod P over F_q: the encoding, multiply and generator rule of
-    `FiniteField` over the base F_q.  Discrete logarithms against the
-    generator are taken by Pohlig-Hellman, with baby-step giant-step in each
-    subgroup of prime-power order (digit by digit where that order reaches
-    the square of size_bound()), and cached.
+    mod P over F_q: the encoding and multiply of `FiniteField` over the base
+    F_q.  It has no generator and takes no logarithm: units need only
+    multiply, power, the extended-Euclid inverse and Euler's criterion.
     """
 
     def __init__(self, poly):
@@ -924,56 +907,6 @@ class QuotientField(FiniteField):
         self.p = base.p
         self.d = base.d * poly.degree
         self.q = base.q**poly.degree
-        self._logs = {}
-        order = self.q - 1
-        self._factors = factorint(order)
-        self.generator = self._smallest_generator(self._factors)
-        gen = self._gen = self._decode(self.generator)
-        # per prime power ell^e of the order: g_ell = g^(order / ell^e), of
-        # order ell^e, and the baby steps of its power gamma of order `step`,
-        # where step is ell^e itself when that is below the bound's square
-        # (one baby-step giant-step) and ell otherwise (one per base-ell digit)
-        limit = size_bound()
-        self._subgroups = []
-        for ell, e in self._factors.items():
-            size = ell**e
-            step = size if size < limit * limit else ell
-            g_ell = self._pow(gen, order // size)
-            gamma = self._pow(g_ell, size // step)
-            m = isqrt(step - 1) + 1
-            baby, y = {}, (1,)
-            for j in range(m):
-                baby[y] = j
-                y = self._mul(y, gamma)
-            giant = self._pow(gamma, (-m) % step)
-            self._subgroups.append((size, step, g_ell, baby, giant))
-
-    def log(self, x):
-        """The exponent n in [0, q - 1) with generator^n = x, for x a nonzero
-        coefficient tuple (trimmed, reduced mod P)."""
-        found = self._logs.get(x)
-        if found is not None:
-            return found
-        if not x:
-            raise ZeroDivisionError("zero has no discrete logarithm")
-        order = self.q - 1
-        n, modulus = 0, 1
-        for size, step, g_ell, baby, giant in self._subgroups:
-            x_ell = self._pow(x, order // size)
-            acc, scale = 0, 1  # log of x_ell to the base g_ell, digit by digit
-            while scale < size:
-                y = x_ell if not acc else self._mul(x_ell, self._pow(g_ell, size - acc))
-                y = self._pow(y, size // (scale * step))
-                i = 0
-                while y not in baby:
-                    y = self._mul(y, giant)
-                    i += 1
-                acc += (i * len(baby) + baby[y]) * scale
-                scale *= step
-            n += modulus * ((acc - n) * pow(modulus, -1, size) % size)
-            modulus *= size
-        self._logs[x] = n
-        return n
 
     def add(self, a, b):
         base = self.base
@@ -983,25 +916,33 @@ class QuotientField(FiniteField):
         return self._encode(Poly(self.base, self._decode(a)).neg().coeffs)
 
     def mul(self, a, b):
+        if a == 1 or b == 1:
+            return a * b
         return self._encode(self._mul(self._decode(a), self._decode(b)))
 
     def inv(self, a):
+        """Extended Euclid: s * a = r mod P, down to a constant r."""
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
-        return self.pow(a, -1)
+        base = self.base
+        r0, r1 = Poly(base, self.modulus), Poly(base, self._decode(a))
+        s0, s1 = Poly.zero(base), Poly.const(base, 1)
+        while r1.degree > 0:
+            quo, rem = r0.divmod(r1)
+            r0, r1, s0, s1 = r1, rem, s1, s0.sub(quo.mul(s1))
+        return self._encode(s1.scale(base.inv(r1.lead())).coeffs)
 
     def pow(self, a, e):
         if a == 0:
             return FiniteField.pow(self, a, e)
-        return self._encode(self._pow(self._decode(a), e % (self.q - 1)))
-
-    def gen_power(self, k):
-        return self._encode(self._pow(self._gen, k))
-
-    def unit(self, value):
-        if value <= 0 or value >= self.q:
-            raise ZeroDivisionError(f"{value} is not a unit encoding of {self!r}")
-        return FFUnit(self, self.log(self._decode(value)))
+        if e < 0:
+            a, e = self.inv(a), -e
+        e %= self.q - 1
+        if e == 0 or a == 1:
+            return 1
+        if e == 1:
+            return a
+        return self._encode(self._pow(self._decode(a), e))
 
     def embedding(self, big):
         raise FieldMismatch(f"no embeddings are defined for the residue field {self!r}")
@@ -1013,32 +954,27 @@ class _ResidueData:
     degree >= 2."""
 
     def __init__(self, rf, place):
-        base = rf.base
         self.place = place
-        self.kappa = base
-        self._const_log = 1  # the exponent of base.generator in kappa
-        if place.degree >= 2:
-            self.kappa = QuotientField(place.poly)
-            self._const_log = self.kappa.log((base.generator,))
+        self.kappa = QuotientField(place.poly) if place.degree >= 2 else rf.base
 
-    def _factor_log(self, poly):
-        """The exponent of the image in kappa of a monic irreducible poly != P."""
+    def _image(self, poly):
+        """The encoding in kappa of the class of a monic irreducible poly != P."""
         place_poly = self.place.poly
         if place_poly.degree == 1:  # t - a: evaluate at a
-            return self.kappa.unit(poly.evaluate(self.kappa.neg(place_poly.coeffs[0]))).exp
-        return self.kappa.log(poly.mod(place_poly).coeffs)
+            return poly.evaluate(self.kappa.neg(place_poly.coeffs[0]))
+        return self.kappa._encode(poly.mod(place_poly).coeffs)
 
     def reduce_unit(self, u):
-        """Reduce a unit of valuation 0 at the place to a residue-field unit."""
+        """Reduce a unit of valuation 0 at the place to a residue-field unit:
+        a constant keeps its encoding, and at infinity, where every stored
+        factor is monic, the unit reduces to its constant."""
         if u.valuation(self.place) != 0:
             raise NotRegularAtPlace(f"unit has nonzero valuation at {self.place}")
-        if self.place.is_infinity:
-            # all stored factors are monic: the leading coefficient is the constant
-            return FFUnit(self.kappa, u.const_exp)
-        exp = u.const_exp * self._const_log
-        for poly, e in u.factors:
-            exp += e * self._factor_log(poly)
-        return FFUnit(self.kappa, exp)
+        kappa, value = self.kappa, u.const
+        if not self.place.is_infinity:
+            for poly, e in u.factors:
+                value = kappa.mul(value, kappa.pow(self._image(poly), e))
+        return FFUnit(kappa, value)
 
 
 def residue_field(place):

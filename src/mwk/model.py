@@ -2,18 +2,21 @@
 
 An element of degree n is a compatible pair (Milnor part, Witt part):
 
-* the Milnor part lives in Z (n = 0), in Z/(q-1) via discrete logs (n = 1),
-  and in the zero group otherwise;
+* the Milnor part lives in Z (n = 0), in the unit group F_q^* (n = 1), held
+  as the unit's encoding, and in the zero group otherwise;
 * the Witt part is a class in the Witt ring W(F_q), encoded as a canonical
   pair (rank mod 2, discriminant) and constrained to I^max(n,0); over a
   finite field I^2 = 0, so only degrees <= 1 carry Witt information.
 
-Compatibility says the Milnor part mod 2 equals the class of the Witt part
-in I^n/I^{n+1}.  Negative degrees are pure Witt classes.  Every value is
-held in the normal form of its degree:
+Compatibility says the Milnor part's image in K^M_n/2 = I^n/I^{n+1} is the
+class of the Witt part: the rank's parity in degree 0, and in degree 1 the
+square class chi(u) of the unit (Euler's criterion), since K^MW_1 is the
+fibre product of F_q^* and I over F_q^*/F_q^*2.  Negative degrees are pure
+Witt classes.  Every value is held in the normal form of its degree:
 
 * n >= 2: milnor 0, witt (0, 0);
-* n == 1: milnor m in [0, q-1), witt (0, m mod 2);
+* n == 1: milnor the unit u, witt (0, chi(u)); degree-1 addition multiplies
+  units, and the zero is the unit 1;
 * n == 0: milnor the rank m in Z, witt the canonical pair (m mod 2, disc);
 * n < 0:  milnor 0, witt the canonical pair.
 
@@ -62,10 +65,21 @@ W_ZERO = (0, 0)
 _new = object.__new__
 
 
+def _zero_milnor(degree):
+    """The Milnor part of zero: the unit 1 in degree 1, else 0."""
+    return 1 if degree == 1 else 0
+
+
+def _chi(u):
+    """The square class of a unit: 0 for a square, 1 otherwise."""
+    return 0 if u.is_square() else 1
+
+
 def _build(field, degree, milnor, rank, disc):
     """The element of the given degree with Milnor part `milnor` and Witt
     class (rank, disc), in normal form and unchecked: the caller must pass a
-    compatible pair (every arithmetic result is one)."""
+    compatible pair (every arithmetic result is one), in degree 1 a unit
+    encoding with disc its square class mod 2."""
     x = _new(MWElem)
     x.field = field
     x.degree = degree
@@ -73,9 +87,8 @@ def _build(field, degree, milnor, rank, disc):
         x.milnor = 0
         x.witt = W_ZERO
     elif degree == 1:
-        m = milnor % (field.q - 1)
-        x.milnor = m
-        x.witt = (0, m % 2)
+        x.milnor = milnor
+        x.witt = (0, disc % 2)
     else:
         x.milnor = milnor if degree == 0 else 0
         x.witt = _w_canonical(field, rank, disc)
@@ -90,8 +103,8 @@ class MWElem:
     for outside input: it canonicalises the Witt pair, raises
     `DegreeMismatch` for an incompatible pair in degrees 0 and 1 and for
     data the degree cannot hold (a nonzero Milnor part outside degrees 0
-    and 1, a nonzero Witt class in degree >= 2, where I^2 = 0), and stores
-    the normal form.
+    and 1, a degree-1 Milnor part that is no unit encoding, a nonzero Witt
+    class in degree >= 2, where I^2 = 0), and stores the normal form.
     """
 
     __slots__ = ("field", "degree", "milnor", "witt")
@@ -102,9 +115,17 @@ class MWElem:
             raise DegreeMismatch(f"Milnor part must be 0 in degree {degree}")
         if degree >= 2 and (rank, disc) != W_ZERO:
             raise DegreeMismatch(f"Witt part must be 0 in degree {degree} (I^2 = 0)")
-        if degree == 1 and rank != 0:
-            raise DegreeMismatch("degree-1 Witt part must lie in I")
-        if (degree == 0 and milnor % 2 != rank) or (degree == 1 and milnor % 2 != disc):
+        if degree == 1:
+            if rank != 0:
+                raise DegreeMismatch("degree-1 Witt part must lie in I")
+            try:
+                unit = field.unit(milnor)
+            except ZeroDivisionError:
+                raise DegreeMismatch(f"degree-1 Milnor part {milnor} is no unit") from None
+            milnor, parity = unit.value, _chi(unit)
+        else:
+            parity = milnor % 2
+        if (degree == 0 and parity != rank) or (degree == 1 and parity != disc):
             raise DegreeMismatch(
                 f"incompatible pair (degree {degree}, milnor {milnor}, witt {witt})"
             )
@@ -118,7 +139,7 @@ class MWElem:
 
     @staticmethod
     def zero(field, degree):
-        return _build(field, degree, 0, 0, 0)
+        return _build(field, degree, _zero_milnor(degree), 0, 0)
 
     @staticmethod
     def one(field):
@@ -127,12 +148,12 @@ class MWElem:
     @staticmethod
     def from_unit(u):
         """[a]: Milnor symbol {a} paired with the Pfister-type class <a> - <1>."""
-        return _build(u.field, 1, u.exp, 0, u.exp)
+        return _build(u.field, 1, u.value, 0, _chi(u))
 
     @staticmethod
     def angle(u):
         """<a> = 1 + eta [a] in degree 0."""
-        return _build(u.field, 0, 1, 1, u.exp)
+        return _build(u.field, 0, 1, 1, _chi(u))
 
     @staticmethod
     def h(field):
@@ -160,24 +181,37 @@ class MWElem:
         if other.degree != self.degree:
             raise DegreeMismatch(f"degrees {self.degree} and {other.degree}")
         (r1, d1), (r2, d2) = self.witt, other.witt
-        return _build(self.field, self.degree, self.milnor + other.milnor, r1 + r2, d1 + d2)
+        if self.degree == 1:  # units: a sum is a product
+            milnor = self.field.mul(self.milnor, other.milnor)
+        else:
+            milnor = self.milnor + other.milnor
+        return _build(self.field, self.degree, milnor, r1 + r2, d1 + d2)
 
     def neg(self):
         r, d = self.witt
-        return _build(self.field, self.degree, -self.milnor, -r, d)
+        milnor = self.field.inv(self.milnor) if self.degree == 1 else -self.milnor
+        return _build(self.field, self.degree, milnor, -r, d)
 
     def sub(self, other):
         return self.add(other.neg())
 
     def scale(self, c):
         r, d = self.witt
-        return _build(self.field, self.degree, c * self.milnor, c * r, c * d)
+        milnor = self.field.pow(self.milnor, c) if self.degree == 1 else c * self.milnor
+        return _build(self.field, self.degree, milnor, c * r, c * d)
 
     def mul(self, other):
         self._check(other)
         n, m = self.degree, other.degree
-        # positive-degree Milnor products die in K^M_{>=2} = 0
-        milnor = self.milnor * other.milnor if n == 0 or m == 0 else 0
+        if n == 0 or m == 0:
+            if n + m == 1:  # the degree-1 unit to the power of the other's rank
+                unit, rank = (self.milnor, other.milnor) if n else (other.milnor, self.milnor)
+                milnor = self.field.pow(unit, rank)
+            else:
+                milnor = self.milnor * other.milnor
+        else:
+            # positive-degree Milnor products die in K^M_{>=2} = 0
+            milnor = _zero_milnor(n + m)
         (r1, d1), (r2, d2) = self.witt, other.witt
         return _build(self.field, n + m, milnor, r1 * r2, r2 * d1 + r1 * d2)
 
@@ -185,13 +219,14 @@ class MWElem:
         """Multiply by eta^power: kill the Milnor part, keep the Witt class."""
         if power <= 0:
             return self
-        return _build(self.field, self.degree - power, 0, *self.witt)
+        degree = self.degree - power
+        return _build(self.field, degree, _zero_milnor(degree), *self.witt)
 
     def h_mul(self):
         return MWElem.h(self.field).mul(self)
 
     def is_zero(self):
-        return self.milnor == 0 and self.witt == W_ZERO
+        return self.milnor == _zero_milnor(self.degree) and self.witt == W_ZERO
 
     # -- projections to the companion theories --------------------------------
 
@@ -204,11 +239,16 @@ class MWElem:
         if theory == WITT:
             return self.witt
         if theory == MOD2:
-            return self.milnor % 2 if self.degree >= 0 else 0
+            # the class in I^n/I^(n+1): the rank's parity, the square class
+            return self.witt[self.degree] if 0 <= self.degree <= 1 else 0
         raise ValueError(f"unknown theory {theory}")
 
     def is_zero_in(self, theory):
-        zero = 0 if theory in (MILNOR, MOD2) else (W_ZERO if theory == WITT else (0, W_ZERO))
+        if theory == MW:
+            return self.is_zero()
+        if theory == WITT:
+            return self.witt == W_ZERO
+        zero = _zero_milnor(self.degree) if theory == MILNOR else 0
         return self.project(theory) == zero
 
     def __eq__(self, other):
@@ -276,7 +316,8 @@ def minus_one_power(field, k):
     if k >= 2:
         return MWElem.zero(field, k)
     if k == 1:
-        return MWElem.from_unit(field.minus_one())
+        # [-1], with the square class of -1
+        return _build(field, 1, field.neg(1), 0, _disc_minus_one(field))
     return MWElem.one(field)
 
 
@@ -292,7 +333,7 @@ def base_change(elem, target):
 
 def model_to_sym(elem):
     """A symbolic representative over F_q evaluating to the given element:
-    [g^m] in degree 1, otherwise c + eta [g^j] (times eta^-n below degree 0)
+    [u] in degree 1, otherwise c + eta [g^j] (times eta^-n below degree 0)
     with c the rank and j fixed by the discriminant, for g the generator;
     for j = 0 the term eta [1] = 0 is left out."""
     field = elem.field
@@ -321,7 +362,7 @@ def model_elements(field, degree, rank_window=2):
     if degree >= 2:
         return [MWElem.zero(field, degree)]
     if degree == 1:
-        return [_build(field, 1, m, 0, m) for m in range(field.q - 1)]
+        return [MWElem.from_unit(u) for u in field.units()]
     if degree == 0:
         return [
             _build(field, 0, r, r % 2, delta)
@@ -603,8 +644,9 @@ class _Presentation:
     def packed_rows(self, d):
         """The relations of level d as packed rows, zero rows and repeats
         included: the Steinberg relations at eta power d, the twisted-tensor
-        relations at d - 1 except the pivots at position 0 (which define the
-        elimination), and the Witt relations at e = d - 1."""
+        relations at e = d - 1 except the pivots at position 0 (which define
+        the elimination) and the zero rows at positions 1..e, and the Witt
+        relations at e."""
         F, units, vec = self.field, self.units, self._vec
         # Steinberg relations: adjacent entries summing to 1
         r = self.n + d
@@ -613,8 +655,17 @@ class _Presentation:
                 if any(F.add(a, b) == 1 for a, b in zip(tup, tup[1:])):
                     yield vec(tup)
         e, r = d - 1, r - 1
-        # twisted tensor relations at positions i >= 1
-        for i in range(1, r if e >= 0 else 0):
+        # Twisted tensor relations at positions i > e; those at 1 <= i <= e
+        # rewrite to the zero row.  Proof: the rewrite of eta^e [a_0, .., a_e, s]
+        # is V(a_0, .., a_e) = sum over nonempty S in {0..e} of
+        # (-1)^(e+1-|S|) [prod_{j in S} a_j, s] (for n = 0 the window is
+        # a_0..a_(e-1) and the terms are eta [prod]).  With c at a position i
+        # inside the window, write V(c) = A(c) + N, A the terms with i in S.
+        # The eta^(e+1) rewrite of the tuple with c split into b, b' has a
+        # window one entry wider, and grouping its S by S meet {i, i+1} gives
+        # A(bb') - A(b) - A(b') - N.  So the relation
+        # V(bb') - V(b) - V(b') - (A(bb') - A(b) - A(b') - N) is N - N - N + N = 0.
+        for i in range(e + 1, r if e >= 0 else 0):
             sufs = self._tuples(r - 1 - i)
             for pre in self._tuples(i):
                 # the eta^e rewrites [pre, c, suf], looked up once per prefix

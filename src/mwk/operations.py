@@ -160,10 +160,6 @@ class Presentation:
     def empty(n):
         return Presentation(n, ())
 
-    @staticmethod
-    def of_symbols(n, *unit_tuples):
-        return Presentation(n, tuple((1, tuple(us)) for us in unit_tuples))
-
 
 # ---------------------------------------------------------------------------
 # truncated series (index -> value)

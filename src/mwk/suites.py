@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .errors import FieldMismatch, TorsionViolation
 from .exprtext import format_field_spec
 from .fields import (
-    FFUnit,
     FiniteField,
     Place,
     Poly,
@@ -225,7 +224,7 @@ def run_lemma32(config):
 
     if isinstance(field, FiniteField) and (field.q - 1) ** 2 <= size_bound():
         pairs = [
-            (FFUnit(field, i), FFUnit(field, j))
+            (field.unit_exp(i), field.unit_exp(j))
             for i in range(field.q - 1)
             for j in range(field.q - 1)
         ]

@@ -142,9 +142,6 @@ class SymExpr:
     def term_degrees(self):
         return {len(u) - d for (d, u) in self.terms}
 
-    def is_homogeneous(self):
-        return len(self.term_degrees()) <= 1
-
     def degree(self, default=None):
         degs = self.term_degrees()
         if not degs:
@@ -202,8 +199,8 @@ class SymExpr:
 
 def _unit_sort_key(u):
     if isinstance(u, FFUnit):
-        return (0, u.exp)
-    return (1, u.const_exp, tuple((p.coeffs, e) for p, e in u.factors))
+        return (0, u.value)
+    return (1, u.const, tuple((p.coeffs, e) for p, e in u.factors))
 
 
 def embed_expr(expr, target_field):
@@ -444,7 +441,7 @@ def unit_sampler(field, rng, max_degree=2):
     """A function drawing random units of F_q, or of F_q(t) as a ratio of
     polynomials of degree at most max_degree (a denominator 30% of the time)."""
     if isinstance(field, FiniteField):
-        return lambda: FFUnit(field, rng.randrange(field.q - 1))
+        return lambda: field.unit_exp(rng.randrange(field.q - 1))
     base = field.base
 
     def sample():

@@ -66,7 +66,7 @@ class ValuationContext:
         self._eps_m1k = self._eps_model.mul(self._m1_model)
         self._expand_cache = {}
         self._residue_cache = {}
-        self._reduce_cache = {}
+        self._unit_models = {}
 
     # -- entry expansion ----------------------------------------------------
 
@@ -164,11 +164,14 @@ class ValuationContext:
         self._residue_cache[entries] = out
         return out
 
-    def _reduce_cached(self, u):
-        found = self._reduce_cache.get(u)
+    def _unit_model(self, u):
+        """([u-bar], eps [u-bar]) in the residue-field model for a local unit
+        u, computed once per unit: over F_q[t]/(P) the square class and the
+        inverse in eps [u-bar] = [u-bar^-1] each cost a power."""
+        found = self._unit_models.get(u)
         if found is None:
-            found = self.reduce_unit(u)
-            self._reduce_cache[u] = found
+            ub = MWElem.from_unit(self.reduce_unit(u))
+            found = self._unit_models[u] = (ub, self._eps_model.mul(ub))
         return found
 
     # -- model-valued evaluation by a linear scan ------------------------------
@@ -226,13 +229,11 @@ class ValuationContext:
         """[a] . x with a = pi^e u:  [pi^e]x + [u]x + eta [pi^e][u]x."""
         e, u = self.split(a)
         if e == 0:
-            ub = MWElem.from_unit(self._reduce_cached(u))
-            return self._pair_prepend_unit(ub, self._eps_model.mul(ub), pair)
+            return self._pair_prepend_unit(*self._unit_model(u), pair)
         pw = self._pair_prepend_pi_power(e, pair)
         if u.is_one():
             return pw
-        ub = MWElem.from_unit(self._reduce_cached(u))
-        us = self._pair_prepend_unit(ub, self._eps_model.mul(ub), pair)
+        us = self._pair_prepend_unit(*self._unit_model(u), pair)
         out = self._pair_add(pw, us)
         return self._pair_add(
             out, self._pair_prepend_eta(self._pair_prepend_pi_power(e, us))
@@ -268,7 +269,7 @@ class ValuationContext:
             term = MWElem.one(self.kappa)
             for a in units:
                 _, u = self.split(a)
-                term = term.mul(MWElem.from_unit(self._reduce_cached(u)))
+                term = term.mul(self._unit_model(u)[0])
             total = total.add(term.eta_mul(d).scale(coeff))
         return total
 
@@ -354,16 +355,13 @@ def sorted_residues(residues):
     return sorted(residues.items(), key=lambda kv: (kv[0].degree, str(kv[0])))
 
 
-def canonical_form(x, degree=None):
-    """The complete invariant of a homogeneous expression over F_q(t)."""
+def canonical_form(x, degree):
+    """The complete invariant of a homogeneous expression of the given
+    degree over F_q(t)."""
     rf = x.field
     if not isinstance(rf, RatFuncField):
         raise FieldMismatch("canonical_form needs an expression over F_q(t)")
-    if degree is None:
-        degree = x.degree()
-        if degree is None:
-            raise Inhomogeneous("cannot infer the degree of an empty expression")
-    elif not x.is_structurally_zero() and x.degree() != degree:
+    if not x.is_structurally_zero() and x.degree() != degree:
         raise Inhomogeneous("stated degree does not match the expression")
     t_place = Place(rf, rf.var_poly())
     places = {t_place: True}
@@ -378,12 +376,12 @@ def canonical_form(x, degree=None):
     return CanonicalForm(rf, degree, base, residues)
 
 
-def is_zero(x, degree=None, theory=MW):
+def is_zero(x, degree, theory=MW):
     """Authoritative equality-with-zero test over F_q(t)."""
     if x.is_structurally_zero():
         return True
     return canonical_form(x, degree).is_zero(theory)
 
 
-def equal(x, y, degree=None, theory=MW):
+def equal(x, y, degree, theory=MW):
     return is_zero(x.sub(y), degree, theory)

@@ -71,6 +71,27 @@ def test_eval_has_no_term_size_cap(capsys):
     assert json.loads(out)["zero"]
 
 
+def test_eval_at_a_place_whose_residue_field_order_has_a_large_prime(capsys):
+    # 11^11 - 1 has a prime factor beyond 10,000^2; the residue field at
+    # t^11+10*t+10 needs no factorization of it
+    from mwk.exprtext import parse_expr, parse_field_spec
+    from mwk.fields import Place
+    from mwk.model import eval_model
+    from mwk.valuation import residue, specialize
+
+    code, out = run(capsys, "eval", "[t^11+10*t+10, t]", "--field", "11(t)", "--json")
+    assert code == 0
+    cf = json.loads(out)["canonical_form"]
+    # the symbolic residue/specialization path, evaluated in the model
+    rf = parse_field_spec("11(t)")
+    expr = parse_expr("[t^11+10*t+10, t]", rf)
+    t_place = Place(rf, rf.var_poly())
+    assert cf["base"] == eval_model(specialize(expr, t_place), 2).to_json()
+    values = {str(p): eval_model(residue(expr, p), 1) for p in expr.support_places()}
+    assert [name for name, _ in cf["residues"]] == ["t", "t^11+10*t+10"]
+    assert cf["residues"] == [[name, values[name].to_json()] for name, _ in cf["residues"]]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

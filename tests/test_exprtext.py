@@ -161,13 +161,14 @@ def test_size_bound_env_override(monkeypatch):
     assert fields_mod.size_bound() == 10
     with pytest.raises(SizeBound):
         fields_mod.ff_build(11, 2)
-    # the residue-field logarithm trial-divides 3^7 - 1 = 2 * 1093 up to the
-    # bound and leaves the cofactor 1093 >= 10^2
+    # residue fields take no logarithms, so no bound limits them: F_3[t]/(P)
+    # of degree 7 builds and reduces units although 3^7 - 1 = 2 * 1093 has a
+    # prime factor beyond 10
     F3 = fields_mod.ff_build(3, 1)
     poly = fields_mod.first_monic_irreducible(F3, 7)
-    place = fields_mod.Place(fields_mod.rat_func_field(F3), poly)
-    with pytest.raises(SizeBound):
-        fields_mod.residue_field(place)
+    rf = fields_mod.rat_func_field(F3)
+    kappa, reduce_unit = fields_mod.residue_field(fields_mod.Place(rf, poly))
+    assert kappa.q == 3**7
+    assert reduce_unit(rf.t_unit()).value == 3  # t, encoded as q
     monkeypatch.delenv("MWK_SIZE_BOUND")
     assert fields_mod.size_bound() == fields_mod.DEFAULT_SIZE_BOUND
-    assert fields_mod.residue_field(place)[0].q == 3**7

@@ -15,7 +15,6 @@ from mwk.errors import (
     ZeroPolynomial,
 )
 from mwk.fields import (
-    FFUnit,
     Place,
     Poly,
     QuotientField,
@@ -169,9 +168,9 @@ def test_unit_group_identities():
         F = ff_build(*q)
         rng = random.Random(0)
         for _ in range(50):
-            u = FFUnit(F, rng.randrange(F.q - 1))
-            v = FFUnit(F, rng.randrange(F.q - 1))
-            assert u.mul(u.inv()).exp == 0
+            u = F.unit_exp(rng.randrange(F.q - 1))
+            v = F.unit_exp(rng.randrange(F.q - 1))
+            assert u.mul(u.inv()).is_one()
             assert u.mul(u).is_square()
             # is_square(u) xor is_square(-u) iff -1 is a nonsquare (q = 3 mod 4)
             flips = u.is_square() != u.negate().is_square()
@@ -234,10 +233,10 @@ def test_poly_factor_errors():
 def test_unit_normalize_cancellation():
     F3 = ff_build(3, 1)
     u = unit_normalize(Poly.make(F3, [2, 0, 1]), Poly.make(F3, [1, 1]))
-    assert u.const_exp == 0
+    assert u.const == 1
     assert [(p.coeffs, e) for p, e in u.factors] == [((2, 1), 1)]
     u = unit_normalize(Poly.const(F3, 2), Poly.const(F3, 1))
-    assert u.constant_unit().value == 2 and not u.factors
+    assert u.const == 2 and not u.factors
     t = Poly.var(F3)
     assert unit_normalize(t, t).is_one()
 
@@ -494,35 +493,45 @@ def test_zech_addition_matches_digit_addition():
                 )
 
 
-def assert_log_matches_power_table(kappa):
-    table, x = {}, 1
-    for n in range(kappa.q - 1):
-        table[x] = n
-        x = kappa.mul(x, kappa.generator)
-    assert len(table) == kappa.q - 1 and x == 1
-    # the smallest encoding of full order
-    assert all(brute_order(kappa, a) < kappa.q - 1 for a in range(1, kappa.generator))
-    for value, n in table.items():
-        assert kappa.unit(value).exp == n
-        assert FFUnit(kappa, n).value == value
+# per place P of degree 2 and 3 (the first and last monic irreducible) over
+# F_3, F_5 and F_9: the generator of F_q[t]/(P) and the exponent of each unit's
+# reduction, as the residue fields with discrete logarithms gave them; units
+# that are not local at P are left out
+RESIDUE_EXPONENTS = {
+    (3, "t^2+1"): (4, [("t", 6), ("t+1", 1), ("2", 4), ("(t^4+t+1)*(t+2)^-3", 2)]),
+    (3, "t^2+2*t+2"): (3, [("t", 1), ("t+1", 2), ("2", 4), ("(t^4+t+1)*(t+2)^-3", 4)]),
+    (3, "t^3+2*t+1"): (3, [("t", 1), ("t+1", 9), ("2", 13), ("(t^4+t+1)*(t+2)^-3", 12)]),
+    (3, "t^3+2*t^2+2*t+2"): (4, [("t", 4), ("t+1", 1), ("2", 13), ("(t^4+t+1)*(t+2)^-3", 6)]),
+    (5, "t^2+2"): (6, [("t", 3), ("t+1", 1), ("2", 18), ("(t^4+t+1)*(t+2)^-3", 3)]),
+    (5, "t^2+4*t+2"): (5, [("t", 1), ("t+1", 22), ("2", 6), ("(t^4+t+1)*(t+2)^-3", 19)]),
+    (5, "t^3+t+1"): (9, [("t", 66), ("t+1", 12), ("2", 31), ("(t^4+t+1)*(t+2)^-3", 45)]),
+    (5, "t^3+4*t^2+4*t+4"): (6, [("t", 24), ("t+1", 1), ("2", 31), ("(t^4+t+1)*(t+2)^-3", 64)]),
+    (9, "t^2+4"): (10, [("t", 15), ("t+1", 1), ("4", 70), ("(t^4+t+1)*(t+2)^-3", 66)]),
+    (9, "t^2+8*t+5"): (9, [("t", 1), ("t+1", 77), ("4", 70), ("(t^4+t+1)*(t+2)^-3", 17)]),
+    (9, "t^3+t+3"): (10, [("t", 322), ("t+1", 1), ("4", 455), ("(t^4+t+1)*(t+2)^-3", 628)]),
+    (9, "t^3+8*t^2+8*t+5"): (
+        9,
+        [("t", 1), ("t+1", 215), ("4", 273), ("(t^4+t+1)*(t+2)^-3", 427)],
+    ),
+}
 
 
-def test_residue_field_log_matches_power_table():
-    for q, k in ((3, 2), (5, 2), (3, 3), (9, 2)):
+def test_residue_field_units_match_generator_powers():
+    from mwk.exprtext import format_poly, parse_unit
+
+    seen = set()
+    for q in (3, 5, 9):
         F = ff_build_q(q)
         rf = rat_func_field(F)
-        for poly in monic_irreducibles(F, k):
-            kappa, reduce_unit = residue_field(Place(rf, poly))
-            assert isinstance(kappa, QuotientField) and kappa.q == q**k
-            assert_log_matches_power_table(kappa)
-            # t reduces to the class of t, encoded as q
-            assert reduce_unit(rf.t_unit()).value == q
-
-
-def test_residue_field_log_digit_by_digit(monkeypatch):
-    # with the bound at 3, the 2-part 16 of 3^4 - 1 = 16 * 5 reaches the
-    # bound's square and its logarithm is taken one binary digit at a time
-    F3 = ff_build(3, 1)
-    monkeypatch.setenv("MWK_SIZE_BOUND", "3")
-    for poly in monic_irreducibles(F3, 4):
-        assert_log_matches_power_table(QuotientField(poly))
+        for k in (2, 3):
+            polys = monic_irreducibles(F, k)
+            for poly in (polys[0], polys[-1]):
+                generator, exponents = RESIDUE_EXPONENTS[(q, format_poly(poly))]
+                kappa, reduce_unit = residue_field(Place(rf, poly))
+                assert isinstance(kappa, QuotientField) and kappa.q == q**k
+                assert brute_order(kappa, generator) == kappa.q - 1
+                for text, n in exponents:
+                    u = parse_unit(text, rf)
+                    assert reduce_unit(u).value == kappa.pow(generator, n), (q, poly, text)
+                seen.add((q, format_poly(poly)))
+    assert seen == set(RESIDUE_EXPONENTS)

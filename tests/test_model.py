@@ -50,7 +50,7 @@ def test_eval_examples():
     assert eval_model(SymExpr.bracket(F3.one_unit()), 1).is_zero()
     assert eval_model(SymExpr.h_elem(F3).eta_mul(), -1).is_zero()
     v = eval_model(SymExpr.bracket(F3.unit(2)), 1)
-    assert v.milnor == 1 and v.witt == (0, 1)
+    assert v.milnor == 2 and v.witt == (0, 1)
 
 
 def test_eval_is_ring_homomorphism():
@@ -106,7 +106,9 @@ def assert_normal(r):
     if n >= 2:
         assert m == 0 and r.witt == (0, 0), r
     elif n == 1:
-        assert 0 <= m < r.field.q - 1 and r.witt == (0, m % 2), r
+        # a unit encoding, with its square class (Euler's criterion)
+        chi = 0 if r.field.pow(m, (r.field.q - 1) // 2) == 1 else 1
+        assert 0 < m < r.field.q and r.witt == (0, chi), r
     elif n == 0:
         assert rank == m % 2, r
     else:
@@ -136,7 +138,7 @@ def test_arithmetic_results_are_in_normal_form():
     with pytest.raises(DegreeMismatch):
         MWElem(F3, 0, 1, (0, 0))  # odd rank, even Witt rank
     with pytest.raises(DegreeMismatch):
-        MWElem(F5, 1, 1, (0, 0))  # odd Milnor part, trivial discriminant
+        MWElem(F5, 1, 2, (0, 0))  # a nonsquare unit, trivial discriminant
     with pytest.raises(DegreeMismatch):
         MWElem(F5, 1, 0, (1, 1))  # Witt part outside I
 
@@ -149,7 +151,7 @@ def test_public_constructor_canonicalises_witt_pairs():
     assert MWElem(F3, -2, 0, (1, 5)).witt == (1, 1)
     with pytest.raises(DegreeMismatch):
         MWElem(F3, -2, 5, (1, 5))  # a Milnor part in negative degree
-    assert MWElem(F3, 1, 2, (2, 1)) == MWElem.zero(F3, 1)
+    assert MWElem(F3, 1, 1, (2, 1)) == MWElem.zero(F3, 1)
     assert MWElem(F3, 0, 2, (2, 1)).witt == (0, 0)
     assert MWElem(F5, 0, 2, (2, 1)).witt == (0, 1)
 
@@ -372,24 +374,29 @@ class ReferencePresentation:
                     yield {(d, tup): 1}
         e, r = d - 1, n + d - 1
         for i in range(1, r if e >= 0 else 0):
-            for pre in self.tuples(i):
-                for b in self.units:
-                    for bp in self.units:
-                        for suf in self.tuples(r - 1 - i):
-                            combo = {}
-                            for gen, c in [
-                                ((e, pre + (F.mul(b, bp),) + suf), 1),
-                                ((e, pre + (b,) + suf), -1),
-                                ((e, pre + (bp,) + suf), -1),
-                                ((d, pre + (b, bp) + suf), -1),
-                            ]:
-                                combo[gen] = combo.get(gen, 0) + c
-                            yield combo
+            yield from self.twisted_tensor_combos(d, i)
         if e >= 1:
             minus_one = F._exp[(F.q - 1) // 2]
             for tup in self.tuples(r):
                 for pos in range(r + 1):
                     yield {(e, tup): 2, (d, tup[:pos] + (minus_one,) + tup[pos:]): 1}
+
+    def twisted_tensor_combos(self, d, i):
+        """The twisted tensor relations at eta power d - 1 splitting entry i."""
+        F, e, r = self.field, d - 1, self.n + d - 1
+        for pre in self.tuples(i):
+            for b in self.units:
+                for bp in self.units:
+                    for suf in self.tuples(r - 1 - i):
+                        combo = {}
+                        for gen, c in [
+                            ((e, pre + (F.mul(b, bp),) + suf), 1),
+                            ((e, pre + (b,) + suf), -1),
+                            ((e, pre + (bp,) + suf), -1),
+                            ((d, pre + (b, bp) + suf), -1),
+                        ]:
+                            combo[gen] = combo.get(gen, 0) + c
+                        yield combo
 
     def level_rows(self, d):
         return [self.row(combo) for combo in self.relation_combos(d)]
@@ -442,6 +449,23 @@ def test_packed_relation_rows_are_the_distinct_reference_rows_in_order():
                         want.append((level, row))
             assert pres.m == len(ref.base_gens), (q, n, d_max)
             assert got == want, (q, n, d_max)
+
+
+def test_twisted_tensor_rows_inside_the_eta_window_are_zero():
+    # _Presentation.packed_rows skips the twisted tensor relations at eta
+    # power e that split an entry at position 1 <= i <= e: each rewrites to 0
+    skipped = 0
+    for q, n in ((3, 0), (3, 1), (3, 2), (3, 3), (5, 0), (5, 1), (5, 2), (7, 1), (9, 1)):
+        field = ff_build_q(q)
+        d_max = 4 if n == 0 else 3
+        ref = ReferencePresentation(field, n, d_max)
+        for d in range(d_max + 1):
+            e, r = d - 1, n + d - 1
+            for i in range(1, min(e + 1, r)):
+                for combo in ref.twisted_tensor_combos(d, i):
+                    assert not any(ref.row(combo)), (q, n, d, i)
+                    skipped += 1
+    assert skipped > 10_000, skipped
 
 
 def test_packed_width_holds_the_largest_coefficient():
@@ -508,7 +532,7 @@ def test_cartesian_square_faithfulness():
 
 def test_theory_projections():
     v = eval_model(SymExpr.bracket(F3.unit(2)), 1)
-    assert v.project(MILNOR) == 1
+    assert v.project(MILNOR) == 2
     assert v.project(WITT) == (0, 1)
     assert v.project(MOD2) == 1
     assert not v.is_zero_in(MW)
