@@ -535,3 +535,45 @@ def test_residue_field_units_match_generator_powers():
                     assert reduce_unit(u).value == kappa.pow(generator, n), (q, poly, text)
                 seen.add((q, format_poly(poly)))
     assert seen == set(RESIDUE_EXPONENTS)
+
+
+def assert_power_table_matches_pow(kappa):
+    """The powers of the smallest full-order encoding run through every unit
+    once, and pow, inv and Euler's criterion agree with that table."""
+    g = next(a for a in range(2, kappa.q) if brute_order(kappa, a) == kappa.q - 1)
+    table, x = {}, 1
+    for n in range(kappa.q - 1):
+        table[x] = n
+        x = kappa.mul(x, g)
+    assert len(table) == kappa.q - 1 and x == 1
+    for value, n in table.items():
+        assert kappa.pow(g, n) == value
+        assert kappa.inv(value) == kappa.pow(g, -n)
+        assert kappa.unit(value).is_square() == (n % 2 == 0)
+
+
+# The next two tests keep the names they had when residue fields took
+# discrete logarithms; they now check the power table those logarithms read.
+def test_residue_field_log_matches_power_table():
+    for q, k in ((3, 2), (5, 2), (3, 3), (9, 2)):
+        F = ff_build_q(q)
+        rf = rat_func_field(F)
+        for poly in monic_irreducibles(F, k):
+            kappa, reduce_unit = residue_field(Place(rf, poly))
+            assert isinstance(kappa, QuotientField) and kappa.q == q**k
+            assert_power_table_matches_pow(kappa)
+            # t reduces to the class of t, encoded as q
+            assert reduce_unit(rf.t_unit()).value == q
+
+
+def test_residue_field_log_digit_by_digit(monkeypatch):
+    # with the bound at 3, 3^4 - 1 = 16 * 5 has a 2-part beyond the bound's
+    # square; residue fields take no logarithm, so they build under it
+    F3 = ff_build(3, 1)
+    rf = rat_func_field(F3)
+    monkeypatch.setenv("MWK_SIZE_BOUND", "3")
+    for poly in monic_irreducibles(F3, 4):
+        kappa, reduce_unit = residue_field(Place(rf, poly))
+        assert kappa.q == 81
+        assert_power_table_matches_pow(kappa)
+        assert reduce_unit(rf.t_unit()).value == 3
