@@ -139,7 +139,7 @@ def build_parser():
     v.add_argument("--field", default="3")
     v.add_argument("--n", type=int, default=1)
     v.add_argument("--m", type=int, default=2)
-    v.add_argument("--trials", type=int, default=200)
+    v.add_argument("--trials", type=_non_negative, default=200)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--trunc", type=_non_negative, default=8)
     v.add_argument("--d-max", dest="d_max", type=_non_negative, default=3)

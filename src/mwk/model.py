@@ -274,19 +274,16 @@ class MWElem:
         }
 
 
-def eval_model(expr, degree=None):
-    """Ring-homomorphic evaluation of a symbolic expression over F_q."""
+def eval_model(expr, degree):
+    """Ring-homomorphic evaluation of a symbolic expression of the given
+    degree over F_q."""
     field = expr.field
     if not isinstance(field, FiniteField):
         raise FieldMismatch("eval_model needs an expression over a finite field")
-    if degree is None:
-        degree = expr.degree()
-        if degree is None:
-            raise Inhomogeneous("cannot infer the degree of an empty expression")
     acc = MWElem.zero(field, degree)
     for (d, units), coeff in expr.terms.items():
         if len(units) - d != degree:
-            raise Inhomogeneous("expression mixes degrees")
+            raise Inhomogeneous(f"a term of degree {len(units) - d} != the stated degree {degree}")
         term = MWElem.one(field)
         for u in units:
             term = term.mul(MWElem.from_unit(u))

@@ -1,14 +1,15 @@
 """Residue and specialization maps at places of F_q(t), and the complete
 invariant they induce.
 
-The residue map at a place is computed by exact rewriting: every unit entry
-is split into uniformizer power times a local unit, the twisted tensor and
-unit-power relations expand each term until every entry is either the
-uniformizer or a local unit, and the defining properties of the residue map
-(together with the leading-unit sign rule and the repeated-uniformizer
-reduction [pi, pi] = [pi, -1]) resolve each term into an expression over the
-residue field.  Every rewriting step is an exact identity, so the result
-only depends on the class of the input.
+The symbolic residue map at a place is computed by exact rewriting: every
+unit entry is split into uniformizer power times a local unit, the twisted
+tensor and unit-power relations expand each term until every entry is either
+the uniformizer or a local unit, and the defining properties of the residue
+map (with the leading-unit sign rule and [pi, pi] = [pi, -1]) resolve each
+term over the residue field.  The zero test evaluates the same maps straight
+into the residue-field model by a linear scan: one closed-form step per entry
+pi^e u, from its cached (e, [u-bar], eps [u-bar], c_e) with c_e the image of
+[pi^e] = e_eps [pi].  The rewriting stays as the scan's independent oracle.
 
 Zero testing uses the split short exact sequence for F(t): an element is
 zero iff its specialization at t and all of its residues at finite places
@@ -63,10 +64,10 @@ class ValuationContext:
         self._eps_kappa = SymExpr.eps_elem(self.kappa)
         self._eps_model = MWElem.eps(self.kappa)
         self._m1_model = MWElem.from_unit(self.kappa.minus_one())
-        self._eps_m1k = self._eps_model.mul(self._m1_model)
+        self._eta_m1 = self._m1_model.eta_mul()
         self._expand_cache = {}
         self._residue_cache = {}
-        self._unit_models = {}
+        self._entry_models = {}
 
     # -- entry expansion ----------------------------------------------------
 
@@ -164,88 +165,51 @@ class ValuationContext:
         self._residue_cache[entries] = out
         return out
 
-    def _unit_model(self, u):
-        """([u-bar], eps [u-bar]) in the residue-field model for a local unit
-        u, computed once per unit: over F_q[t]/(P) the square class and the
-        inverse in eps [u-bar] = [u-bar^-1] each cost a power."""
-        found = self._unit_models.get(u)
-        if found is None:
-            ub = MWElem.from_unit(self.reduce_unit(u))
-            found = self._unit_models[u] = (ub, self._eps_model.mul(ub))
-        return found
-
     # -- model-valued evaluation by a linear scan ------------------------------
     #
-    # Each term is processed right to left through the pair
-    # (specialization, residue) of its suffix product.  The prepend rules
-    # are exact consequences of the defining properties:
-    #   s([u]x) = [u-bar] s(x),   d([u]x) = eps [u-bar] d(x)
-    #   s(eta x) = eta s(x),      d(eta x) = eta d(x)
-    #   s([pi]x) = 0,             d([pi]x) = s(x) + [-1-bar] d(x)
-    # The third line follows from multiplicativity of s with s([pi]) = 0,
-    # and by induction over monomials in local units and the uniformizer
-    # (the [pi][pi] = [pi][-1] and eps[-1] = [-1] reductions close the
-    # induction).  One pass costs O(length) exact pair operations.
+    # Each term is processed right to left through the pair (s, r) =
+    # (specialization, residue) of its suffix product.  The defining
+    # properties give s([u]x) = [u-bar] s, r([u]x) = eps [u-bar] r for a local
+    # unit u, and s([pi]x) = 0, r([pi]x) = s + [-1-bar] r (multiplicativity of
+    # s with s([pi]) = 0, then induction over monomials, closed by
+    # [pi][pi] = [pi][-1] and eps[-1] = [-1]); eta passes through both.
+    # [pi^e] = e_eps [pi] with e_eps = e + floor(e/2) eta[-1] for e >= 0 and
+    # eps |e|_eps for e < 0, so r([pi^e]x) = c_e (s + [-1-bar] r) with c_e the
+    # image of e_eps.  Expanding [pi^e u] = [pi^e] + [u] + eta [pi^e][u]:
+    #   s' = [u-bar] s
+    #   r' = eps [u-bar] r                                      if e == 0
+    #   r' = c_e (s + [-1-bar] r) + eps [u-bar] r + eta c_e s'  otherwise
+    # where the last term of r([pi^e][u]x) = c_e (s' + [-1-bar] eps [u-bar] r)
+    # drops: [-1-bar] eps [u-bar] lies in K^MW_2 = 0 of the finite residue field.
 
-    def _pair_prepend_unit(self, u_bar_elem, eps_u_bar, pair):
-        s, d = pair
-        return (u_bar_elem.mul(s), eps_u_bar.mul(d))
-
-    def _pair_prepend_pi(self, pair):
-        s, d = pair
-        return (MWElem.zero(self.kappa, s.degree + 1), s.add(self._m1_model.mul(d)))
-
-    def _pair_prepend_eta(self, pair):
-        s, d = pair
-        return (s.eta_mul(), d.eta_mul())
-
-    def _pair_add(self, a, b):
-        return (a[0].add(b[0]), a[1].add(b[1]))
-
-    def _pair_scale(self, pair, c):
-        s, d = pair
-        return (s.scale(c), d.scale(c))
-
-    def _pair_prepend_pi_power(self, e, pair):
-        """[pi^e] . x  via  e [pi] + floor(e/2) eta [-1][pi]  (eps-twisted
-        for negative e)."""
-        mag = abs(e)
-        base = self._pair_prepend_pi(pair)
-        out = self._pair_scale(base, mag)
-        if mag // 2:
-            tw = self._pair_prepend_eta(
-                self._pair_prepend_unit(self._m1_model, self._eps_m1k, base)
-            )
-            out = self._pair_add(out, self._pair_scale(tw, mag // 2))
-        if e < 0:
-            # eps z = -z - eta [-1] z
-            twisted = self._pair_prepend_eta(
-                self._pair_prepend_unit(self._m1_model, self._eps_m1k, out)
-            )
-            out = self._pair_scale(self._pair_add(out, twisted), -1)
-        return out
-
-    def _pair_prepend_entry(self, a, pair):
-        """[a] . x with a = pi^e u:  [pi^e]x + [u]x + eta [pi^e][u]x."""
-        e, u = self.split(a)
-        if e == 0:
-            return self._pair_prepend_unit(*self._unit_model(u), pair)
-        pw = self._pair_prepend_pi_power(e, pair)
-        if u.is_one():
-            return pw
-        us = self._pair_prepend_unit(*self._unit_model(u), pair)
-        out = self._pair_add(pw, us)
-        return self._pair_add(
-            out, self._pair_prepend_eta(self._pair_prepend_pi_power(e, us))
-        )
+    def _entry_model(self, a):
+        """(e, [u-bar], eps [u-bar], c_e) for an entry a = pi^e u, once per
+        entry (the split, the square class and eps [u-bar] = [u-bar^-1] each
+        cost a power); c_0 = 0 is held as None, which the e == 0 step skips."""
+        found = self._entry_models.get(a)
+        if found is None:
+            e, u = self.split(a)
+            ub = MWElem.from_unit(self.reduce_unit(u))
+            c = None
+            if e:
+                c = MWElem.one(self.kappa).scale(abs(e)).add(self._eta_m1.scale(abs(e) // 2))
+                c = self._eps_model.mul(c) if e < 0 else c
+            found = self._entry_models[a] = (e, ub, self._eps_model.mul(ub), c)
+        return found
 
     def _scan_term(self, d, units):
+        m1 = self._m1_model
         # the empty product: specialization 1, residue the zero of degree -1
-        pair = (MWElem.one(self.kappa), MWElem.zero(self.kappa, -1))
+        s, r = MWElem.one(self.kappa), MWElem.zero(self.kappa, -1)
         for a in reversed(units):
-            pair = self._pair_prepend_entry(a, pair)
-        s, dd = pair
-        return (s.eta_mul(d), dd.eta_mul(d))
+            e, ub, eub, c = self._entry_model(a)
+            s2 = ub.mul(s)
+            if e == 0:
+                r = eub.mul(r)
+            else:
+                r = c.mul(s.add(m1.mul(r))).add(eub.mul(r)).add(c.mul(s2).eta_mul())
+            s = s2
+        return s.eta_mul(d), r.eta_mul(d)
 
     def residue_model(self, x, degree):
         """The residue evaluated straight into the residue-field model."""
@@ -268,8 +232,7 @@ class ValuationContext:
                 raise Inhomogeneous("expression mixes degrees")
             term = MWElem.one(self.kappa)
             for a in units:
-                _, u = self.split(a)
-                term = term.mul(self._unit_model(u)[0])
+                term = term.mul(self._entry_model(a)[1])
             total = total.add(term.eta_mul(d).scale(coeff))
         return total
 

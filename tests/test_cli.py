@@ -106,6 +106,7 @@ def test_eval_at_a_place_whose_residue_field_order_has_a_large_prime(capsys):
             for field in ("3", "3(t)")
         ),
         ["verify", "--suite", "relations34", "--d-max", "-1", "--trials", "2"],
+        ["verify", "--suite", "prop83", "--field", "3", "--trials", "-3"],
         ["group", "--q", "3", "--n", "1", "--d-max", "-1"],
         ["group", "--q", "3", "--n", "-1"],
     ],

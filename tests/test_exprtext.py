@@ -34,7 +34,7 @@ def test_documented_examples():
 
 
 def test_eval_cli_examples():
-    assert eval_model(parse_expr("[2]*[2]", F3)).is_zero()
+    assert eval_model(parse_expr("[2]*[2]", F3), 2).is_zero()
     assert is_zero(parse_expr("[t,t] - [t,-1]", RF3), 2)
     assert eval_model(parse_expr("eta*(2 + eta*[-1])", F3), -1).is_zero()
 

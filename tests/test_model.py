@@ -69,7 +69,7 @@ def test_eval_is_ring_homomorphism():
 def test_eval_inhomogeneous_raises():
     mixed = SymExpr.bracket(F3.unit(2)).add(SymExpr.const(F3, 1))
     with pytest.raises(Inhomogeneous):
-        eval_model(mixed)
+        eval_model(mixed, 1)
 
 
 def test_graded_commutativity_in_model():

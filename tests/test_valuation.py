@@ -259,12 +259,21 @@ def test_residue_place_at_infinity():
 def test_model_valued_scan_matches_the_symbolic_residue():
     # the model-valued residue and specialization used by the zero test
     # against eval_model of the symbolic rewriting, at the support places,
-    # the place t, a degree-2 place and infinity
+    # the place t, a degree-2 place and infinity; and, at t and the degree-2
+    # place, with entries times pi^e for |e| <= 5, so that every term of the
+    # scan's c_e (floor(|e|/2) among them) meets the symbolic path
     from mwk.fields import ff_build_q, first_monic_irreducible
     from mwk.suites import sample_expr, unit_sampler
 
     rng = random.Random(2024)
+    powers = random.Random(13)
     compared = 0
+
+    def compare(x, deg, place):
+        ctx = ValuationContext(place)
+        assert ctx.residue_model(x, deg) == eval_model(ctx.residue(x), deg - 1), (x, place)
+        assert ctx.specialize_model(x, deg) == eval_model(ctx.specialize(x), deg), (x, place)
+
     for q in (3, 5, 7, 9):
         rf = rat_func_field(ff_build_q(q))
         sampler = unit_sampler(rf, rng, max_degree=2)
@@ -273,16 +282,26 @@ def test_model_valued_scan_matches_the_symbolic_residue():
             Place(rf, first_monic_irreducible(rf.base, 2)),
             Place(rf, None),
         ]
-        for _ in range(12):
+        for k in range(12):
             deg = rng.choice([-1, 0, 1, 2])
             x = sample_expr(rf, deg, rng, max_terms=2, max_eta=1, sampler=sampler)
-            places = dict.fromkeys(fixed + list(x.support_places()))
-            for place in places:
-                ctx = ValuationContext(place)
-                assert ctx.residue_model(x, deg) == eval_model(ctx.residue(x), deg - 1), (q, x, place)
-                assert ctx.specialize_model(x, deg) == eval_model(ctx.specialize(x), deg), (q, x, place)
+            for place in dict.fromkeys(fixed + list(x.support_places())):
+                compare(x, deg, place)
                 compared += 1
-    assert compared > 150
+            # one entry per term is shifted, at t and the degree-2 place in
+            # turn: the symbolic side branches at every repeated uniformizer
+            place = fixed[k % 2]
+            pi = place.uniformizer()
+            terms = []
+            for (d, units), c in x.terms.items():
+                if units:
+                    i = powers.randrange(len(units))
+                    a = units[i].mul(pi.pow(powers.randint(-5, 5)))
+                    units = units[:i] + (a,) + units[i + 1 :]
+                terms.append(((d, units), c))
+            compare(SymExpr(rf, terms), deg, place)
+            compared += 1
+    assert compared > 200
 
 
 def test_minus_one_powers_of_length_two_and_more_vanish():
