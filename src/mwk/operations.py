@@ -12,6 +12,7 @@ base field.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -403,6 +404,26 @@ def _passes_torsion(a, kind, n, target):
     raise ValueError(f"unknown torsion kind {kind}")
 
 
+@lru_cache(maxsize=None)
+def _g_map_table(L, minus_first):
+    """Row l: the pairs (k, c) with c shift paths from index k to position 0
+    in g_map's entry l, walked back from 0: OpSequence._shift fills position j
+    from j+1, and from j+2 (the twist) where j's parity matches the sign."""
+    rows = []
+    for l in range(L + 1):
+        signs = [-1] * (l // 2) + [+1] * ((l + 1) // 2)  # as in OpSequence.shifted
+        reach = Counter({0: 1})
+        for sign in signs[::-1] if minus_first else signs:
+            back = Counter()
+            for j, c in reach.items():
+                back[j + 1] += c
+                if j % 2 == (sign == +1):
+                    back[j + 2] += c
+            reach = back
+        rows.append(tuple(sorted((k, c) for k, c in reach.items() if k <= L)))
+    return tuple(rows)
+
+
 class OpSequence:
     """The coefficient sequence (a_l) of an operation sum_l sigma_l . a_l.
 
@@ -537,28 +558,22 @@ class OpSequence:
         operation shifted floor((l+1)/2) times positively and floor(l/2)
         times negatively (evaluation at 0 reads off the 0-th coefficient).
 
-        Entry l is read from self.shifted((l + 1) // 2, l // 2, minus_first),
-        built along shared prefixes: the chain of first-direction shifts is
-        walked once, and from each sequence on it one chain of
-        second-direction shifts serves every l with that many first-direction
-        shifts.  Both counts never decrease in l.
+        A shift is linear: position j takes j+1, plus tau = [-1]^n times j+2
+        where the sign's parity admits it.  So entry l is the sum of
+        c_lk tau^(k-l) a_k over k = l..min(2l, L): c_lk counts the l-step paths
+        from index k to 0 (_g_map_table), each two-index step taking one tau.
         """
         self.require_admissible()
-        first, second = (-1, +1) if minus_first else (+1, -1)
-        prefix, outer = self, 0  # self after `outer` first-direction shifts
-        seq, inner = self, 0  # prefix after `inner` second-direction shifts
+        twist = minus_one_power(self.field, self.n)
         out = []
-        for l in range(len(self.coeffs)):
-            plus, minus = (l + 1) // 2, l // 2
-            i, j = (minus, plus) if minus_first else (plus, minus)
-            if i > outer:
-                for _ in range(i - outer):
-                    prefix = prefix._shift(first)
-                outer, seq, inner = i, prefix, 0
-            for _ in range(j - inner):
-                seq = seq._shift(second)
-            inner = j
-            out.append(seq.coeff(0))
+        for l, row in enumerate(_g_map_table(self.trunc, minus_first)):
+            acc = self.coeffs[l]  # every row starts with (l, 1)
+            for k, c in row[1:]:
+                term = self.coeffs[k]
+                for _ in range(k - l):  # tau^(k-l) a_k by the model's own mul
+                    term = twist.mul(term)
+                acc = acc.add(term if c == 1 else term.scale(c))
+            out.append(acc)
         return out
 
     def roundtrip_ok(self):

@@ -110,7 +110,7 @@ class Report:
 
     @property
     def passed(self):
-        return not self.failures
+        return self.trials > 0 and not self.failures  # a run without checks shows nothing
 
     def to_json(self):
         return {
@@ -121,7 +121,7 @@ class Report:
             "trials": self.trials,
             "failures": self.failures[:50],
             "failure_count": len(self.failures),
-            "notes": self.notes,
+            "notes": self.notes + ([] if self.trials else ["no check ran"]),
             "passed": self.passed,
             "elapsed_s": round(time.time() - self._start, 3),
         }

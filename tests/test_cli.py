@@ -204,6 +204,23 @@ def test_verify_command(capsys):
     assert payload["seed"] == 0
 
 
+def test_verify_without_a_check_does_not_pass(capsys):
+    argv = ["verify", "--suite", "prop83", "--field", "3", "--trials", "0", "--json"]
+    code, out = run(capsys, *argv)
+    payload = json.loads(out)
+    assert code == 1 and payload["trials"] == 0 and not payload["passed"]
+    assert payload["failure_count"] == 0 and "no check ran" in payload["notes"]
+
+
+def test_verify_with_no_trials_still_passes_an_exhaustive_audit(capsys):
+    # table1's audit enumerates the coefficient groups whatever --trials says
+    argv = ["verify", "--suite", "table1", "--field", "5", "--trials", "0", "--json"]
+    code, out = run(capsys, *argv)
+    payload = json.loads(out)
+    assert code == 0 and payload["passed"] and payload["trials"] > 0
+    assert "no check ran" not in payload["notes"]
+
+
 def test_verify_deterministic_given_seed(capsys):
     args = ["verify", "--suite", "relations34", "--field", "3", "--trials", "30",
             "--seed", "9", "--json"]

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -22,6 +23,7 @@ from mwk.operations import (
     OpSequence,
     Presentation,
     ValuationOracle,
+    _g_map_table,
     admissible,
     f_eval,
     f_lambda_convert,
@@ -478,24 +480,54 @@ def test_shift_preserves_admissibility():
     assert checked > 5000
 
 
+def full_support_sequences(field, n, m, trunc, rng, count):
+    """Up to `count` admissible sequences with every coefficient drawn from
+    the model elements of its degree (h-torsion at l >= 2 for odd n, as in
+    thm84), so the table's terms beyond thm84's degree window are exercised."""
+    choices = []
+    for l in range(trunc + 1):
+        cands = model_elements(field, m - n * l, rank_window=2)
+        if l >= 2 and n % 2:
+            cands = [a for a in cands if theory_torsion_test(a, "h", MW)]
+        choices.append(cands)
+    out = []
+    for _ in range(20 * count):
+        seq = OpSequence(MW, MW, n, m, field, [rng.choice(c) for c in choices])
+        if seq.admissible():
+            out.append(seq)
+            if len(out) == count:
+                break
+    return out
+
+
 def test_g_map_reads_the_shifted_sequences():
+    # windowed sequences as in thm84, then full-support ones whose table
+    # terms reach beyond thm84's degree window
     rng = random.Random(12)
+    seqs = []
     for field in (F3, F9):
         for _ in range(40):
             n = rng.choice([1, 2])
             m = rng.randrange(0, 3)
             seq = rng.choice(list(windowed_sequences(field, MW, MW, n, m)))
-            if not seq.admissible():
-                continue
-            for minus_first in (True, False):
-                want = [
-                    seq.shifted((l + 1) // 2, l // 2, minus_first).coeff(0)
-                    for l in range(seq.trunc + 1)
-                ]
-                assert seq.g_map(minus_first=minus_first) == want
+            if seq.admissible():
+                seqs.append(seq)
+    full = random.Random(14)
+    for field, n, m, trunc in product((F3, F9), (1, 2, 3), (0, 1, 2), (0, 1, 2, 3, 8, 12)):
+        seqs += full_support_sequences(field, n, m, trunc, full, 2)
+    assert len(seqs) >= 250
+    for seq in seqs:
+        for minus_first in (True, False):
+            want = [
+                seq.shifted((l + 1) // 2, l // 2, minus_first).coeff(0)
+                for l in range(seq.trunc + 1)
+            ]
+            assert seq.g_map(minus_first=minus_first) == want, (seq, minus_first)
 
 
-def test_g_map_shares_shift_prefixes(monkeypatch):
+def test_g_map_makes_no_shift_step(monkeypatch):
+    # g_map sums each entry from the path table; the shift chain is only its
+    # reference (test_g_map_reads_the_shifted_sequences)
     calls = [0]
     step = OpSequence._shift
 
@@ -506,9 +538,39 @@ def test_g_map_shares_shift_prefixes(monkeypatch):
     monkeypatch.setattr(OpSequence, "_shift", counting_step)
     seq = OpSequence(MW, MW, 1, 2, F3, [MWElem.zero(F3, 2 - l) for l in range(9)])
     for minus_first in (True, False):
-        calls[0] = 0
         seq.g_map(minus_first=minus_first)
-        assert 0 < calls[0] <= 18, (minus_first, calls[0])
+    assert calls[0] == 0
+
+
+def counted_paths(signs, L):
+    """Brute force over every choice of steps: walk from position 0 back
+    through the shifts `signs`, one index per step or two where the step's
+    parity takes the twist, and count the walks ending at an index <= L."""
+    ends = Counter()
+    for steps in product((1, 2), repeat=len(signs)):
+        j = 0
+        for sign, step in zip(reversed(signs), steps):
+            if step == 2 and j % 2 != (sign == +1):
+                break
+            j += step
+        else:
+            if j <= L:
+                ends[j] += 1
+    return tuple(sorted(ends.items()))
+
+
+def test_g_map_table_shape():
+    for L, minus_first in product(range(13), (True, False)):
+        rows = _g_map_table(L, minus_first)
+        assert len(rows) == L + 1
+        for l, row in enumerate(rows):
+            assert row[0] == (l, 1), (L, minus_first, l)
+            assert all(l <= k <= min(2 * l, L) and c > 0 for k, c in row), (L, l, row)
+    assert _g_map_table(8, True)[3:5] == (((3, 1), (4, 2)), ((4, 1), (5, 2), (6, 2)))
+    for L, minus_first in product((8, 12), (True, False)):
+        for l, row in enumerate(_g_map_table(L, minus_first)):
+            plus, minus = [+1] * ((l + 1) // 2), [-1] * (l // 2)
+            assert row == counted_paths(minus + plus if minus_first else plus + minus, L)
 
 
 def test_g_map_of_an_inadmissible_sequence_raises():
