@@ -767,12 +767,22 @@ class RatFuncUnit:
 
     `factors` is a sorted tuple of (monic irreducible Poly, nonzero exponent);
     `const` is the base-field encoding of the leading constant.  Equality of
-    units is literal equality of the factored data.
+    units is literal equality of the factored data.  The hash is the
+    dataclass hash of that data, computed on first use and kept with the unit
+    (units key every symbol term dict).
     """
 
     rf: RatFuncField
     const: int
     factors: tuple
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.rf, self.const, self.factors))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     @property
     def field(self):

@@ -564,6 +564,9 @@ class OpSequence:
         from index k to 0 (_g_map_table), each two-index step taking one tau.
         """
         self.require_admissible()
+        return self._g_map(minus_first)
+
+    def _g_map(self, minus_first):
         twist = minus_one_power(self.field, self.n)
         out = []
         for l, row in enumerate(_g_map_table(self.trunc, minus_first)):
@@ -577,9 +580,14 @@ class OpSequence:
         return out
 
     def roundtrip_ok(self):
-        got = self.g_map()
+        self.require_admissible()
+        return self._recovers(True)
+
+    def _recovers(self, minus_first):
+        """Whether _g_map in the given order gives back every coefficient."""
         return all(
-            g.sub(a).is_zero_in(self.target) for g, a in zip(got, self.coeffs)
+            g.sub(a).is_zero_in(self.target)
+            for g, a in zip(self._g_map(minus_first), self.coeffs)
         )
 
     # -- the filtration ----------------------------------------------------------

@@ -6,6 +6,13 @@ structural; the unit lists stay ordered because the ring is non-commutative
 before evaluation.  No relations are imposed here: equality modulo the
 defining relations is delegated to the closed-form model over F_q and to the
 valuation oracle over F_q(t).
+
+Only the public constructor `SymExpr(field, terms)` merges like terms and
+drops zero coefficients.  The ring operations already produce distinct keys
+with nonzero coefficients, so, like `MWElem` arithmetic, they hand their
+merged dict over unchecked (`_of`), which keeps the dict it is given.
+Since nothing re-merges a result and `RatFuncUnit` caches its hash, neither
+a term dict nor a unit may ever be changed in place.
 """
 
 from __future__ import annotations
@@ -17,8 +24,10 @@ from .fields import FFUnit, FiniteField, Poly, RatFuncField
 class SymExpr:
     """An integer combination of terms eta^d [a_1, ..., a_r] over one field.
 
-    terms maps (d, units tuple) to a nonzero integer coefficient; like terms
-    are always merged and zero coefficients dropped.
+    terms maps (d, units tuple) to a nonzero integer coefficient.  The
+    constructor merges like terms and drops zero coefficients of any input;
+    the ring operations build their results unchecked through `_of`.  The
+    dict is never changed after construction.
     """
 
     __slots__ = ("field", "terms")
@@ -84,26 +93,29 @@ class SymExpr:
     # -- ring structure ------------------------------------------------------
 
     def add(self, other):
+        return self._combine(other, 1)
+
+    def sub(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
         self._check(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            newc = out.get(key, 0) + c
+            newc = out.get(key, 0) + sign * c
             if newc:
                 out[key] = newc
             else:
                 del out[key]
-        return SymExpr(self.field, out)
+        return _of(self.field, out)
 
     def neg(self):
-        return SymExpr(self.field, {k: -c for k, c in self.terms.items()})
-
-    def sub(self, other):
-        return self.add(other.neg())
+        return _of(self.field, {k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
         if not c:
-            return SymExpr.zero(self.field)
-        return SymExpr(self.field, {k: c * v for k, v in self.terms.items()})
+            return _of(self.field, {})
+        return _of(self.field, {k: c * v for k, v in self.terms.items()})
 
     def mul(self, other):
         self._check(other)
@@ -116,11 +128,11 @@ class SymExpr:
                     out[key] = newc
                 else:
                     del out[key]
-        return SymExpr(self.field, out)
+        return _of(self.field, out)
 
     def eta_mul(self, power=1):
         """Multiply by eta^power (eta is central by the third defining relation)."""
-        return SymExpr(self.field, {(d + power, u): c for (d, u), c in self.terms.items()})
+        return _of(self.field, {(d + power, u): c for (d, u), c in self.terms.items()})
 
     def pow(self, e):
         if e < 0:
@@ -195,6 +207,19 @@ class SymExpr:
         return format_expr(self)
 
     __repr__ = __str__
+
+
+_new = object.__new__
+
+
+def _of(field, terms):
+    """The expression with the given terms, unchecked: the caller passes a
+    dict with only nonzero coefficients that nothing else holds (every ring
+    operation's result is one)."""
+    x = _new(SymExpr)
+    x.field = field
+    x.terms = terms
+    return x
 
 
 def _unit_sort_key(u):

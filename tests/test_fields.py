@@ -577,3 +577,29 @@ def test_residue_field_log_digit_by_digit(monkeypatch):
         assert kappa.q == 81
         assert_power_table_matches_pow(kappa)
         assert reduce_unit(rf.t_unit()).value == 3
+
+
+def test_rat_func_unit_hash_is_kept_and_agrees_with_equality():
+    """RatFuncUnit caches its hash; equal units built independently hash
+    equal, and the cached value is the dataclass hash of the factored data."""
+    rng = random.Random(15)
+    for rf in (rat_func_field(ff_build(3, 1)), rat_func_field(ff_build(5, 2))):
+        F = rf.base
+        for _ in range(30):
+            polys = []
+            while len(polys) < 3:
+                f = Poly.make(F, [rng.randrange(F.q) for _ in range(rng.randrange(1, 4))])
+                if not f.is_zero():
+                    polys.append(f)
+            f, g, h = polys
+            u = rf.from_fraction(f.mul(g), h)
+            v = rf.from_poly(h).inv().mul(rf.from_poly(g)).mul(rf.from_poly(f))
+            assert u == v and u is not v
+            data = hash((u.rf, u.const, u.factors))
+            assert hash(u) == data == hash(v)
+            table = {u: "u"}
+            assert table[v] == "u" and v in table
+            assert {v: 1}.keys() == {u: 2}.keys()
+            assert hash(u) == hash((u.rf, u.const, u.factors)) == data
+            w = u.mul(rf.t_unit())
+            assert w != u and w not in table

@@ -574,10 +574,16 @@ def test_g_map_table_shape():
 
 
 def test_g_map_of_an_inadmissible_sequence_raises():
+    """The public entries check admissibility; only the unchecked steps
+    (_g_map, _recovers) that run_thm84 calls after its own check skip it."""
     bad = OpSequence(MW, MW, 1, 2, F3, [MWElem.zero(F3, 2), MWElem.zero(F3, 1), MWElem.one(F3)])
     for minus_first in (True, False):
         with pytest.raises(NotAdmissible):
             bad.g_map(minus_first=minus_first)
+        with pytest.raises(NotAdmissible):
+            bad.shifted(1, 1, minus_first=minus_first)
+    with pytest.raises(NotAdmissible):
+        bad.roundtrip_ok()
 
 
 def test_minus_one_power_closed_form():

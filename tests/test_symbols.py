@@ -12,10 +12,69 @@ from mwk.symbols import (
     power_symbol,
     relation_generators,
     rewrite_mw2,
+    unit_sampler,
 )
 
 F3 = ff_build(3, 1)
 F5 = ff_build(5, 1)
+
+
+def _fast_path_fields():
+    return [F3, ff_build(3, 2), rat_func_field(F3), rat_func_field(ff_build(5, 2))]
+
+
+def assert_merged(x):
+    """x holds only nonzero coefficients and is what the checked constructor
+    builds from its terms."""
+    assert all(x.terms.values()), x.terms
+    assert x == SymExpr(x.field, dict(x.terms))
+
+
+def test_ring_operations_hand_over_merged_terms():
+    """The ring operations skip the constructor's merge: each result is
+    already merged, also where coefficients cancel, and no operand changes."""
+    rng = random.Random(15)
+    for F in _fast_path_fields():
+        pool = [unit_sampler(F, rng)() for _ in range(3)]  # few units: keys collide
+
+        def rand_expr():
+            terms = []
+            for _ in range(rng.randrange(0, 5)):
+                units = tuple(rng.choice(pool) for _ in range(rng.randrange(0, 3)))
+                terms.append(((rng.randrange(0, 3), units), rng.randrange(-2, 3)))
+            return SymExpr(F, terms)
+
+        one, eta, a = SymExpr.one(F), SymExpr.eta(F), SymExpr.bracket(pool[0])
+        # products whose coefficients sum to 0: (1 + eta)(eta - 1) loses its
+        # eta term, ([a] + [a, a])([a, a] - [a]) its [a, a, a] term
+        cancelling = {
+            (1, ()): (one.add(eta), eta.sub(one)),
+            (0, (pool[0],) * 3): (a.add(a.mul(a)), a.mul(a).sub(a)),
+        }
+        for key, (x, y) in cancelling.items():
+            assert key not in x.mul(y).terms
+        pairs = list(cancelling.values()) + [(rand_expr(), rand_expr()) for _ in range(40)]
+        for x, y in pairs:
+            before = (dict(x.terms), dict(y.terms))
+            zeros = [x.add(x.neg()), x.sub(x), x.neg().add(x), x.scale(0)]
+            results = zeros + [
+                x.add(y), x.sub(y), x.neg(), x.mul(y), y.mul(x),
+                x.eta_mul(), x.eta_mul(2), x.scale(rng.randrange(-3, 4)),
+            ]
+            for r in results:
+                assert r.field is F
+                assert_merged(r)
+            assert all(z.is_structurally_zero() for z in zeros)
+            assert x.add(y).sub(y) == x
+            assert (dict(x.terms), dict(y.terms)) == before
+
+
+def test_constructor_still_merges_outside_input():
+    for F in _fast_path_fields():
+        k = (0, (F.minus_one(),))
+        assert SymExpr(F, [(k, 1), (k, -1)]).is_structurally_zero()
+        assert SymExpr(F, {k: 0}).is_structurally_zero()
+        assert SymExpr(F, [(k, 2), ((1, ()), 0), (k, 1)]).terms == {k: 3}
 
 
 def test_add_inverse_cancels():
