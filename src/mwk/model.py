@@ -20,12 +20,14 @@ Witt classes.  Every value is held in the normal form of its degree:
 * n == 0: milnor the rank m in Z, witt the canonical pair (m mod 2, disc);
 * n < 0:  milnor 0, witt the canonical pair.
 
-Arithmetic builds its results in that form directly (`_build`) and checks
-nothing; only the public constructors `MWElem(...)` and `witt_class`
-check their input.  The module also provides the independent presentation
-oracle: the standard generators and relations truncated at a maximal eta
-power, resolved by integer Smith normal form, for cross-checking the
-closed-form groups.
+Values are hash-consed: `_build` returns the one shared instance of a
+normal form from an intern table on its field, and arithmetic reaches it
+unchecked; only the public constructors `MWElem(...)` and `witt_class`
+check their input.  `add`, `mul` and `neg` remember their results on the
+interned operand (see `MWElem`).  The module also provides the independent
+presentation oracle: the standard generators and relations truncated at a
+maximal eta power, resolved by integer Smith normal form, for
+cross-checking the closed-form groups.
 """
 
 from __future__ import annotations
@@ -62,6 +64,12 @@ def _w_canonical(field, rank, disc):
 
 W_ZERO = (0, 0)
 
+# Caps of the hash-consing tables: distinct values interned per field, and
+# partners remembered per value and operation.  Degree-0 ranks are unbounded,
+# so past a cap a value or result is built and returned without being stored.
+INTERN_CAP = 1024
+MEMO_CAP = 128
+
 _new = object.__new__
 
 
@@ -79,37 +87,73 @@ def _build(field, degree, milnor, rank, disc):
     """The element of the given degree with Milnor part `milnor` and Witt
     class (rank, disc), in normal form and unchecked: the caller must pass a
     compatible pair (every arithmetic result is one), in degree 1 a unit
-    encoding with disc its square class mod 2."""
-    x = _new(MWElem)
-    x.field = field
-    x.degree = degree
+    encoding with disc its square class mod 2.
+
+    Returns the one interned instance of that value over `field`, from the
+    field's intern table; once the table holds INTERN_CAP values, a value not
+    in it comes back as a fresh object without `add`/`mul` memos."""
     if degree >= 2:
-        x.milnor = 0
-        x.witt = W_ZERO
+        milnor, witt = 0, W_ZERO
     elif degree == 1:
-        x.milnor = milnor
-        x.witt = (0, disc % 2)
+        witt = (0, disc % 2)
     else:
-        x.milnor = milnor if degree == 0 else 0
-        x.witt = _w_canonical(field, rank, disc)
+        if degree:
+            milnor = 0
+        witt = _w_canonical(field, rank, disc)
+    key = (degree, milnor, witt)
+    try:
+        values = field._model_values
+    except AttributeError:
+        values = field._model_values = {}
+    x = values.get(key)
+    if x is None:
+        x = _new(MWElem)
+        x.field, x.degree, x.milnor, x.witt = field, degree, milnor, witt
+        x._hash = hash((id(field),) + key)
+        x._neg = None
+        if len(values) < INTERN_CAP:
+            x._sums, x._prods = {}, {}
+            values[key] = x
+        else:
+            x._sums = x._prods = None
     return x
+
+
+def _remember(memo, other, result):
+    """Store `result` in an interned value's memo under `other`, when `other`
+    is interned too and the memo is under MEMO_CAP.  Keys are ids: a stored
+    partner is held by its field's intern table, and the memo's owner holds
+    that field, so no live object can share a stored partner's id."""
+    if memo is not None and other._sums is not None and len(memo) < MEMO_CAP:
+        memo[id(other)] = result
+    return result
 
 
 class MWElem:
     """An element of degree-n Milnor-Witt K-theory of F_q in pair form.
 
     Values are held in the normal form of their degree (see the module
-    docstring).  `MWElem(field, degree, milnor, witt)` is the checked entry
-    for outside input: it canonicalises the Witt pair, raises
-    `DegreeMismatch` for an incompatible pair in degrees 0 and 1 and for
-    data the degree cannot hold (a nonzero Milnor part outside degrees 0
-    and 1, a degree-1 Milnor part that is no unit encoding, a nonzero Witt
-    class in degree >= 2, where I^2 = 0), and stores the normal form.
+    docstring) and hash-consed: every constructor, checked or not, returns
+    the one shared instance per (field, degree, milnor, witt) from the
+    field's intern table, so values must never be changed in place.  Each
+    interned value keeps a memo per operation (`add`, `mul`, `neg`) from the
+    other operand to the result; a hit is one dict lookup.  The checks
+    (`FieldMismatch`, `DegreeMismatch`) run on every miss, and a raising call
+    stores nothing, so a hit stands for a pair that passed them.  The tables
+    are capped (INTERN_CAP, MEMO_CAP); past a cap, results are computed and
+    not stored, and equality stays equality of values.
+
+    `MWElem(field, degree, milnor, witt)` is the checked entry for outside
+    input: it canonicalises the Witt pair, raises `DegreeMismatch` for an
+    incompatible pair in degrees 0 and 1 and for data the degree cannot hold
+    (a nonzero Milnor part outside degrees 0 and 1, a degree-1 Milnor part
+    that is no unit encoding, a nonzero Witt class in degree >= 2, where
+    I^2 = 0), and returns the interned normal form.
     """
 
-    __slots__ = ("field", "degree", "milnor", "witt")
+    __slots__ = ("field", "degree", "milnor", "witt", "_hash", "_sums", "_prods", "_neg")
 
-    def __init__(self, field, degree, milnor, witt):
+    def __new__(cls, field, degree, milnor, witt):
         rank, disc = _w_canonical(field, *witt)
         if milnor and not 0 <= degree <= 1:
             raise DegreeMismatch(f"Milnor part must be 0 in degree {degree}")
@@ -129,11 +173,10 @@ class MWElem:
             raise DegreeMismatch(
                 f"incompatible pair (degree {degree}, milnor {milnor}, witt {witt})"
             )
-        nf = _build(field, degree, milnor, rank, disc)
-        self.field = field
-        self.degree = degree
-        self.milnor = nf.milnor
-        self.witt = nf.witt
+        return _build(field, degree, milnor, rank, disc)
+
+    def __init__(self, field, degree, milnor, witt):
+        """Nothing left to do: `__new__` checked and returned the interned value."""
 
     # -- constructors --------------------------------------------------------
 
@@ -177,6 +220,12 @@ class MWElem:
             raise FieldMismatch("elements over different fields")
 
     def add(self, other):
+        try:
+            return self._sums[id(other)]
+        except (KeyError, TypeError):  # a miss, or self is not interned
+            return _remember(self._sums, other, self._add(other))
+
+    def _add(self, other):
         self._check(other)
         if other.degree != self.degree:
             raise DegreeMismatch(f"degrees {self.degree} and {other.degree}")
@@ -188,9 +237,12 @@ class MWElem:
         return _build(self.field, self.degree, milnor, r1 + r2, d1 + d2)
 
     def neg(self):
-        r, d = self.witt
-        milnor = self.field.inv(self.milnor) if self.degree == 1 else -self.milnor
-        return _build(self.field, self.degree, milnor, -r, d)
+        x = self._neg
+        if x is None:
+            r, d = self.witt
+            milnor = self.field.inv(self.milnor) if self.degree == 1 else -self.milnor
+            x = self._neg = _build(self.field, self.degree, milnor, -r, d)
+        return x
 
     def sub(self, other):
         return self.add(other.neg())
@@ -201,6 +253,12 @@ class MWElem:
         return _build(self.field, self.degree, milnor, c * r, c * d)
 
     def mul(self, other):
+        try:
+            return self._prods[id(other)]
+        except (KeyError, TypeError):  # a miss, or self is not interned
+            return _remember(self._prods, other, self._mul(other))
+
+    def _mul(self, other):
         self._check(other)
         n, m = self.degree, other.degree
         if n == 0 or m == 0:
@@ -216,8 +274,11 @@ class MWElem:
         return _build(self.field, n + m, milnor, r1 * r2, r2 * d1 + r1 * d2)
 
     def eta_mul(self, power=1):
-        """Multiply by eta^power: kill the Milnor part, keep the Witt class."""
-        if power <= 0:
+        """Multiply by eta^power (power >= 0): kill the Milnor part, keep the
+        Witt class."""
+        if power < 0:
+            raise ValueError("eta is no unit: negative eta powers are not defined")
+        if power == 0:
             return self
         degree = self.degree - power
         return _build(self.field, degree, _zero_milnor(degree), *self.witt)
@@ -252,7 +313,7 @@ class MWElem:
         return self.project(theory) == zero
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, MWElem)
             and other.field is self.field
             and other.degree == self.degree
@@ -261,7 +322,7 @@ class MWElem:
         )
 
     def __hash__(self):
-        return hash((id(self.field), self.degree, self.milnor, self.witt))
+        return self._hash
 
     def __repr__(self):
         return f"MW(deg={self.degree}, milnor={self.milnor}, witt={self.witt})"

@@ -389,8 +389,10 @@ ADMISSIBILITY_RULES = {
 
 @lru_cache(maxsize=1 << 16)
 def _passes_torsion(a, kind, n, target):
-    # Memoised: model elements are never mutated after construction, hash
-    # by value and field identity, and fields are built once per (p, d).
+    # Memoised: model elements are interned values shared by every holder
+    # and never mutated, hash by value and field identity (the hash is kept
+    # from interning, and an interned key compares by identity first), and
+    # fields are built once per (p, d).
     if kind == "delta_two":
         return delta(n) == 0 or theory_torsion_test(a, "2", target)
     if kind == "two":

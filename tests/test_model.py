@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from mwk.errors import DegreeMismatch, Inhomogeneous, SizeBound
+from mwk.errors import DegreeMismatch, FieldMismatch, Inhomogeneous, SizeBound
 from mwk.exprtext import format_expr
-from mwk.fields import ff_build, ff_build_q, rat_func_field
+from mwk.fields import FiniteField, ff_build, ff_build_q, rat_func_field
 from mwk.model import (
+    INTERN_CAP,
+    MEMO_CAP,
     MILNOR,
     MOD2,
     MW,
@@ -141,6 +143,109 @@ def test_arithmetic_results_are_in_normal_form():
         MWElem(F5, 1, 2, (0, 0))  # a nonsquare unit, trivial discriminant
     with pytest.raises(DegreeMismatch):
         MWElem(F5, 1, 0, (1, 1))  # Witt part outside I
+
+
+def test_memoized_arithmetic_is_the_unmemoized_step_on_interned_values():
+    for F in (F3, F5, F9):
+        elems = [x for d in range(-2, 3) for x in model_elements(F, d)]
+        for x in elems:
+            assert x.neg() is x.neg() is x.scale(-1)
+            for y in elems:
+                pairs = [(x.mul, x._mul)] + [(x.add, x._add)] * (x.degree == y.degree)
+                for memoized, step in pairs:
+                    first, want = memoized(y), step(y)
+                    assert first == want and first is want, (x, y)
+                    assert memoized(y) is first  # the hit
+                    # interned: the checked constructor finds the same object
+                    assert first is MWElem(F, first.degree, first.milnor, first.witt)
+
+
+def test_independent_paths_build_the_same_object():
+    for F in (F3, F5, F9):
+        one, m1 = MWElem.one(F), F.minus_one()
+        assert one is MWElem(F, 0, 1, (1, 0)) is eval_model(SymExpr.one(F), 0)
+        assert MWElem.zero(F, 1) is MWElem(F, 1, 1, (0, 0)) is MWElem.from_unit(F.unit(1))
+        b = MWElem.from_unit(m1)
+        assert MWElem.zero(F, 3) is b.mul(b).mul(b) is minus_one_power(F, 3)
+        assert MWElem.h(F) is one.add(MWElem.angle(m1)) is eval_model(SymExpr.h_elem(F), 0)
+        assert MWElem.eps(F) is MWElem.angle(m1).neg()
+        assert b is minus_one_power(F, 1) is eval_model(SymExpr.bracket(m1), 1)
+        for d in range(-2, 3):
+            for x in model_elements(F, d):
+                assert x is MWElem(F, d, x.milnor, x.witt)
+                assert x is eval_model(model_to_sym(x), d)
+                assert x is x.add(MWElem.zero(F, d)) is x.neg().neg()
+                assert x is one.mul(x)
+
+
+def test_tables_stay_under_their_caps_and_answers_stay_right_past_them():
+    # a private F_3, so the shared one's table stays below its cap
+    F = FiniteField(3, 1, (0, 1))
+    one = MWElem.one(F)
+    ranks = range(-(INTERN_CAP // 2) - 8, INTERN_CAP // 2 + 8)
+    values = [one.scale(r) for r in ranks]
+    assert len(F._model_values) == INTERN_CAP
+    # past the cap: fresh objects, equal and with equal hashes to what they
+    # denote, and sums, products and negations still right
+    late = values[-1]
+    again = MWElem(F, 0, late.milnor, late.witt)
+    assert again is not late and again == late and hash(again) == hash(late)
+    assert late._sums is None and late._prods is None
+    for r, x in zip(ranks, values):
+        assert (x.milnor, x.witt) == (r, (r % 2, (r // 2) % 2))  # -1 is no square mod 3
+    two = one.add(one)
+    # a partner outside the table is not remembered: once it dies, a new
+    # value may get its id
+    for r in range(4):
+        ghost = one.scale(INTERN_CAP + r)
+        assert ghost._sums is None
+        assert two.add(ghost).milnor == INTERN_CAP + r + 2
+        assert two.mul(ghost).milnor == 2 * (INTERN_CAP + r)
+        del ghost
+    for r, x in zip(ranks, values):
+        assert x.add(two) == two.add(x) == one.scale(r + 2)
+        assert x.mul(two) == two.mul(x) == one.scale(2 * r)
+        assert x.neg() == one.scale(-r) and x.sub(x) == MWElem.zero(F, 0)
+        assert len({x, one.scale(r)}) == 1
+    # `two` met more partners than its memos hold
+    assert len(two._sums) == len(two._prods) == MEMO_CAP
+    assert all(max(len(x._sums), len(x._prods)) <= MEMO_CAP for x in F._model_values.values())
+    assert len(F._model_values) == INTERN_CAP
+
+
+def test_memo_hits_do_not_skip_field_and_degree_checks():
+    twin = FiniteField(3, 1, (0, 1))  # F_3 again, but a different field object
+    for F in (F3, F5):
+        one, unit = MWElem.one(F), MWElem.from_unit(F.minus_one())
+        # memoize pairs from the right field and degree first
+        assert one.add(one) is one.add(one) and one.mul(unit) is one.mul(unit)
+        assert one.add(MWElem.zero(F, 0)) is one and unit.add(unit) is unit.add(unit)
+        stranger = MWElem.one(twin)
+        assert stranger == MWElem(twin, 0, 1, (1, 0)) and stranger != one
+        with pytest.raises(FieldMismatch):
+            one.add(stranger)
+        with pytest.raises(FieldMismatch):
+            one.mul(MWElem.from_unit(twin.minus_one()))
+        low = MWElem.zero(F, -1)  # the milnor and witt of the degree-0 zero
+        with pytest.raises(DegreeMismatch):
+            one.add(low)
+        same_data = one.scale(unit.milnor)  # the milnor and witt of the unit
+        assert (same_data.milnor, same_data.witt) == (unit.milnor, unit.witt)
+        with pytest.raises(DegreeMismatch):
+            unit.add(same_data)
+        # the raising calls stored nothing
+        assert id(stranger) not in one._sums and id(low) not in one._sums
+        assert id(same_data) not in unit._sums
+
+
+def test_eta_mul_rejects_negative_powers():
+    # eta is no unit of K^MW_*: eta^-1 is undefined, as SymExpr.pow(-1) is
+    for x in (MWElem.one(F3), MWElem.from_unit(F5.minus_one()), MWElem.zero(F9, -1)):
+        assert x.eta_mul(0) is x
+        with pytest.raises(ValueError):
+            x.eta_mul(-1)
+        with pytest.raises(ValueError):
+            x.eta_mul(-3)
 
 
 def test_public_constructor_canonicalises_witt_pairs():
