@@ -63,3 +63,7 @@ class ParseError(MWKError):
             message = f"{message} (at position {position})"
         super().__init__(message)
         self.position = position
+
+
+class UnknownSuite(MWKError, KeyError):
+    """No verification suite has the given id."""

@@ -406,10 +406,24 @@ def _passes_torsion(a, kind, n, target):
     raise ValueError(f"unknown torsion kind {kind}")
 
 
+def coefficient_allowed(source, target, n, l, a):
+    """Whether a may stand at index l of a source-degree-n sequence of the
+    row (source, target): the one executable statement of the table.  A
+    sequence is admissible exactly when every coefficient is allowed."""
+    # every projection to a companion theory is a ring map, so a coefficient
+    # that is zero in the target passes every torsion kind
+    if a.is_zero_in(target):
+        return True
+    if theory_group_is_trivial(a.field, target, a.degree):
+        return False
+    start, kinds = ADMISSIBILITY_RULES[(source, target)]
+    return start is None or l < start or all(_passes_torsion(a, k, n, target) for k in kinds)
+
+
 @lru_cache(maxsize=None)
 def _g_map_table(L, minus_first):
     """Row l: the pairs (k, c) with c shift paths from index k to position 0
-    in g_map's entry l, walked back from 0: OpSequence._shift fills position j
+    in g_map's entry l, walked back from 0: OpSequence.shift fills position j
     from j+1, and from j+2 (the twist) where j's parity matches the sign."""
     rows = []
     for l in range(L + 1):
@@ -430,11 +444,10 @@ class OpSequence:
     """The coefficient sequence (a_l) of an operation sum_l sigma_l . a_l.
 
     Coefficients are model elements over the base field; a_l sits in target
-    degree m - n*l.  Torsion flags per index record which constraints the
-    admissibility table imposes and whether they hold.
+    degree m - n*l.
     """
 
-    __slots__ = ("source", "target", "n", "m", "field", "coeffs")
+    __slots__ = ("source", "target", "n", "m", "field", "coeffs", "_admissible")
 
     def __init__(self, source, target, n, m, field, coeffs):
         if n < 1:
@@ -455,6 +468,7 @@ class OpSequence:
                     f"coefficient {l} has degree {a.degree}, expected {m - n * l}"
                 )
         self.coeffs = coeffs
+        self._admissible = None  # decided on first use
 
     @property
     def trunc(self):
@@ -465,33 +479,13 @@ class OpSequence:
             return self.coeffs[l]
         return MWElem.zero(self.field, self.m - self.n * l)
 
-    def torsion_flags(self):
-        """Per-index record of the imposed torsion constraints and results."""
-        start, kinds = ADMISSIBILITY_RULES[(self.source, self.target)]
-        flags = []
-        for l, a in enumerate(self.coeffs):
-            if start is None or l < start:
-                flags.append({"index": l, "constraints": [], "ok": True})
-                continue
-            entry = {
-                "index": l,
-                "constraints": list(kinds),
-                "ok": all(_passes_torsion(a, k, self.n, self.target) for k in kinds),
-            }
-            flags.append(entry)
-        return flags
-
     def admissible(self):
-        start, kinds = ADMISSIBILITY_RULES[(self.source, self.target)]
-        for l, a in enumerate(self.coeffs):
-            deg = self.m - self.n * l
-            if theory_group_is_trivial(self.field, self.target, deg):
-                if not a.is_zero_in(self.target):
-                    return False
-            if start is not None and l >= start:
-                if not all(_passes_torsion(a, k, self.n, self.target) for k in kinds):
-                    return False
-        return True
+        if self._admissible is None:
+            self._admissible = all(
+                coefficient_allowed(self.source, self.target, self.n, l, a)
+                for l, a in enumerate(self.coeffs)
+            )
+        return self._admissible
 
     def require_admissible(self):
         if not self.admissible():
@@ -516,23 +510,20 @@ class OpSequence:
         return acc
 
     # -- the shift transform ----------------------------------------------------
-    #
-    # The public entries check admissibility once; the steps after it do
-    # not, since a shift of an admissible sequence is admissible again
-    # (pinned by test_shift_preserves_admissibility).
 
     def shift(self, sign):
         """The coefficient transform of the positive or negative shift.
 
         plus:  b_l = a_{l+1} + [l odd]  tau a_{l+2}
         minus: b_l = a_{l+1} + [l even] tau a_{l+2}
+
+        A shift of an admissible sequence is admissible again (pinned by
+        test_shift_preserves_admissibility), so the result inherits the
+        verdict instead of deciding it afresh.
         """
         self.require_admissible()
         if sign not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
-        return self._shift(sign)
-
-    def _shift(self, sign):
         parity = 1 if sign == +1 else 0
         twist = minus_one_power(self.field, self.n)
         out = []
@@ -541,18 +532,16 @@ class OpSequence:
             if l % 2 == parity:
                 b = b.add(twist.mul(self.coeff(l + 2)))
             out.append(b)
-        return OpSequence(self.source, self.target, self.n, self.m - self.n, self.field, out)
+        seq = OpSequence(self.source, self.target, self.n, self.m - self.n, self.field, out)
+        seq._admissible = True
+        return seq
 
     def shifted(self, plus, minus, minus_first=True):
         self.require_admissible()
+        signs = [-1] * minus + [+1] * plus
         seq = self
-        first, second = (-1, +1) if minus_first else (+1, -1)
-        count_first = minus if minus_first else plus
-        count_second = plus if minus_first else minus
-        for _ in range(count_first):
-            seq = seq._shift(first)
-        for _ in range(count_second):
-            seq = seq._shift(second)
+        for sign in signs if minus_first else signs[::-1]:
+            seq = seq.shift(sign)
         return seq
 
     def g_map(self, minus_first=True):
@@ -566,9 +555,6 @@ class OpSequence:
         from index k to 0 (_g_map_table), each two-index step taking one tau.
         """
         self.require_admissible()
-        return self._g_map(minus_first)
-
-    def _g_map(self, minus_first):
         twist = minus_one_power(self.field, self.n)
         out = []
         for l, row in enumerate(_g_map_table(self.trunc, minus_first)):
@@ -582,14 +568,11 @@ class OpSequence:
         return out
 
     def roundtrip_ok(self):
-        self.require_admissible()
-        return self._recovers(True)
-
-    def _recovers(self, minus_first):
-        """Whether _g_map in the given order gives back every coefficient."""
+        """Whether g_map in both orders gives back every coefficient."""
         return all(
             g.sub(a).is_zero_in(self.target)
-            for g, a in zip(self._g_map(minus_first), self.coeffs)
+            for minus_first in (True, False)
+            for g, a in zip(self.g_map(minus_first), self.coeffs)
         )
 
     # -- the filtration ----------------------------------------------------------
@@ -617,16 +600,6 @@ class OpSequence:
             f"OpSequence({self.source}->{self.target}, n={self.n}, m={self.m}, "
             f"coeffs={list(self.coeffs)!r})"
         )
-
-    def to_json(self):
-        return {
-            "source_theory": self.source,
-            "target_theory": self.target,
-            "source_degree": self.n,
-            "target_degree": self.m,
-            "coefficients": [a.to_json() for a in self.coeffs],
-            "torsion_flags": self.torsion_flags(),
-        }
 
 
 def admissible(source, target, n, m, field, coeffs):

@@ -4,9 +4,10 @@ from pathlib import Path
 import pytest
 
 from mwk import suites
+from mwk.errors import MWKError
 from mwk.fields import ff_build, rat_func_field
 from mwk.model import MW
-from mwk.operations import oracle_for
+from mwk.operations import OpSequence, oracle_for
 from mwk.suites import SUITES, Report, SuiteConfig, run_suite
 from mwk.symbols import SymExpr
 
@@ -68,6 +69,27 @@ def test_unknown_suite_raises():
         run_suite("nope", SuiteConfig(field=F3))
 
 
+def test_unknown_suite_is_an_mwk_error():
+    with pytest.raises(MWKError):
+        run_suite("nope", SuiteConfig(field=F3))
+
+
+def test_thm84_reads_through_the_public_g_map(monkeypatch):
+    calls = [0]
+    g_map = OpSequence.g_map
+
+    def counting_g_map(self, minus_first=True):
+        calls[0] += 1
+        return g_map(self, minus_first)
+
+    monkeypatch.setattr(OpSequence, "g_map", counting_g_map)
+    payload = run_suite("thm84", SuiteConfig(field=F3, trunc=4, seed=11)).to_json()
+    assert payload["passed"], payload["failures"]
+    assert payload["trials"] > 0
+    # one roundtrip check per tuple, each reading both orders
+    assert calls[0] == 2 * payload["trials"]
+
+
 def test_reports_deterministic():
     config = SuiteConfig(field=RF3, trials=10, seed=21)
     a = run_suite("prop36", config).to_json()
@@ -114,9 +136,14 @@ def _is_rep_check(node):
 
 
 def _is_oracle_call(node):
+    # a method of an oracle, or a bare model evaluation (the model oracle
+    # spelled out by hand)
+    if not isinstance(node, ast.Call):
+        return False
+    if isinstance(node.func, ast.Name):
+        return node.func.id == "eval_model"
     return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
+        isinstance(node.func, ast.Attribute)
         and isinstance(node.func.value, ast.Name)
         and node.func.value.id == "oracle"
     )
