@@ -957,6 +957,11 @@ class QuotientField(FiniteField):
     def embedding(self, big):
         raise FieldMismatch(f"no embeddings are defined for the residue field {self!r}")
 
+    def _no_generator(self, *args):
+        raise FieldMismatch(f"the residue field {self!r} has no generator")
+
+    units = unit_exp = gen_unit = gen_power = _no_generator
+
 
 class _ResidueData:
     """Residue field of a place, with the multiplicative reduction map: F_q

@@ -35,7 +35,7 @@ from .model import (
     eval_model,
     minus_one_power,
     model_to_sym,
-    theory_group_is_trivial,
+    theory_elements,
     theory_torsion_test,
 )
 from .symbols import SymExpr, _unit_sort_key, embed_expr
@@ -387,37 +387,50 @@ ADMISSIBILITY_RULES = {
 }
 
 
-@lru_cache(maxsize=1 << 16)
-def _passes_torsion(a, kind, n, target):
-    # Memoised: model elements are interned values shared by every holder
-    # and never mutated, hash by value and field identity (the hash is kept
-    # from interning, and an interned key compares by identity first), and
-    # fields are built once per (p, d).
-    if kind == "delta_two":
-        return delta(n) == 0 or theory_torsion_test(a, "2", target)
-    if kind == "two":
-        return theory_torsion_test(a, "2", target)
-    if kind == "delta_h":
-        return delta(n) == 0 or theory_torsion_test(a, "h", target)
-    if kind == "h":
-        return theory_torsion_test(a, "h", target)
-    if kind == "tau":
-        return theory_torsion_test(a, "tau", target, n)
-    raise ValueError(f"unknown torsion kind {kind}")
+# a kind of the table -> (the torsion theory_torsion_test takes, whether
+# the kind constrains only odd source degrees)
+_TORSION_KINDS = {
+    "delta_two": ("2", True),
+    "two": ("2", False),
+    "delta_h": ("h", True),
+    "h": ("h", False),
+    "tau": ("tau", False),
+}
+
+
+def admissibility_row(source, target):
+    """The table's (start, kinds) for the row (source, target)."""
+    try:
+        return ADMISSIBILITY_RULES[(source, target)]
+    except KeyError:
+        raise NotAdmissible(f"no admissibility row for {source} -> {target}") from None
 
 
 def coefficient_allowed(source, target, n, l, a):
     """Whether a may stand at index l of a source-degree-n sequence of the
     row (source, target): the one executable statement of the table.  A
     sequence is admissible exactly when every coefficient is allowed."""
+    start, kinds = admissibility_row(source, target)
     # every projection to a companion theory is a ring map, so a coefficient
     # that is zero in the target passes every torsion kind
-    if a.is_zero_in(target):
+    if start is None or l < start or a.is_zero_in(target):
         return True
-    if theory_group_is_trivial(a.field, target, a.degree):
-        return False
-    start, kinds = ADMISSIBILITY_RULES[(source, target)]
-    return start is None or l < start or all(_passes_torsion(a, k, n, target) for k in kinds)
+    return all(
+        (odd_only and not delta(n)) or theory_torsion_test(a, test, target, n)
+        for test, odd_only in map(_TORSION_KINDS.__getitem__, kinds)
+    )
+
+
+@lru_cache(maxsize=None)
+def allowed_coefficients(field, source, target, n, l, degree):
+    """The theory_elements of the degree that coefficient_allowed admits at
+    index l, in enumeration order: every candidate list of a slot is read
+    from here, computed once per slot.  Never empty: zero is allowed."""
+    return tuple(
+        a
+        for a in theory_elements(field, target, degree)
+        if coefficient_allowed(source, target, n, l, a)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -452,8 +465,7 @@ class OpSequence:
     def __init__(self, source, target, n, m, field, coeffs):
         if n < 1:
             raise NotAdmissible("source degree must be >= 1")
-        if (source, target) not in ADMISSIBILITY_RULES:
-            raise NotAdmissible(f"no admissibility row for {source} -> {target}")
+        admissibility_row(source, target)
         self.source = source
         self.target = target
         self.n = n

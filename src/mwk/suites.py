@@ -34,14 +34,13 @@ from .model import (
     model_elements,
     theory_elements,
     theory_group_is_trivial,
-    theory_torsion_test,
 )
 from .operations import (
     ADMISSIBILITY_RULES,
     OpSequence,
     Presentation,
     admissible,
-    coefficient_allowed,
+    allowed_coefficients,
     delta,
     f_eval,
     f_lambda_convert,
@@ -154,13 +153,9 @@ def sample_expr(field, degree, rng, max_terms, max_eta, sampler=None):
 
 
 def sample_torsion_coeff(base_field, degree, rng):
-    """A random h-torsion coefficient of the given degree (possibly zero)."""
-    cands = [
-        e
-        for e in model_elements(base_field, degree, rank_window=2)
-        if theory_torsion_test(e, "h", MW)
-    ]
-    return rng.choice(cands)
+    """A random h-torsion coefficient of the given degree (possibly zero):
+    from index 2 on at odd n, the (MW, MW) row admits exactly those."""
+    return rng.choice(allowed_coefficients(base_field, MW, MW, 1, 2, degree))
 
 
 def sample_coeff(base_field, degree, rng):
@@ -169,14 +164,10 @@ def sample_coeff(base_field, degree, rng):
 
 def sample_sequence(field, source, target, n, m, L, rng):
     """A random admissible coefficient sequence."""
-    coeffs = []
-    for l in range(L + 1):
-        cands = [
-            a
-            for a in theory_elements(field, target, m - n * l)
-            if coefficient_allowed(source, target, n, l, a)
-        ]
-        coeffs.append(rng.choice(cands))  # never empty: zero is allowed
+    coeffs = [
+        rng.choice(allowed_coefficients(field, source, target, n, l, m - n * l))
+        for l in range(L + 1)
+    ]
     return OpSequence(source, target, n, m, field, coeffs)
 
 
@@ -698,25 +689,15 @@ def run_thm84(config):
     count = 0
     for n in (1, 2):
         for m in (0, 1, 2):
-            slots = [l for l in range(L + 1) if abs(m - n * l) <= 2]
             # the rule is per coefficient, so every tuple of allowed ones
-            # is admissible
+            # is admissible; outside the degree window the coefficient is zero
             choices = [
-                [
-                    a
-                    for a in model_elements(field, m - n * l, rank_window=2)
-                    if coefficient_allowed(MW, MW, n, l, a)
-                ]
-                for l in slots
+                allowed_coefficients(field, MW, MW, n, l, m - n * l)
+                if abs(m - n * l) <= 2
+                else (MWElem.zero(field, m - n * l),)
+                for l in range(L + 1)
             ]
-            for combo in itertools.product(*choices):
-                coeffs = []
-                it = iter(combo)
-                for l in range(L + 1):
-                    if l in slots:
-                        coeffs.append(next(it))
-                    else:
-                        coeffs.append(MWElem.zero(field, m - n * l))
+            for coeffs in itertools.product(*choices):
                 seq = OpSequence(MW, MW, n, m, field, coeffs)
                 rep.check(seq.roundtrip_ok(), f"roundtrip failed (n={n}, m={m}, #{count})")
                 count += 1
@@ -1062,11 +1043,8 @@ def run_table1(config):
             m = rng.choice([2, 3])
             l = 2
             deg = m - n * l
-            cands = [
-                a
-                for a in theory_elements(field, MW, deg)
-                if not coefficient_allowed(MW, MW, n, l, a)
-            ]
+            allowed = allowed_coefficients(field, MW, MW, n, l, deg)
+            cands = [a for a in theory_elements(field, MW, deg) if a not in allowed]
             if not cands:
                 continue
             bad = rng.choice(cands)

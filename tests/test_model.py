@@ -4,7 +4,14 @@ import pytest
 
 from mwk.errors import DegreeMismatch, FieldMismatch, Inhomogeneous, SizeBound
 from mwk.exprtext import format_expr
-from mwk.fields import FiniteField, ff_build, ff_build_q, rat_func_field
+from mwk.fields import (
+    FiniteField,
+    QuotientField,
+    ff_build,
+    ff_build_q,
+    first_monic_irreducible,
+    rat_func_field,
+)
 from mwk.model import (
     INTERN_CAP,
     MEMO_CAP,
@@ -298,12 +305,31 @@ def test_torsion_examples():
         theory_torsion_test(nonzero, "tau", MW)
 
 
-@pytest.mark.parametrize("field", [F3, F5, F9], ids=["3", "5", "9"])
+@pytest.mark.parametrize(
+    "field", [F3, F5, F7, F9, ff_build_q(25)], ids=["3", "5", "7", "9", "25"]
+)
 def test_trivial_groups_over_fq_are_the_one_element_groups_of_the_model(field):
+    # so a coefficient in a trivial target group is zero by the model's normal
+    # form, and the admissibility rule needs no separate test for it
     for theory in (MW, WITT, MILNOR, MOD2):
-        for degree in range(-2, 5):
+        for degree in range(-4, 6):
             one_element = len(theory_elements(field, theory, degree)) == 1
             assert theory_group_is_trivial(field, theory, degree) == one_element, (theory, degree)
+            if one_element:
+                assert all(a.is_zero_in(theory) for a in model_elements(field, degree))
+
+
+def test_residue_fields_of_degree_two_places_have_no_generator():
+    kappa = QuotientField(first_monic_irreducible(F5, 2))
+    nonsquare = next(
+        kappa.unit(v) for v in range(1, kappa.q) if not kappa.unit(v).is_square()
+    )
+    with pytest.raises(FieldMismatch):
+        model_elements(kappa, 1)
+    with pytest.raises(FieldMismatch):
+        group_structure_model(kappa, 1)
+    with pytest.raises(FieldMismatch):
+        model_to_sym(MWElem.angle(nonsquare))
 
 
 def test_trivial_groups_over_fq_t_start_one_degree_later():

@@ -16,6 +16,7 @@ from mwk.model import (
     eval_model,
     minus_one_power,
     model_elements,
+    theory_elements,
     theory_torsion_test,
 )
 from mwk.operations import (
@@ -26,6 +27,8 @@ from mwk.operations import (
     ValuationOracle,
     _g_map_table,
     admissible,
+    allowed_coefficients,
+    coefficient_allowed,
     f_eval,
     f_lambda_convert,
     lambda_eval,
@@ -34,6 +37,7 @@ from mwk.operations import (
     sigma_eval,
     sigma_operator_values,
 )
+from mwk.suites import sample_sequence
 from mwk.symbols import SymExpr
 
 F3 = ff_build(3, 1)
@@ -612,6 +616,51 @@ def test_a_sequence_runs_the_rule_once(monkeypatch):
     shifted.shift(-1).g_map()
     seq.shifted(2, 1)
     assert calls[0] == len(seq.coeffs)
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_allowed_coefficients_are_the_rule_filtered_enumeration(q):
+    field = ff_build_q(q)
+    for (source, target) in ADMISSIBILITY_RULES:
+        for n, l, degree in product(range(1, 4), range(5), range(-3, 4)):
+            got = allowed_coefficients(field, source, target, n, l, degree)
+            want = [
+                a
+                for a in theory_elements(field, target, degree)
+                if coefficient_allowed(source, target, n, l, a)
+            ]
+            assert list(got) == want, (source, target, n, l, degree)
+            assert allowed_coefficients(field, source, target, n, l, degree) is got
+
+
+def test_sample_sequence_fills_each_slot_once(monkeypatch):
+    calls = [0]
+    rule = operations.coefficient_allowed
+
+    def counting_rule(*args):
+        calls[0] += 1
+        return rule(*args)
+
+    monkeypatch.setattr(operations, "coefficient_allowed", counting_rule)
+    allowed_coefficients.cache_clear()
+    n, m, L = 1, 2, 4
+    rng = random.Random(7)
+    sample_sequence(F3, MW, MW, n, m, L, rng)
+    slots = sum(len(theory_elements(F3, MW, m - n * l)) for l in range(L + 1))
+    assert calls[0] == slots
+    for _ in range(49):
+        sample_sequence(F3, MW, MW, n, m, L, rng)
+    assert calls[0] == slots
+
+
+def test_an_unknown_row_raises_not_admissible():
+    message = "no admissibility row for Milnor -> Mod2Milnor"
+    with pytest.raises(NotAdmissible, match=message):
+        coefficient_allowed(MILNOR, MOD2, 1, 2, MWElem.one(F3))
+    with pytest.raises(NotAdmissible, match=message):
+        allowed_coefficients(F3, MILNOR, MOD2, 1, 2, 0)
+    with pytest.raises(NotAdmissible, match=message):
+        OpSequence(MILNOR, MOD2, 1, 2, F3, [MWElem.zero(F3, 2)])
 
 
 def test_minus_one_power_closed_form():

@@ -5,8 +5,8 @@ import pytest
 
 from mwk import suites
 from mwk.errors import MWKError
-from mwk.fields import ff_build, rat_func_field
-from mwk.model import MW
+from mwk.fields import ff_build, ff_build_q, rat_func_field
+from mwk.model import MW, model_elements, theory_torsion_test
 from mwk.operations import OpSequence, oracle_for
 from mwk.suites import SUITES, Report, SuiteConfig, run_suite
 from mwk.symbols import SymExpr
@@ -176,3 +176,19 @@ def test_lambda_wd_searches_for_a_violation_where_the_target_is_nonzero(monkeypa
     assert payload["passed"], payload["failures"]
     assert found == [True]
     assert not any("skipped" in note for note in payload["notes"])
+
+
+class _RecordingRng:
+    def choice(self, cands):
+        self.cands = list(cands)
+        return cands[0]
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_sample_torsion_coeff_draws_from_the_h_torsion_coefficients(q):
+    field = ff_build_q(q)
+    rng = _RecordingRng()
+    for degree in range(-2, 2):
+        suites.sample_torsion_coeff(field, degree, rng)
+        want = [a for a in model_elements(field, degree) if theory_torsion_test(a, "h", MW)]
+        assert rng.cands == want, degree
