@@ -1,17 +1,18 @@
 """Text syntax for expressions and units, with a bit-exact printer/parser
 round trip.
 
-Expression grammar (tokens separated by optional whitespace):
+Expressions and units share one grammar (tokens separated by optional
+whitespace), over different atoms:
 
-    expr   := ['-'] term (('+'|'-') term)*
-    term   := factor ('*' factor)*
-    factor := atom ['^' int]
-    atom   := INT | 'eta' | 'h' | 'eps' | '(' expr ')'
-            | '[' unit (',' unit)* ']' | '<' unit '>'
+    sum     := ['-'] product (('+'|'-') product)*
+    product := power ('*' power)*
+    power   := atom ['^' int]
+    atom    := '(' sum ')' | leaf
 
-Units over F_q are integers (canonical encodings) or powers of 'g', the
-field's generator; units over F_q(t) are products of powers of polynomial
-atoms in 't', e.g. "2*(t+1)^-1*(t^2+1)^3".
+An expression leaf is INT, 'eta', 'h', 'eps', '[' unit (',' unit)* ']' or
+'<' unit '>', and a unit is a sum over unit leaves.  Over F_q a unit leaf
+is an integer (a canonical encoding) or 'g', the field's generator; over
+F_q(t) it is an integer or 't', e.g. "2*(t+1)^-1*(t^2+1)^3".
 """
 
 from __future__ import annotations
@@ -23,36 +24,80 @@ from .fields import (
     FFUnit,
     Poly,
     RatFuncField,
+    expand_fraction,
     ff_build,
     ff_build_q,
     rat_func_field,
 )
 from .symbols import SymExpr
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|\*|\+|-|\^|\(|\)|\[|\]|<|>|,)")
+_TOKEN = re.compile(r"(\d+)|([A-Za-z]+|[-*+^()\[\]<>,])|(\S)")
 
 
 def _tokenize(text):
+    """(token, position) pairs, integer literals as ints, ending in None."""
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        out.append((m.group(1), m.start(1)))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        tok, pos = m.group(), m.start()
+        if m.lastindex == 3:
+            raise ParseError(f"unexpected character {tok!r}", pos)
+        if m.lastindex == 1:
+            try:
+                tok = int(tok)
+            except ValueError:  # more digits than int() converts (4,300 by default)
+                raise ParseError(f"integer literal too long ({len(tok)} digits)", pos) from None
+        out.append((tok, pos))
     out.append((None, len(text)))
     return out
 
 
+def _expr_power(x, e):
+    if e < 0:
+        raise ParseError("negative powers of expressions are not defined")
+    return x.pow(e)
+
+
+_EXPR_OPS = (SymExpr.add, SymExpr.neg, SymExpr.mul, _expr_power)
+
+
+def _encoding_ops(field):
+    """(add, neg, mul, pow) on unit values over F_q: encodings, 0 included."""
+
+    def power(a, e):
+        if a == 0 and e < 0:
+            raise ParseError("0 is not a unit")
+        return field.pow(a, e)
+
+    return field.add, field.neg, field.mul, power
+
+
+def _product_ops(base):
+    """(add, neg, mul, pow) on unit values over F_q(t): formal products
+    [(Poly, k), ...] with one entry per atom, so that parse_unit factors every
+    atom on its own; only a sum expands its terms, into one fraction."""
+    minus_one = [(Poly.const(base, 1).neg(), 1)]
+
+    def add(a, b):
+        (na, da), (nb, db) = expand_fraction(base, 1, a), expand_fraction(base, 1, b)
+        return [(na.mul(db).add(nb.mul(da)), 1), (da.mul(db), -1)]
+
+    def power(v, e):
+        if e < 0 and any(p.is_zero() for p, _ in v):
+            raise ParseError("0 is not a unit")
+        return [(p, k * e) for p, k in v] if e else []
+
+    return add, lambda v: v + minus_one, list.__add__, power
+
+
 class _Parser:
     def __init__(self, text, field):
-        self.text = text
         self.field = field
         self.tokens = _tokenize(text)
         self.i = 0
+        if isinstance(field, RatFuncField):
+            self.unit_leaf, self.unit_ops = self._poly_leaf, _product_ops(field.base)
+        else:
+            self.unit_leaf, self.unit_ops = self._encoding_leaf, _encoding_ops(field)
 
     def peek(self):
         return self.tokens[self.i][0]
@@ -67,65 +112,63 @@ class _Parser:
         if got != token:
             raise ParseError(f"expected {token!r}, found {got!r}", pos)
 
-    # -- expression level ---------------------------------------------------
-
-    def parse_expr(self):
-        negate = False
-        if self.peek() == "-":
-            self.next()
-            negate = True
-        acc = self.parse_term()
-        if negate:
-            acc = acc.neg()
-        while self.peek() in ("+", "-"):
-            op, _ = self.next()
-            term = self.parse_term()
-            acc = acc.add(term if op == "+" else term.neg())
-        return acc
-
-    def parse_term(self):
-        acc = self.parse_factor()
-        while self.peek() == "*":
-            self.next()
-            acc = acc.mul(self.parse_factor())
-        return acc
-
-    def parse_factor(self):
-        atom = self.parse_atom()
-        if self.peek() == "^":
-            self.next()
-            e = self.parse_int()
-            if e < 0:
-                raise ParseError("negative powers of expressions are not defined")
-            atom = atom.pow(e)
-        return atom
-
     def parse_int(self):
         sign = 1
         if self.peek() == "-":
             self.next()
             sign = -1
         tok, pos = self.next()
-        if tok is None or not tok.isdigit():
+        if not isinstance(tok, int):
             raise ParseError(f"expected an integer, found {tok!r}", pos)
-        return sign * int(tok)
+        return sign * tok
 
-    def parse_atom(self):
+    # -- the grammar, over any leaves and values -----------------------------
+
+    def parse_sum(self, leaf, ops):
+        """sum := ['-'] product (('+'|'-') product)*, the values read by
+        `leaf` and combined by ops = (add, neg, mul, pow)."""
+        add, neg, mul, _ = ops
+        sign = self.next()[0] if self.peek() == "-" else "+"
+        acc = None
+        while True:
+            term = self._parse_power(leaf, ops)
+            while self.peek() == "*":
+                self.next()
+                term = mul(term, self._parse_power(leaf, ops))
+            if sign == "-":
+                term = neg(term)
+            acc = term if acc is None else add(acc, term)
+            if self.peek() not in ("+", "-"):
+                return acc
+            sign = self.next()[0]
+
+    def _parse_power(self, leaf, ops):
+        if self.peek() == "(":
+            self.next()
+            base = self.parse_sum(leaf, ops)
+            self.expect(")")
+        else:
+            base = leaf()
+        if self.peek() != "^":
+            return base
+        self.next()
+        return ops[3](base, self.parse_int())
+
+    # -- expressions, units and their leaves -----------------------------------
+
+    def parse_expr(self):
+        return self.parse_sum(self._expr_leaf, _EXPR_OPS)
+
+    def _expr_leaf(self):
         tok, pos = self.next()
-        if tok is None:
-            raise ParseError("unexpected end of input", pos)
-        if tok.isdigit():
-            return SymExpr.const(self.field, int(tok))
+        if isinstance(tok, int):
+            return SymExpr.const(self.field, tok)
         if tok == "eta":
             return SymExpr.eta(self.field)
         if tok == "h":
             return SymExpr.h_elem(self.field)
         if tok == "eps":
             return SymExpr.eps_elem(self.field)
-        if tok == "(":
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
         if tok == "[":
             units = [self.parse_unit()]
             while self.peek() == ",":
@@ -137,138 +180,41 @@ class _Parser:
             unit = self.parse_unit()
             self.expect(">")
             return SymExpr.angle(unit)
+        if tok is None:
+            raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected token {tok!r}", pos)
 
-    # -- unit level -----------------------------------------------------------
-
     def parse_unit(self):
-        if isinstance(self.field, RatFuncField):
-            product = self.parse_poly_expr()
-            if any(p.is_zero() for p, _ in product):
+        value = self.parse_sum(self.unit_leaf, self.unit_ops)
+        if not isinstance(self.field, RatFuncField):
+            if value == 0:
                 raise ParseError("0 is not a unit")
-            unit = self.field.one_unit()
-            for p, k in product:
-                unit = unit.mul(self.field.from_poly(p).pow(k))
-            return unit
-        num, den = self.parse_ff_value()
-        if num == 0 or den == 0:
+            return self.field.unit(value)
+        if any(p.is_zero() for p, _ in value):
             raise ParseError("0 is not a unit")
-        if den != 1:
-            return self.field.unit(num).mul(self.field.unit(den).inv())
-        return self.field.unit(num)
+        unit = self.field.one_unit()
+        for p, k in value:
+            unit = unit.mul(self.field.from_poly(p).pow(k))
+        return unit
 
-    def parse_ff_value(self):
-        num, den = self._parse_value_sum(self._parse_ff_atom)
-        return num, den
-
-    def _parse_ff_atom(self):
+    def _encoding_leaf(self):
         tok, pos = self.next()
         if tok == "g":
-            e = 1
-            if self.peek() == "^":
-                self.next()
-                e = self.parse_int()
-            u = self.field.gen_unit().pow(e)
-            return (u.value, 1)
-        if tok is not None and tok.isdigit():
+            return self.field.generator
+        if isinstance(tok, int):
             # Poly.make's rule: reduced mod p over F_p, and over F_{p^d} an
             # encoding in [0, q) or FieldMismatch
-            const = Poly.const(self.field, int(tok)).coeffs
-            return (const[0] if const else 0, 1)
-        if tok == "(":
-            inner = self._parse_value_sum(self._parse_ff_atom)
-            self.expect(")")
-            return inner
+            const = Poly.const(self.field, tok).coeffs
+            return const[0] if const else 0
         raise ParseError(f"unexpected unit token {tok!r}", pos)
 
-    def parse_poly_expr(self):
-        return self._parse_value_sum(self._parse_poly_atom)
-
-    def _parse_poly_atom(self):
-        base = self.field.base
+    def _poly_leaf(self):
         tok, pos = self.next()
         if tok == "t":
-            return [(Poly.var(base), 1)]
-        if tok is not None and tok.isdigit():
-            return [(Poly.const(base, int(tok)), 1)]
-        if tok == "(":
-            inner = self._parse_value_sum(self._parse_poly_atom)
-            self.expect(")")
-            return inner
+            return [(Poly.var(self.field.base), 1)]
+        if isinstance(tok, int):
+            return [(Poly.const(self.field.base, tok), 1)]
         raise ParseError(f"unexpected unit token {tok!r}", pos)
-
-    def _parse_value_sum(self, atom_parser):
-        acc = None
-        negate = self.peek() == "-"
-        if negate:
-            self.next()
-        acc = self._parse_value_product(atom_parser)
-        if negate:
-            acc = self._value_neg(acc)
-        while self.peek() in ("+", "-"):
-            op, _ = self.next()
-            rhs = self._parse_value_product(atom_parser)
-            if op == "-":
-                rhs = self._value_neg(rhs)
-            acc = self._value_add(acc, rhs)
-        return acc
-
-    def _parse_value_product(self, atom_parser):
-        acc = self._parse_value_power(atom_parser)
-        while self.peek() == "*":
-            self.next()
-            acc = self._value_mul(acc, self._parse_value_power(atom_parser))
-        return acc
-
-    def _parse_value_power(self, atom_parser):
-        base = atom_parser()
-        if self.peek() == "^":
-            self.next()
-            e = self.parse_int()
-            if isinstance(self.field, RatFuncField):
-                return [(p, k * e) for p, k in base] if e else []
-            num, den = base
-            if e < 0:
-                num, den = den, num
-                e = -e
-            out = (1, 1)
-            for _ in range(e):
-                out = self._value_mul(out, (num, den))
-            return out
-        return base
-
-    # Value arithmetic.  Over F_q a value is a fraction (num, den) of
-    # encodings.  Over F_q(t) it is a formal product [(Poly, exponent), ...]
-    # with one entry per atom, so that parse_unit factors every atom on its
-    # own; only a sum expands its terms, into one fraction.
-
-    def _value_neg(self, v):
-        if isinstance(self.field, RatFuncField):
-            return v + [(Poly.const(self.field.base, 1).neg(), 1)]
-        return (self.field.neg(v[0]), v[1])
-
-    def _value_add(self, a, b):
-        if isinstance(self.field, RatFuncField):
-            (na, da), (nb, db) = self._expand(a), self._expand(b)
-            return [(na.mul(db).add(nb.mul(da)), 1), (da.mul(db), -1)]
-        F = self.field
-        return (F.add(F.mul(a[0], b[1]), F.mul(b[0], a[1])), F.mul(a[1], b[1]))
-
-    def _value_mul(self, a, b):
-        if isinstance(self.field, RatFuncField):
-            return a + b
-        F = self.field
-        return (F.mul(a[0], b[0]), F.mul(a[1], b[1]))
-
-    def _expand(self, product):
-        num = den = Poly.const(self.field.base, 1)
-        for p, k in product:
-            for _ in range(abs(k)):
-                if k > 0:
-                    num = num.mul(p)
-                else:
-                    den = den.mul(p)
-        return num, den
 
 
 def parse_expr(text, field):

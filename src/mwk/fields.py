@@ -167,9 +167,9 @@ class FiniteField:
 
     def pow(self, a, e):
         if a == 0:
-            if e <= 0:
-                raise ZeroDivisionError("0 ** nonpositive")
-            return 0
+            if e < 0:
+                raise ZeroDivisionError("0 ** negative")
+            return 0 if e else 1
         return self._exp[(self._dlog[a] * e) % (self.q - 1)]
 
     def _build_tables(self):
@@ -419,6 +419,17 @@ class Poly:
                     if y:
                         out[i + j] = F.add(out[i + j], F.mul(x, y))
         return Poly(F, tuple(out))
+
+    def pow(self, e):
+        """self^e for e >= 1, by repeated squaring."""
+        out, square = None, self
+        while True:
+            if e & 1:
+                out = square if out is None else out.mul(square)
+            e >>= 1
+            if not e:
+                return out
+            square = square.mul(square)
 
     def scale(self, c):
         F = self.field
@@ -829,24 +840,31 @@ class RatFuncUnit:
 
     def to_fraction(self):
         """Expand to a (numerator, denominator) pair of polynomials, each of
-        degree at most 3 * DEFAULT_DEGREE_BOUND."""
-        base = self.rf.base
-        num = Poly.const(base, self.const)
-        den = Poly.const(base, 1)
-        for p, e in self.factors:
-            for _ in range(abs(e)):
-                if e > 0:
-                    num = num.mul(p)
-                else:
-                    den = den.mul(p)
-            if max(num.degree, den.degree) > 3 * DEFAULT_DEGREE_BOUND:
-                raise DegreeBound("fraction expansion exceeds the degree cap")
-        return num, den
+        degree at most 3 * DEFAULT_DEGREE_BOUND (`expand_fraction`)."""
+        return expand_fraction(self.rf.base, self.const, self.factors)
 
     def __str__(self):
         from .exprtext import format_rat_unit
 
         return format_rat_unit(self)
+
+
+def expand_fraction(base, const, factors):
+    """The (numerator, denominator) pair of const * prod p^k over the
+    (Poly, k) in `factors`.  Each side's degree is summed, and checked
+    against the cap 3 * DEFAULT_DEGREE_BOUND, before anything is multiplied."""
+    degrees = [0, 0]  # numerator, denominator
+    for p, k in factors:
+        degrees[k < 0] += abs(k) * max(p.degree, 0)
+    if max(degrees) > 3 * DEFAULT_DEGREE_BOUND:
+        raise DegreeBound("fraction expansion exceeds the degree cap")
+    num, den = Poly(base, (const,)), Poly(base, (1,))  # const: a unit encoding
+    for p, k in factors:
+        if k > 0:
+            num = num.mul(p.pow(k))
+        else:
+            den = den.mul(p.pow(-k))
+    return num, den
 
 
 def unit_normalize(num, den):
@@ -961,6 +979,14 @@ class QuotientField(FiniteField):
         raise FieldMismatch(f"the residue field {self!r} has no generator")
 
     units = unit_exp = gen_unit = gen_power = _no_generator
+
+    # the table kernel `_mulmod` and the irreducible listings read these, so
+    # polynomial algorithms over a residue field stop here
+    @property
+    def _exp(self):
+        raise FieldMismatch(f"no polynomial algorithms run over the residue field {self!r}")
+
+    _irreducibles = _exp
 
 
 class _ResidueData:

@@ -137,9 +137,13 @@ class SymExpr:
     def pow(self, e):
         if e < 0:
             raise ValueError("negative symbolic powers are not defined")
-        out = SymExpr.one(self.field)
-        for _ in range(e):
-            out = out.mul(self)
+        out, square = SymExpr.one(self.field), self
+        while e:
+            if e & 1:
+                out = out.mul(square)
+            e >>= 1
+            if e:
+                square = square.mul(square)
         return out
 
     def _check(self, other):

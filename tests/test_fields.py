@@ -603,3 +603,36 @@ def test_rat_func_unit_hash_is_kept_and_agrees_with_equality():
             assert hash(u) == hash((u.rf, u.const, u.factors)) == data
             w = u.mul(rf.t_unit())
             assert w != u and w not in table
+
+
+def test_polynomial_algorithms_over_residue_fields_raise_field_mismatch():
+    F5 = ff_build(5, 1)
+    kappa, _ = residue_field(Place(rat_func_field(F5), first_monic_irreducible(F5, 2)))
+    f = Poly.make(kappa, [1, 0, 1, 0, 1])
+    calls = (
+        lambda: poly_factor(f),
+        lambda: is_irreducible(f),
+        lambda: first_monic_irreducible(kappa, 2),
+        lambda: monic_irreducibles(kappa, 2),
+        lambda: rat_func_field(kappa).from_poly(f),
+    )
+    for call in calls:
+        with pytest.raises(FieldMismatch):
+            call()
+
+
+def test_fraction_expansion_checks_the_cap_before_multiplying(monkeypatch):
+    F3 = ff_build(3, 1)
+    rf = rat_func_field(F3)
+    t, t1, t2 = Poly.var(F3), Poly.make(F3, [1, 1]), Poly.make(F3, [2, 1])
+    at_cap = rf.from_poly(t1.mul(t2)).pow(18).mul(rf.t_unit().pow(-36))
+    num, den = at_cap.to_fraction()
+    assert (num, den) == (t1.pow(18).mul(t2.pow(18)), t.pow(36))
+    assert num.pow(2) == num.mul(num) and t1.pow(1) == t1
+    calls = []
+    mul = Poly.mul
+    monkeypatch.setattr(Poly, "mul", lambda a, b: calls.append(1) or mul(a, b))
+    for u in (at_cap.mul(rf.from_poly(t1)), at_cap.mul(rf.t_unit().inv())):
+        with pytest.raises(DegreeBound, match="fraction expansion exceeds the degree cap"):
+            u.to_fraction()
+    assert not calls

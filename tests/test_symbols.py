@@ -215,3 +215,26 @@ def test_embed_expr_constant_into_function_field():
     (key,) = lifted.terms
     d, units = key
     assert d == 1 and not units[0].factors and units[0].const == 2
+
+
+def test_power_squares_and_multiplies(monkeypatch):
+    calls = []
+    mul = SymExpr.mul
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(SymExpr, "mul", counted)
+    eta = SymExpr.eta(F3)
+    x = eta.pow(10**6)
+    assert len(calls) <= 64
+    assert x == SymExpr(F3, {(10**6, ()): 1})
+    # the same terms and coefficients as the product taken factor by factor
+    monkeypatch.undo()
+    for base in (SymExpr.h_elem(F3), eta.add(SymExpr.bracket(F3.minus_one()))):
+        for e in range(7):
+            want = SymExpr.one(F3)
+            for _ in range(e):
+                want = want.mul(base)
+            assert base.pow(e) == want
