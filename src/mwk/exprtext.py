@@ -74,11 +74,14 @@ def _encoding_ops(field):
 def _product_ops(base):
     """(add, neg, mul, pow) on unit values over F_q(t): formal products
     [(Poly, k), ...] with one entry per atom, so that parse_unit factors every
-    atom on its own; only a sum expands its terms, into one fraction."""
+    atom on its own; only a sum expands its terms, into one fraction, or into
+    one polynomial when neither term has a denominator."""
     minus_one = [(Poly.const(base, 1).neg(), 1)]
 
     def add(a, b):
         (na, da), (nb, db) = expand_fraction(base, 1, a), expand_fraction(base, 1, b)
+        if da.is_one() and db.is_one():
+            return [(na.add(nb), 1)]
         return [(na.mul(db).add(nb.mul(da)), 1), (da.mul(db), -1)]
 
     def power(v, e):

@@ -4,8 +4,12 @@ multiplicative structure of the rational function field F_q(t).
 Field elements are encoded as integers in [0, q): F_{p^d} and the residue
 fields F_q[t]/(P) are both F_base[x]/(P), and the base-`base.q` digits of an
 encoding are the coefficients (low to high) of the residue polynomial modulo
-P.  A unit is its encoding; its square class is Euler's criterion, so no
-unit needs a discrete logarithm.
+P.  A unit is its encoding.  Its square class is the parity of its discrete
+logarithm in a field with tables, and in a residue field F_q[t]/(P) the
+Jacobi symbol of F_q[t], decided by quadratic reciprocity; so no residue
+field needs a discrete logarithm.  Polynomial kernels over F_p multiply and
+add plain integers and reduce mod p; over F_{p^d} with d > 1 they read the
+exp/log/Zech tables.
 
 Units of F_q(t) are kept in fully factored form: a constant of the base field
 times a product of monic irreducible polynomials with integer exponents.
@@ -33,6 +37,8 @@ from .errors import (
 
 DEFAULT_SIZE_BOUND = 10_000
 DEFAULT_DEGREE_BOUND = 12
+# Polynomials whose factored unit each function field remembers (from_poly).
+FACTOR_MEMO_CAP = 4096
 
 
 def size_bound():
@@ -192,6 +198,11 @@ class FiniteField:
         """The encoding of generator^k, 0 <= k < q - 1."""
         return self._exp[k]
 
+    def is_square(self, a):
+        """Whether the unit encoding a is a square: its discrete logarithm is
+        even, the generator being a non-square."""
+        return not self._dlog[a] & 1
+
     # -- units -------------------------------------------------------------
 
     def unit(self, value):
@@ -311,8 +322,8 @@ class FFUnit:
         return FFUnit(self.field, self.field.neg(self.value))
 
     def is_square(self):
-        """Euler's criterion: u^((q-1)/2) = 1."""
-        return self.field.pow(self.value, (self.field.q - 1) // 2) == 1
+        """Whether u is a square, as its field decides it."""
+        return self.field.is_square(self.value)
 
     def is_one(self):
         return self.value == 1
@@ -410,14 +421,23 @@ class Poly:
 
     def mul(self, other):
         F = self.field
-        if self.is_zero() or other.is_zero():
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return Poly.zero(F)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
+        out = [0] * (len(a) + len(b) - 1)
+        if F.d == 1:  # plain ints, reduced once at the end
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+            p = F.p
+            return Poly(F, tuple([c % p for c in out]))
+        add, mul = F.add, F.mul
+        for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(other.coeffs):
+                for j, y in enumerate(b, i):
                     if y:
-                        out[i + j] = F.add(out[i + j], F.mul(x, y))
+                        out[j] = add(out[j], mul(x, y))
         return Poly(F, tuple(out))
 
     def pow(self, e):
@@ -441,13 +461,23 @@ class Poly:
         if other.is_zero():
             raise ZeroPolynomial("division by the zero polynomial")
         F = self.field
-        add, mul = F.add, F.mul
         rem = list(self.coeffs)
         db = other.degree
         inv_lead = F.inv(other.lead())
         # subtracting c * other from the top: add c * (-other) below the lead
         neg = [(j, F.neg(c)) for j, c in enumerate(other.coeffs[:db]) if c]
         quo = [0] * max(len(rem) - db, 0)
+        if F.d == 1:  # plain ints: reduce each quotient digit and the rest
+            p = F.p
+            for shift in range(len(rem) - 1 - db, -1, -1):
+                c = rem.pop() % p
+                if c:
+                    c = c * inv_lead % p
+                    quo[shift] = c
+                    for j, y in neg:
+                        rem[shift + j] += c * y
+            return Poly._trimmed(F, quo), Poly._trimmed(F, [c % p for c in rem])
+        add, mul = F.add, F.mul
         for shift in range(len(rem) - 1 - db, -1, -1):
             c = rem.pop()
             if c:
@@ -508,12 +538,30 @@ def _candidate_polys(field, deg):
 
 def _mulmod(field, a, b, m):
     """a * b mod m for coefficient tuples (low to high), m monic of degree
-    >= 1; the result is trimmed."""
+    >= 1; the result is trimmed.  Over F_p on plain ints, over F_{p^d} on
+    the discrete logs; a residue field has no tables and stops at `_exp`."""
     if not a or not b:
         return ()
+    n = len(m) - 1
+    if field.d == 1:
+        p = field.p
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        neg = [(j, p - c) for j, c in enumerate(m[:n]) if c]  # subtract c * m
+        for i in range(len(out) - 1, n - 1, -1):
+            c = out[i] % p
+            if c:
+                for j, y in neg:
+                    out[i - n + j] += c * y
+        out = [c % p for c in out[:n]]
+        while out and out[-1] == 0:
+            out.pop()
+        return tuple(out)
     # discrete logs, None for 0; g^r + g^s = g^(r + Z(s - r))
     exp, dlog, zech, order = field._exp, field._dlog, field._zech, field._order
-    n = len(m) - 1
     out = [None] * (len(a) + len(b) - 1)
     lb = [dlog[y] if y else None for y in b]
     for i, x in enumerate(a):
@@ -695,6 +743,8 @@ def poly_factor(f):
     lead = f.field.unit(f.lead())
     if f.degree == 0:
         return lead, {}
+    if f.degree == 1:
+        return lead, {f.monic(): 1}
     out = {}
     for g, m in _square_free(f.monic()):
         for h, k in _distinct_degree(g):
@@ -714,6 +764,7 @@ class RatFuncField:
     def __init__(self, base):
         self.base = base
         self._residue_cache = {}
+        self._factored = {}  # Poly -> RatFuncUnit, at most FACTOR_MEMO_CAP
 
     def var_poly(self):
         return Poly.var(self.base)
@@ -735,12 +786,20 @@ class RatFuncField:
         return RatFuncUnit(self, 1, ((self.var_poly(), 1),))
 
     def from_poly(self, f):
-        if f.is_zero():
-            raise ZeroPolynomial("0 is not a unit of F_q(t)")
-        lead, fac = poly_factor(f)
-        return RatFuncUnit(
-            self, lead.value, tuple(sorted(fac.items(), key=_factor_sort_key))
-        )
+        """The factored unit of a nonzero polynomial, remembered per
+        polynomial until FACTOR_MEMO_CAP are held; past the cap a polynomial
+        is factored on every call."""
+        found = self._factored.get(f)
+        if found is None:
+            if f.is_zero():
+                raise ZeroPolynomial("0 is not a unit of F_q(t)")
+            lead, fac = poly_factor(f)
+            found = RatFuncUnit(
+                self, lead.value, tuple(sorted(fac.items(), key=_factor_sort_key))
+            )
+            if len(self._factored) < FACTOR_MEMO_CAP:
+                self._factored[f] = found
+        return found
 
     def from_fraction(self, num, den):
         return self.from_poly(num).mul(self.from_poly(den).inv())
@@ -925,7 +984,7 @@ class QuotientField(FiniteField):
     c_i q^i (c_i encodings of F_q), and arithmetic is polynomial arithmetic
     mod P over F_q: the encoding and multiply of `FiniteField` over the base
     F_q.  It has no generator and takes no logarithm: units need only
-    multiply, power, the extended-Euclid inverse and Euler's criterion.
+    multiply, power, the extended-Euclid inverse and the Jacobi symbol.
     """
 
     def __init__(self, poly):
@@ -972,6 +1031,28 @@ class QuotientField(FiniteField):
             return a
         return self._encode(self._pow(self._decode(a), e))
 
+    def is_square(self, a):
+        """The Jacobi symbol (a/P) of F_q[t] by quadratic reciprocity (Rosen,
+        Number Theory in Function Fields, GTM 210, ch. 3), in one Euclidean
+        algorithm.  For a prime to m, with leading coefficients alpha and mu,
+        chi the square class of F_q and (a/m) meaning (a/(m/mu)):
+          (alpha/m) = chi(alpha)^deg m, and for deg a >= 1
+          (a/m) = chi(alpha)^deg m chi(mu)^deg a (-1)^((q-1)/2 deg a deg m)
+                  (m mod a / a)."""
+        base = self.base
+        odd_half = (base.q - 1) // 2 & 1  # q = 3 mod 4: the swap has a sign
+        a, m = Poly(base, self._decode(a)), Poly(base, self.modulus)
+        sign = 0  # the parity of the -1 factors so far
+        while True:  # 0 <= deg a < deg m, a prime to m
+            da, dm = a.degree, m.degree
+            if dm & 1 and not base.is_square(a.coeffs[-1]):
+                sign ^= 1
+            if not da:
+                return not sign
+            if da & 1:
+                sign ^= (dm & odd_half) ^ (not base.is_square(m.coeffs[-1]))
+            a, m = m.mod(a), a
+
     def embedding(self, big):
         raise FieldMismatch(f"no embeddings are defined for the residue field {self!r}")
 
@@ -997,13 +1078,20 @@ class _ResidueData:
     def __init__(self, rf, place):
         self.place = place
         self.kappa = QuotientField(place.poly) if place.degree >= 2 else rf.base
+        self._images = {}  # monic irreducible Poly -> its encoding in kappa
 
     def _image(self, poly):
-        """The encoding in kappa of the class of a monic irreducible poly != P."""
-        place_poly = self.place.poly
-        if place_poly.degree == 1:  # t - a: evaluate at a
-            return poly.evaluate(self.kappa.neg(place_poly.coeffs[0]))
-        return self.kappa._encode(poly.mod(place_poly).coeffs)
+        """The encoding in kappa of the class of a monic irreducible poly != P,
+        computed once per poly."""
+        found = self._images.get(poly)
+        if found is None:
+            place_poly = self.place.poly
+            if place_poly.degree == 1:  # t - a: evaluate at a
+                found = poly.evaluate(self.kappa.neg(place_poly.coeffs[0]))
+            else:
+                found = self.kappa._encode(poly.mod(place_poly).coeffs)
+            self._images[poly] = found
+        return found
 
     def reduce_unit(self, u):
         """Reduce a unit of valuation 0 at the place to a residue-field unit:

@@ -10,7 +10,7 @@ An element of degree n is a compatible pair (Milnor part, Witt part):
 
 Compatibility says the Milnor part's image in K^M_n/2 = I^n/I^{n+1} is the
 class of the Witt part: the rank's parity in degree 0, and in degree 1 the
-square class chi(u) of the unit (Euler's criterion), since K^MW_1 is the
+square class chi(u) of the unit (`FFUnit.is_square`), since K^MW_1 is the
 fibre product of F_q^* and I over F_q^*/F_q^*2.  Negative degrees are pure
 Witt classes.  Every value is held in the normal form of its degree:
 

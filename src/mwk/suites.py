@@ -168,7 +168,16 @@ def sample_sequence(field, source, target, n, m, L, rng):
         rng.choice(allowed_coefficients(field, source, target, n, l, m - n * l))
         for l in range(L + 1)
     ]
-    return OpSequence(source, target, n, m, field, coeffs)
+    return _admitted(OpSequence(source, target, n, m, field, coeffs))
+
+
+def _admitted(seq):
+    """seq, marked admissible: the rule is per coefficient, and the caller
+    drew every coefficient from allowed_coefficients or chose zero, so the
+    verdict is known without deciding it (pinned by
+    test_built_sequences_are_admissible_when_decided_afresh)."""
+    seq._admissible = True
+    return seq
 
 
 # ---------------------------------------------------------------------------
@@ -685,12 +694,20 @@ def run_thm84(config):
     field = config.field
     if isinstance(field, RatFuncField):
         field = field.base
-    L = config.trunc
     count = 0
+    for seq in thm84_sequences(field, config.trunc):
+        rep.check(seq.roundtrip_ok(), f"roundtrip failed (n={seq.n}, m={seq.m}, #{count})")
+        count += 1
+    rep.note(f"exhausted {count} admissible windowed coefficient tuples")
+    return rep
+
+
+def thm84_sequences(field, L):
+    """thm84's sequences over F_q, in order: for n in (1, 2) and m in
+    (0, 1, 2), every tuple of allowed coefficients in the degree window
+    |m - n*l| <= 2, zero outside it."""
     for n in (1, 2):
         for m in (0, 1, 2):
-            # the rule is per coefficient, so every tuple of allowed ones
-            # is admissible; outside the degree window the coefficient is zero
             choices = [
                 allowed_coefficients(field, MW, MW, n, l, m - n * l)
                 if abs(m - n * l) <= 2
@@ -698,11 +715,7 @@ def run_thm84(config):
                 for l in range(L + 1)
             ]
             for coeffs in itertools.product(*choices):
-                seq = OpSequence(MW, MW, n, m, field, coeffs)
-                rep.check(seq.roundtrip_ok(), f"roundtrip failed (n={n}, m={m}, #{count})")
-                count += 1
-    rep.note(f"exhausted {count} admissible windowed coefficient tuples")
-    return rep
+                yield _admitted(OpSequence(MW, MW, n, m, field, coeffs))
 
 
 # ---------------------------------------------------------------------------

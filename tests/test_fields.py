@@ -539,7 +539,7 @@ def test_residue_field_units_match_generator_powers():
 
 def assert_power_table_matches_pow(kappa):
     """The powers of the smallest full-order encoding run through every unit
-    once, and pow, inv and Euler's criterion agree with that table."""
+    once, and pow, inv and the square class agree with that table."""
     g = next(a for a in range(2, kappa.q) if brute_order(kappa, a) == kappa.q - 1)
     table, x = {}, 1
     for n in range(kappa.q - 1):
@@ -636,3 +636,160 @@ def test_fraction_expansion_checks_the_cap_before_multiplying(monkeypatch):
         with pytest.raises(DegreeBound, match="fraction expansion exceeds the degree cap"):
             u.to_fraction()
     assert not calls
+
+
+# -- the square class of a residue field by reciprocity -----------------------
+
+
+def euler_is_square(kappa, value):
+    """The reference: Euler's criterion u^((q-1)/2) = 1."""
+    return kappa.pow(value, (kappa.q - 1) // 2) == 1
+
+
+def assert_square_classes_match_euler(rf, poly, values):
+    kappa, _ = residue_field(Place(rf, poly))
+    for value in values:
+        assert kappa.unit(value).is_square() == euler_is_square(kappa, value), (kappa, poly, value)
+
+
+def test_residue_square_classes_by_reciprocity_match_eulers_criterion():
+    # q = 3 and 7 are 3 mod 4, where the reciprocity swap carries a sign
+    for q, k_max in ((3, 3), (5, 3), (7, 2), (9, 2)):
+        F = ff_build_q(q)
+        rf = rat_func_field(F)
+        for k in range(1, k_max + 1):
+            for poly in monic_irreducibles(F, k):
+                assert_square_classes_match_euler(rf, poly, range(1, q**k))
+    rng = random.Random(20)
+    F25 = ff_build_q(25)
+    rf25 = rat_func_field(F25)
+    for k in (2, 3):
+        for _ in range(3):
+            poly = Poly.make(F25, [rng.randrange(25) for _ in range(k)] + [1])
+            while not is_irreducible(poly):
+                poly = Poly.make(F25, [rng.randrange(25) for _ in range(k)] + [1])
+            values = [rng.randrange(1, 25**k) for _ in range(150)]
+            assert_square_classes_match_euler(rf25, poly, values)
+
+
+# -- the plain-int kernels over F_p against the field's own add and mul --------
+
+
+def ref_mul(F, a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = F.add(out[i + j], F.mul(x, y))
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def ref_divmod(F, a, b):
+    rem, quo = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    inv_lead = F.inv(b[-1])
+    while len(rem) >= len(b):
+        c = F.mul(rem[-1], inv_lead)
+        shift = len(rem) - len(b)
+        quo[shift] = c
+        for j, y in enumerate(b):
+            rem[shift + j] = F.sub(rem[shift + j], F.mul(c, y))
+        assert rem.pop() == 0
+        while rem and rem[-1] == 0:
+            rem.pop()
+    while quo and quo[-1] == 0:
+        quo.pop()
+    return tuple(quo), tuple(rem)
+
+
+def test_prime_field_kernels_match_the_fields_own_arithmetic():
+    from mwk.fields import _mulmod
+
+    rng = random.Random(21)
+    for p in (3, 5, 7, 11):
+        F = ff_build(p, 1)
+
+        def poly(deg, monic=False):
+            return [rng.randrange(p) for _ in range(deg)] + [1 if monic else rng.randrange(1, p)]
+
+        for da in range(7):
+            for db in range(7):
+                for _ in range(4):
+                    a, b = poly(da), poly(db)
+                    assert Poly(F, tuple(a)).mul(Poly(F, tuple(b))).coeffs == ref_mul(F, a, b)
+                    # b is not monic in general
+                    quo, rem = Poly(F, tuple(a)).divmod(Poly(F, tuple(b)))
+                    assert (quo.coeffs, rem.coeffs) == ref_divmod(F, a, b), (p, a, b)
+                    if db >= 1:
+                        m = poly(db, monic=True)
+                        want = ref_divmod(F, ref_mul(F, a, b), m)[1]
+                        assert _mulmod(F, tuple(a), tuple(b), tuple(m)) == want, (p, a, b, m)
+        assert Poly(F, (1, 2)).mul(Poly.zero(F)).is_zero()
+        assert _mulmod(F, (), (1, 1), (0, 1)) == ()
+    F5 = ff_build(5, 1)
+    kappa, _ = residue_field(Place(rat_func_field(F5), first_monic_irreducible(F5, 2)))
+    for coeffs in ([1, 0, 1], [2, 1, 0, 1]):
+        f = Poly.make(kappa, coeffs)
+        with pytest.raises(FieldMismatch):
+            poly_factor(f)
+        with pytest.raises(FieldMismatch):
+            is_irreducible(f)
+
+
+# -- one factoring per polynomial ---------------------------------------------
+
+
+def fresh_factoring(f):
+    lead, factors = poly_factor(f)
+    return lead.value, factors
+
+
+def test_from_poly_remembers_each_polynomial(monkeypatch):
+    from mwk import fields
+
+    F = ff_build(5, 1)
+    rf = fields.RatFuncField(F)
+    calls = []
+    factor = fields.poly_factor
+    monkeypatch.setattr(fields, "poly_factor", lambda f: calls.append(f) or factor(f))
+    rng = random.Random(22)
+    polys = [Poly.make(F, [rng.randrange(5) for _ in range(4)] + [rng.randrange(1, 5)]) for _ in range(8)]
+    first = [rf.from_poly(f) for f in polys]
+    assert len(calls) == len(set(polys))
+    for f, u in zip(polys, first):
+        assert rf.from_poly(f) is u
+        assert (u.const, dict(u.factors)) == fresh_factoring(f)
+    assert len(calls) == len(set(polys))
+    # degree 1 skips the factoring machinery and still gives the monic factor
+    lead, factors = poly_factor(Poly.make(F, [3, 2]))
+    assert lead.value == 2 and factors == {Poly.make(F, [4, 1]): 1}
+
+
+def test_from_poly_memo_stops_at_its_cap(monkeypatch):
+    from mwk import fields
+
+    monkeypatch.setattr(fields, "FACTOR_MEMO_CAP", 5)
+    calls = []
+    factor = fields.poly_factor
+    monkeypatch.setattr(fields, "poly_factor", lambda f: calls.append(f) or factor(f))
+    F = ff_build(3, 1)
+    rf = fields.RatFuncField(F)
+    polys = [Poly.make(F, list(digits) + [1]) for digits in itertools.product(range(3), repeat=3)]
+    for f in polys + polys:
+        u = rf.from_poly(f)
+        assert u.rf is rf and (u.const, dict(u.factors)) == fresh_factoring(f)
+    assert len(rf._factored) == 5
+    # the first five are remembered, the rest are factored on every call
+    assert calls == polys + polys[5:]
+
+
+def test_equal_coefficients_over_different_function_fields_give_different_units():
+    F5, F25 = ff_build(5, 1), ff_build(5, 2)
+    coeffs = (1, 1, 1)  # t^2 + t + 1: irreducible over F_5, split over F_25
+    u5 = rat_func_field(F5).from_poly(Poly(F5, coeffs))
+    u25 = rat_func_field(F25).from_poly(Poly(F25, coeffs))
+    assert u5 != u25
+    assert u5.rf.base is F5 and u25.rf.base is F25
+    assert [p.degree for p, _ in u5.factors] == [2]
+    assert [p.degree for p, _ in u25.factors] == [1, 1]
+    assert all(p.field is F25 for p, _ in u25.factors)

@@ -37,7 +37,7 @@ from mwk.operations import (
     sigma_eval,
     sigma_operator_values,
 )
-from mwk.suites import sample_sequence
+from mwk.suites import sample_sequence, thm84_sequences
 from mwk.symbols import SymExpr
 
 F3 = ff_build(3, 1)
@@ -651,6 +651,26 @@ def test_sample_sequence_fills_each_slot_once(monkeypatch):
     for _ in range(49):
         sample_sequence(F3, MW, MW, n, m, L, rng)
     assert calls[0] == slots
+
+
+def test_built_sequences_are_admissible_when_decided_afresh():
+    """sample_sequence and thm84 mark the sequences they build admissible
+    without deciding it; the module-level predicate decides each afresh."""
+    rng = random.Random(23)
+    for field in (F3, ff_build(5, 1), F9):
+        for source, target in ADMISSIBILITY_RULES:
+            for n in (1, 2):
+                for m in range(-1, 4):
+                    seq = sample_sequence(field, source, target, n, m, 4, rng)
+                    assert seq._admissible is True
+                    assert admissible(source, target, n, m, field, seq.coeffs), seq
+    for field in (F3, F9):
+        count = 0
+        for seq in thm84_sequences(field, 4):
+            assert seq._admissible is True
+            assert admissible(seq.source, seq.target, seq.n, seq.m, field, seq.coeffs), seq
+            count += 1
+        assert count > 100
 
 
 def test_an_unknown_row_raises_not_admissible():

@@ -255,3 +255,25 @@ def test_a_long_integer_literal_is_a_parse_error(capsys, template, spec):
     code, err = _eval(capsys, text, spec)
     assert code == 2
     assert "error: ParseError: integer literal too long (5000 digits)" in err
+
+
+def test_a_sum_without_denominators_is_one_polynomial(monkeypatch):
+    from mwk.exprtext import parse_expr
+    from mwk.fields import RatFuncField
+    from mwk.symbols import SymExpr
+
+    poly = Poly.make(F3, [1, 2, 0, 1])  # t^3 + 2t + 1, irreducible over F_3
+    factored = []
+    from_poly = RatFuncField.from_poly
+    monkeypatch.setattr(
+        RatFuncField, "from_poly", lambda rf, f: factored.append(f) or from_poly(rf, f)
+    )
+    assert parse_expr("[(t^3+2*t+1)]", RF3) == SymExpr.bracket(from_poly(RF3, poly))
+    # the sum is read as one polynomial: no constant denominator is factored
+    assert factored == [poly]
+    # a sum with a denominator still expands into one fraction
+    factored.clear()
+    assert parse_unit("t^-1+1", RF3) == from_poly(RF3, Poly.make(F3, [1, 1])).mul(RF3.t_unit().inv())
+    for text in ("[(t-t)]", "[(t^2+t-t-t^2)^-1]", "[t-t, t]"):
+        with pytest.raises(ParseError, match="0 is not a unit"):
+            parse_expr(text, RF3)
