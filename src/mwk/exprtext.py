@@ -76,10 +76,18 @@ def _product_ops(base):
     [(Poly, k), ...] with one entry per atom, so that parse_unit factors every
     atom on its own; only a sum expands its terms, into one fraction, or into
     one polynomial when neither term has a denominator."""
-    minus_one = [(Poly.const(base, 1).neg(), 1)]
+    one = Poly.const(base, 1)
+    minus_one = [(one.neg(), 1)]
+
+    def fraction(v):
+        # a value that is one polynomial (a leaf or a sum, so within the
+        # degree cap) is its own numerator; the rest expand after the check
+        if len(v) == 1 and v[0][1] == 1:
+            return v[0][0], one
+        return expand_fraction(base, 1, v)
 
     def add(a, b):
-        (na, da), (nb, db) = expand_fraction(base, 1, a), expand_fraction(base, 1, b)
+        (na, da), (nb, db) = fraction(a), fraction(b)
         if da.is_one() and db.is_one():
             return [(na.add(nb), 1)]
         return [(na.mul(db).add(nb.mul(da)), 1), (da.mul(db), -1)]

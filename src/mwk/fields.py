@@ -1096,13 +1096,21 @@ class _ResidueData:
     def reduce_unit(self, u):
         """Reduce a unit of valuation 0 at the place to a residue-field unit:
         a constant keeps its encoding, and at infinity, where every stored
-        factor is monic, the unit reduces to its constant."""
+        factor is monic, the unit reduces to its constant.  The factors with
+        negative exponents are multiplied apart, so a unit takes at most one
+        inversion."""
         if u.valuation(self.place) != 0:
             raise NotRegularAtPlace(f"unit has nonzero valuation at {self.place}")
         kappa, value = self.kappa, u.const
         if not self.place.is_infinity:
+            den = 1
             for poly, e in u.factors:
-                value = kappa.mul(value, kappa.pow(self._image(poly), e))
+                if e > 0:
+                    value = kappa.mul(value, kappa.pow(self._image(poly), e))
+                else:
+                    den = kappa.mul(den, kappa.pow(self._image(poly), -e))
+            if den != 1:
+                value = kappa.mul(value, kappa.inv(den))
         return FFUnit(kappa, value)
 
 

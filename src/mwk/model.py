@@ -91,7 +91,8 @@ def _build(field, degree, milnor, rank, disc):
 
     Returns the one interned instance of that value over `field`, from the
     field's intern table; once the table holds INTERN_CAP values, a value not
-    in it comes back as a fresh object without `add`/`mul` memos."""
+    in it comes back as a fresh object without `add`/`mul` memos.  Either way
+    the value carries its zero test as the flag `_is_zero`."""
     if degree >= 2:
         milnor, witt = 0, W_ZERO
     elif degree == 1:
@@ -105,12 +106,14 @@ def _build(field, degree, milnor, rank, disc):
         values = field._model_values
     except AttributeError:
         values = field._model_values = {}
+        field._model_constants = {}
     x = values.get(key)
     if x is None:
         x = _new(MWElem)
         x.field, x.degree, x.milnor, x.witt = field, degree, milnor, witt
         x._hash = hash((id(field),) + key)
         x._neg = None
+        x._is_zero = milnor == _zero_milnor(degree) and witt == W_ZERO
         if len(values) < INTERN_CAP:
             x._sums, x._prods = {}, {}
             values[key] = x
@@ -127,6 +130,20 @@ def _remember(memo, other, result):
     if memo is not None and other._sums is not None and len(memo) < MEMO_CAP:
         memo[id(other)] = result
     return result
+
+
+def _constant(field, key):
+    """Build and keep a constant of the field's table `_model_constants`
+    (made beside its intern table): the zero of degree `key` for an int key,
+    and one and [-1] under the keys "one" and "[-1]"."""
+    if key == "one":
+        x = _build(field, 0, 1, 1, 0)
+    elif key == "[-1]":  # with the square class of -1
+        x = _build(field, 1, field.neg(1), 0, _disc_minus_one(field))
+    else:
+        x = _build(field, key, _zero_milnor(key), 0, 0)
+    field._model_constants[key] = x
+    return x
 
 
 class MWElem:
@@ -151,7 +168,7 @@ class MWElem:
     I^2 = 0), and returns the interned normal form.
     """
 
-    __slots__ = ("field", "degree", "milnor", "witt", "_hash", "_sums", "_prods", "_neg")
+    __slots__ = ("field", "degree", "milnor", "witt", "_hash", "_sums", "_prods", "_neg", "_is_zero")
 
     def __new__(cls, field, degree, milnor, witt):
         rank, disc = _w_canonical(field, *witt)
@@ -182,11 +199,17 @@ class MWElem:
 
     @staticmethod
     def zero(field, degree):
-        return _build(field, degree, _zero_milnor(degree), 0, 0)
+        try:
+            return field._model_constants[degree]
+        except (AttributeError, KeyError):
+            return _constant(field, degree)
 
     @staticmethod
     def one(field):
-        return _build(field, 0, 1, 1, 0)
+        try:
+            return field._model_constants["one"]
+        except (AttributeError, KeyError):
+            return _constant(field, "one")
 
     @staticmethod
     def from_unit(u):
@@ -287,7 +310,7 @@ class MWElem:
         return MWElem.h(self.field).mul(self)
 
     def is_zero(self):
-        return self.milnor == _zero_milnor(self.degree) and self.witt == W_ZERO
+        return self._is_zero
 
     # -- projections to the companion theories --------------------------------
 
@@ -306,7 +329,7 @@ class MWElem:
 
     def is_zero_in(self, theory):
         if theory == MW:
-            return self.is_zero()
+            return self._is_zero
         if theory == WITT:
             return self.witt == W_ZERO
         zero = _zero_milnor(self.degree) if theory == MILNOR else 0
@@ -374,8 +397,10 @@ def minus_one_power(field, k):
     if k >= 2:
         return MWElem.zero(field, k)
     if k == 1:
-        # [-1], with the square class of -1
-        return _build(field, 1, field.neg(1), 0, _disc_minus_one(field))
+        try:
+            return field._model_constants["[-1]"]
+        except (AttributeError, KeyError):
+            return _constant(field, "[-1]")
     return MWElem.one(field)
 
 

@@ -52,12 +52,54 @@ def delta(n):
 # ---------------------------------------------------------------------------
 
 
-class ModelOracle:
+class _Oracle:
+    """What both oracles share: `equal`, and the sigma-series cache.
+
+    The cache maps (expr, n), a presentation turned into its expression
+    first, to [L, lambda values, sigma values or None].  lambda is computed
+    once, at the largest truncation L asked for so far (a larger L computes
+    it again), and sigma lazily from it.  A smaller truncation reads a
+    slice, which is exact: a coefficient of a truncated series product
+    depends only on lower indices.  Only a valid input is stored, so a miss
+    runs lambda_series with all its checks.  The cache lives as long as the
+    oracle, which is one per suite run.
+    """
+
+    def __init__(self, field, base):
+        self.field = field
+        self.base = base
+        self._series = {}
+
+    def equal(self, a, b, theory, degree):
+        return self.is_zero(a.sub(b), theory, degree)
+
+    def _series_entry(self, x, n, L):
+        if isinstance(x, Presentation):
+            x = x.as_expr(self.field)
+        key = (x, n)
+        entry = self._series.get(key)
+        if entry is None or entry[0] < L:
+            values = tuple(lambda_series(x, n, L, self).values())
+            entry = self._series[key] = [L, values, None]
+        return entry
+
+    def lambda_values(self, x, n, L):
+        """(lambda_0(x), ..., lambda_L(x)), before the coefficient action."""
+        return self._series_entry(x, n, L)[1][: L + 1]
+
+    def sigma_series(self, x, n, L):
+        """(sigma_0(x), ..., sigma_L(x)), before the coefficient action."""
+        entry = self._series_entry(x, n, L)
+        if entry[2] is None:
+            entry[2] = tuple(sigma_operator_values(entry[1], n, entry[0], self).values())
+        return entry[2][: L + 1]
+
+
+class ModelOracle(_Oracle):
     """Values are closed-form model elements over a finite field."""
 
     def __init__(self, field):
-        self.field = field
-        self.base = field
+        super().__init__(field, field)
 
     def one(self):
         return MWElem.one(self.field)
@@ -84,17 +126,13 @@ class ModelOracle:
             value = eval_model(value, degree)
         return value.is_zero_in(theory)
 
-    def equal(self, a, b, theory, degree):
-        return self.is_zero(a.sub(b), theory, degree)
 
-
-class ValuationOracle:
+class ValuationOracle(_Oracle):
     """Values are symbolic expressions over F_q(t); equality goes through
     the canonical form of the split exact sequence."""
 
     def __init__(self, rf):
-        self.field = rf
-        self.base = rf.base
+        super().__init__(rf, rf.base)
 
     def one(self):
         return SymExpr.one(self.field)
@@ -113,9 +151,6 @@ class ValuationOracle:
 
     def is_zero(self, value, theory, degree):
         return val_is_zero(value, degree, theory)
-
-    def equal(self, a, b, theory, degree):
-        return self.is_zero(a.sub(b), theory, degree)
 
 
 def oracle_for(field):
@@ -253,7 +288,7 @@ def divided_power_series(n, x, y, trunc, oracle):
     [lambda_0(x).y, lambda_1(x).y, ..., lambda_trunc(x).y]."""
     require_torsion(n, y)
     y_val = oracle.from_base(y)
-    return [v.mul(y_val) for v in lambda_series(x, n, trunc, oracle).values()]
+    return [v.mul(y_val) for v in oracle.lambda_values(x, n, trunc)]
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +333,7 @@ def lambda_eval(n, l, y, x, oracle, skip_check=False):
     """The l-th divided power of x acting on y."""
     if not skip_check:
         require_torsion(n, y)
-    return _act(lambda_series(x, n, l, oracle)[l], y, oracle)
+    return _act(oracle.lambda_values(x, n, l)[l], y, oracle)
 
 
 def sigma_operator_values(series, n, lmax, oracle):
@@ -317,8 +352,7 @@ def sigma_operator_values(series, n, lmax, oracle):
 
 def sigma_eval(n, l, y, x, oracle):
     require_torsion(n, y)
-    series = lambda_series(x, n, l, oracle)
-    return _act(sigma_operator_values(series, n, l, oracle)[l], y, oracle)
+    return _act(oracle.sigma_series(x, n, l)[l], y, oracle)
 
 
 def f_eval(n, l, y, x, oracle, direct=False):
@@ -333,8 +367,8 @@ def f_eval(n, l, y, x, oracle, direct=False):
     if direct:
         # independent oracle, kept on purpose: checks the twisted-sum formula
         neg = _negate_presentation(x)
-        return _act(lambda_series(neg, n, l, oracle)[l], y, oracle)
-    series = lambda_series(x, n, l, oracle)
+        return _act(oracle.lambda_values(neg, n, l)[l], y, oracle)
+    series = oracle.lambda_values(x, n, l)
     sign = -1 if l % 2 else 1
     value = twisted_sum(
         ((i, sign * comb(l - 1, i), series[l - i]) for i in range(l)),
@@ -513,8 +547,7 @@ class OpSequence:
     def evaluate(self, x, oracle):
         """apply() without the admissibility check, for sequences that are
         evaluated to show what goes wrong when they are not admissible."""
-        L = self.trunc
-        sig = sigma_operator_values(lambda_series(x, self.n, L, oracle), self.n, L, oracle)
+        sig = oracle.sigma_series(x, self.n, self.trunc)
         acc = oracle.zero(self.m)
         for l, a in enumerate(self.coeffs):
             if not a.is_zero_in(self.target):

@@ -45,9 +45,7 @@ from .operations import (
     f_eval,
     f_lambda_convert,
     lambda_eval,
-    lambda_series,
     oracle_for,
-    sigma_operator_values,
 )
 from .symbols import (
     SymExpr,
@@ -436,9 +434,9 @@ def run_prop64(config):
         x = sample_presentation(n, rng, r_max=2, s_max=1, sampler=sampler)
         xp = sample_presentation(n, rng, r_max=2, s_max=1, sampler=sampler)
         y = sample_torsion_coeff(base, rng.choice([0, -1]), rng)
-        sx = lambda_series(x, n, L, oracle)
-        sxp = lambda_series(xp, n, L, oracle)
-        sboth = lambda_series(x.as_expr(field).add(xp.as_expr(field)), n, L, oracle)
+        sx = oracle.lambda_values(x, n, L)
+        sxp = oracle.lambda_values(xp, n, L)
+        sboth = oracle.lambda_values(x.as_expr(field).add(xp.as_expr(field)), n, L)
         l = rng.randrange(1, L + 1)
         acc = oracle.zero(l * n)
         for i in range(l + 1):
@@ -486,8 +484,8 @@ def run_prop64(config):
             units = tuple(sampler() for _ in range(n + d))
             expr = SymExpr(field, {(d, units): rng.choice([-1, 1])})
             reduced = eta_reduce(expr)
-            sa = lambda_series(expr, n, 2, oracle)
-            sb = lambda_series(reduced, n, 2, oracle)
+            sa = oracle.lambda_values(expr, n, 2)
+            sb = oracle.lambda_values(reduced, n, 2)
             for l3 in (1, 2):
                 rep.equal(
                     oracle, sa[l3].mul(y_val), sb[l3].mul(y_val), MW, y.degree + l3 * n,
@@ -526,9 +524,8 @@ def run_shift73(config):
         sign = rng.choice([1, -1])
         x_mod = x.append(sign, abar)
         lhs = seq.apply(x_mod, oracle)
-        shifted = seq.shift(sign)
-        correction = oracle.bracket(abar).mul(shifted.apply(x, oracle))
-        rhs = seq.apply(x, oracle)
+        rhs = seq.apply(x, oracle)  # before the shift, which reads a slice of x's series
+        correction = oracle.bracket(abar).mul(seq.shift(sign).apply(x, oracle))
         rhs = rhs.add(correction) if sign == 1 else rhs.sub(correction)
         rep.equal(oracle, lhs, rhs, MW, seq.m, f"shift identity trial {trial} (sign {sign})")
 
@@ -567,8 +564,7 @@ def run_shift73(config):
             y = sample_torsion_coeff(base, 0, rng)
             l = rng.choice([2, 3, 4])
             m_local = n * l + y.degree
-            sig_series = lambda_series(x, n, l, oracle)
-            sig = sigma_operator_values(sig_series, n, l, oracle)
+            sig = oracle.sigma_series(x, n, l)
             y_val = oracle.from_base(y)
             basis = [MWElem.zero(base, m_local - n * i) for i in range(l + 1)]
             basis[l] = y
@@ -601,6 +597,10 @@ def run_lemma75(config):
     for trial in range(config.trials):
         seq = _sequence_for_shift(config, rng)
         x = sample_presentation(n, rng, r_max=1, s_max=1, sampler=sampler)
+        # the single shifts first: they ask the oracle for x's series at the
+        # largest truncation of the trial, and the double shifts read slices
+        v_p = seq.shift(1).apply(x, oracle)
+        v_m = seq.shift(-1).apply(x, oracle)
         pm = seq.shift(1).shift(-1)
         mp = seq.shift(-1).shift(1)
         v_pm = pm.apply(x, oracle)
@@ -629,8 +629,6 @@ def run_lemma75(config):
                 f"(ii) h-torsion of double plus-shift trial {trial}",
             )
 
-        v_p = seq.shift(1).apply(x, oracle)
-        v_m = seq.shift(-1).apply(x, oracle)
         diff = v_p.sub(v_m)
         want = oracle.minus_one_power(n).mul(v_pm)
         rep.equal(oracle, diff, want, MW, seq.m - n, f"(iii) shift difference law trial {trial}")
@@ -669,8 +667,7 @@ def run_prop83(config):
         if bound > L:
             continue
         y = sample_torsion_coeff(base, rng.choice([0, -1]), rng)
-        series = lambda_series(x, n, L, oracle)
-        sig = sigma_operator_values(series, n, L, oracle)
+        sig = oracle.sigma_series(x, n, L)
         y_val = oracle.from_base(y)
         for l in range(bound, L + 1):
             rep.zero(
@@ -924,13 +921,14 @@ def run_lemma93(config):
         sign = rng.choice([1, -1])
         x_expr = x.as_expr(field)
         lhs = seq.apply(x_expr.add(eta_term.scale(sign)), oracle)
+        rhs = seq.apply(x, oracle)  # before the shifts, which read a slice of x's series
         shifted = seq.shifted(0, 2) if sign == 1 else seq.shifted(2, 0)
         corr = (
             oracle.bracket((a, b) + cs)
             .mul(oracle.minus_one_power(n - 1))
             .mul(shifted.apply(x, oracle))
         )
-        rhs = seq.apply(x, oracle).sub(corr)
+        rhs = rhs.sub(corr)
         rep.equal(
             oracle, lhs, rhs, target, seq.m,
             f"eta perturbation law trial {trial} (sign {sign}, target {target})",

@@ -172,3 +172,25 @@ def test_size_bound_env_override(monkeypatch):
     assert reduce_unit(rf.t_unit()).value == 3  # t, encoded as q
     monkeypatch.delenv("MWK_SIZE_BOUND")
     assert fields_mod.size_bound() == fields_mod.DEFAULT_SIZE_BOUND
+
+
+def test_a_unit_sum_expands_only_the_operands_that_are_no_polynomial(monkeypatch):
+    import mwk.exprtext as exprtext
+    from mwk.exprtext import parse_unit
+
+    F3 = ff_build(3, 1)
+    rf = rat_func_field(F3)
+    expanded = []
+    expand = exprtext.expand_fraction
+    monkeypatch.setattr(
+        exprtext, "expand_fraction", lambda *args: expanded.append(args[2]) or expand(*args)
+    )
+    # t^3 and 2*t^2 are products and expand once each; the running sum, t and
+    # 1 are one polynomial each, and are not expanded again
+    got = parse_unit("t^3+2*t^2+t+1", rf)
+    assert got == rf.from_poly(Poly.make(F3, [1, 1, 2, 1]))
+    assert len(expanded) == 2
+    # a sum of k polynomials expands nothing
+    expanded.clear()
+    assert parse_unit("t+1+t+2+2", rf) == rf.from_poly(Poly.make(F3, [2, 2]))
+    assert expanded == []

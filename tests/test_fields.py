@@ -638,6 +638,35 @@ def test_fraction_expansion_checks_the_cap_before_multiplying(monkeypatch):
     assert not calls
 
 
+def test_reduce_unit_inverts_once_and_agrees_with_the_factor_by_factor_reduction(monkeypatch):
+    inversions = []
+    inv = QuotientField.inv
+    monkeypatch.setattr(QuotientField, "inv", lambda kappa, a: inversions.append(a) or inv(kappa, a))
+    rng = random.Random(21)
+    for q in (3, 25):
+        F = ff_build_q(q)
+        rf = rat_func_field(F)
+        data = rf.residue_data(Place(rf, first_monic_irreducible(F, 2)))
+        kappa = data.kappa
+        pool = [f for f in (Poly.make(F, [rng.randrange(q) for _ in range(k)] + [1])
+                            for k in (1, 1, 2, 2, 3, 3)) if not f.mod(data.place.poly).is_zero()]
+        with_negative = inverted = 0
+        for _ in range(40):
+            u = rf.constant(rng.randrange(1, q))
+            for f in rng.sample(pool, 3):
+                u = u.mul(rf.from_poly(f).pow(rng.choice([-3, -2, -1, 1, 2])))
+            want = u.const  # one power, and so one inversion, per negative factor
+            for poly, e in u.factors:
+                want = kappa.mul(want, kappa.pow(data._image(poly), e))
+            inversions.clear()
+            assert data.reduce_unit(u).value == want, (q, u)
+            # none when the negative factors reduce to 1
+            assert len(inversions) <= any(e < 0 for _, e in u.factors)
+            inverted += len(inversions)
+            with_negative += sum(e < 0 for _, e in u.factors) > 1
+        assert with_negative >= 10 and inverted >= 10
+
+
 # -- the square class of a residue field by reciprocity -----------------------
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mwk import model
 from mwk.errors import DegreeMismatch, FieldMismatch, Inhomogeneous, SizeBound
 from mwk.exprtext import format_expr
 from mwk.fields import (
@@ -218,6 +219,28 @@ def test_tables_stay_under_their_caps_and_answers_stay_right_past_them():
     assert len(two._sums) == len(two._prods) == MEMO_CAP
     assert all(max(len(x._sums), len(x._prods)) <= MEMO_CAP for x in F._model_values.values())
     assert len(F._model_values) == INTERN_CAP
+
+
+def compared_zero(x):
+    """The zero test by comparison of parts, the reference for the flag."""
+    return x.milnor == (1 if x.degree == 1 else 0) and x.witt == (0, 0)
+
+
+def test_is_zero_flag_agrees_with_the_comparison(monkeypatch):
+    for F in (F3, F5, F9):
+        for d in range(-2, 3):
+            for x in model_elements(F, d):
+                assert x.is_zero() == x.is_zero_in(MW) == compared_zero(x), x
+    # values made after a field's intern table is full carry the flag too
+    monkeypatch.setattr(model, "INTERN_CAP", 3)
+    for shared in (F3, F5, F9):
+        F = FiniteField(shared.p, shared.d, shared.modulus)  # a private, empty table
+        late = [x for d in range(-2, 3) for x in model_elements(F, d)]
+        assert len(F._model_values) == 3
+        assert any(x._sums is None for x in late)
+        for x in late:
+            assert x.is_zero() == x.is_zero_in(MW) == compared_zero(x), x
+            assert x.sub(x).is_zero() and MWElem.zero(F, x.degree).is_zero()
 
 
 def test_memo_hits_do_not_skip_field_and_degree_checks():

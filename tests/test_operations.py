@@ -5,7 +5,7 @@ from itertools import combinations, product
 import pytest
 
 from mwk import operations
-from mwk.errors import Inhomogeneous, NotAdmissible, TorsionViolation
+from mwk.errors import FieldMismatch, Inhomogeneous, NotAdmissible, TorsionViolation
 from mwk.fields import Poly, ff_build, ff_build_q, rat_func_field
 from mwk.model import (
     MILNOR,
@@ -37,7 +37,16 @@ from mwk.operations import (
     sigma_eval,
     sigma_operator_values,
 )
-from mwk.suites import sample_sequence, thm84_sequences
+from mwk.exprtext import parse_field_spec
+from mwk.suites import (
+    SuiteConfig,
+    run_suite,
+    sample_expr,
+    sample_presentation,
+    sample_sequence,
+    thm84_sequences,
+    unit_sampler,
+)
 from mwk.symbols import SymExpr
 
 F3 = ff_build(3, 1)
@@ -691,3 +700,95 @@ def test_minus_one_power_closed_form():
         for k in range(7):
             assert minus_one_power(field, k) == product_, (q, k)
             product_ = product_.mul(m1)
+
+
+# -- the oracle's sigma-series cache ---------------------------------------------
+
+
+def series_inputs(field, rng):
+    """Seeded (x, n): presentations, and expressions that carry eta terms."""
+    sampler = unit_sampler(field, rng, max_degree=1)
+    out = []
+    for n in (1, 2):
+        for _ in range(3):
+            out.append((sample_presentation(n, rng, r_max=2, s_max=1, sampler=sampler), n))
+            out.append((sample_expr(field, n, rng, max_terms=2, max_eta=1, sampler=sampler), n))
+    return out
+
+
+@pytest.mark.parametrize("spec,L", [("3", 5), ("9", 5), ("5(t)", 3)])
+def test_cached_series_equal_a_fresh_computation_at_every_truncation(spec, L):
+    field = parse_field_spec(spec)
+    fresh = oracle_for(field)
+    for x, n in series_inputs(field, random.Random(21)):
+        want_lambda = [lambda_series(x, n, l, fresh) for l in range(L + 1)]
+        want_sigma = [
+            sigma_operator_values(s, n, l, fresh) for l, s in enumerate(want_lambda)
+        ]
+        # small truncations first (each a recomputation), then large first
+        # (every later truncation a slice)
+        for order in (range(L + 1), range(L, -1, -1)):
+            oracle = oracle_for(field)
+            for l in order:
+                lam, sig = oracle.lambda_values(x, n, l), oracle.sigma_series(x, n, l)
+                assert list(lam) == list(want_lambda[l].values()), (spec, x, n, l)
+                assert list(sig) == list(want_sigma[l].values()), (spec, x, n, l)
+            assert len(oracle._series) == 1
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """Counts the calls of the uncached step, lambda_series, per (x, n)."""
+    counts = Counter()
+    uncached = operations.lambda_series
+
+    def counting(x, n, trunc, oracle):
+        counts[x, n] += 1
+        return uncached(x, n, trunc, oracle)
+
+    monkeypatch.setattr(operations, "lambda_series", counting)
+    return counts
+
+
+def test_a_presentation_and_its_expression_share_one_entry(computed):
+    for field in (F3, RF):
+        oracle = oracle_for(field)
+        m1 = field.minus_one()
+        x = of_symbols(1, (m1,), (m1,))  # its expression merges to 2 [-1]
+        oracle.sigma_series(x, 1, 3)
+        expr = x.as_expr(field)
+        assert oracle.lambda_values(expr, 1, 2) == oracle.lambda_values(x, 1, 2)
+        assert oracle.sigma_series(expr, 1, 3) == oracle.sigma_series(x, 1, 3)
+        assert len(oracle._series) == 1
+        # the key is the exact terms: an expression with the same terms is
+        # the same entry, another expression of the same element is not
+        oracle.lambda_values(expr.add(expr).sub(expr), 1, 3)
+        assert len(oracle._series) == 1
+        oracle.lambda_values(expr.add(SymExpr.bracket(field.one_unit())), 1, 3)
+        assert len(oracle._series) == 2
+    assert sum(computed.values()) == 4
+
+
+def test_invalid_input_raises_on_a_cold_and_a_warm_oracle():
+    for oracle in (ModelOracle(F3), ValuationOracle(RF)):
+        m1 = oracle.field.minus_one()
+        x = of_symbols(1, (m1,))
+        for warm in (False, True):
+            if warm:
+                oracle.sigma_series(x, 1, 4)
+            with pytest.raises(NotAdmissible):
+                oracle.sigma_series(of_symbols(0, ()), 0, 2)
+            with pytest.raises(NotAdmissible):
+                oracle.lambda_values(x, 0, 2)
+            with pytest.raises(Inhomogeneous):
+                oracle.lambda_values(x, 2, 2)
+            with pytest.raises(Inhomogeneous):
+                oracle.sigma_series(SymExpr.bracket(m1, m1), 1, 2)
+            with pytest.raises(FieldMismatch):
+                oracle.sigma_series(x.as_expr(F9), 1, 2)
+            assert len(oracle._series) == warm
+
+
+def test_lemma75_computes_each_series_once(computed):
+    assert run_suite("lemma75", SuiteConfig(F3)).passed
+    assert computed and set(computed.values()) == {1}, computed.most_common(3)
