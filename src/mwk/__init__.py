@@ -34,7 +34,6 @@ from .model import (
 from .operations import (
     ModelOracle,
     OpSequence,
-    Presentation,
     ValuationOracle,
     admissible,
     divided_power_series,

@@ -4,16 +4,15 @@ their shift transforms, and the executable admissibility table.
 
 Values are computed through one of two interchangeable oracles: the
 closed-form model over F_q (exact pairs), or symbolic expressions over
-F_q(t) compared through the valuation oracle.  Operations evaluate a
-presentation (or any expression written in the presentation generators)
-to a value, which is then multiplied by a coefficient living over the
-base field.
+F_q(t) compared through the valuation oracle.  Operations evaluate an
+expression in the presentation generators (a presentation sum_i [a_i] -
+sum_j [b_j] is one) to a value, which is then multiplied by a coefficient
+living over the base field.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -41,6 +40,8 @@ from .model import (
 from .symbols import SymExpr, _unit_sort_key, embed_expr
 from .valuation import is_zero as val_is_zero
 
+_new = object.__new__
+
 
 def delta(n):
     """Parity flag: 1 for odd n, 0 for even n."""
@@ -55,14 +56,13 @@ def delta(n):
 class _Oracle:
     """What both oracles share: `equal`, and the sigma-series cache.
 
-    The cache maps (expr, n), a presentation turned into its expression
-    first, to [L, lambda values, sigma values or None].  lambda is computed
-    once, at the largest truncation L asked for so far (a larger L computes
-    it again), and sigma lazily from it.  A smaller truncation reads a
-    slice, which is exact: a coefficient of a truncated series product
-    depends only on lower indices.  Only a valid input is stored, so a miss
-    runs lambda_series with all its checks.  The cache lives as long as the
-    oracle, which is one per suite run.
+    The cache maps (expr, n) to [L, lambda values, sigma values or None].
+    lambda is computed once, at the largest truncation L asked for so far
+    (a larger L computes it again), and sigma lazily from it.  A smaller
+    truncation reads a slice, which is exact: a coefficient of a truncated
+    series product depends only on lower indices.  Only a valid input is
+    stored, so a miss runs lambda_series with all its checks.  The cache
+    lives as long as the oracle, which is one per suite run.
     """
 
     def __init__(self, field, base):
@@ -74,8 +74,6 @@ class _Oracle:
         return self.is_zero(a.sub(b), theory, degree)
 
     def _series_entry(self, x, n, L):
-        if isinstance(x, Presentation):
-            x = x.as_expr(self.field)
         key = (x, n)
         entry = self._series.get(key)
         if entry is None or entry[0] < L:
@@ -162,42 +160,6 @@ def oracle_for(field):
 
 
 # ---------------------------------------------------------------------------
-# presentations of elements by signed pure symbols
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Presentation:
-    """A signed sum of pure symbols of fixed length n."""
-
-    n: int
-    entries: tuple  # of (sign in {+1, -1}, units tuple of length n)
-
-    def __post_init__(self):
-        for sign, units in self.entries:
-            if sign not in (1, -1) or len(units) != self.n:
-                raise Inhomogeneous("malformed presentation entry")
-
-    @property
-    def positives(self):
-        return sum(1 for s, _ in self.entries if s == 1)
-
-    @property
-    def negatives(self):
-        return sum(1 for s, _ in self.entries if s == -1)
-
-    def as_expr(self, field):
-        return SymExpr(field, [((0, units), sign) for sign, units in self.entries])
-
-    def append(self, sign, units):
-        return Presentation(self.n, self.entries + ((sign, tuple(units)),))
-
-    @staticmethod
-    def empty(n):
-        return Presentation(n, ())
-
-
-# ---------------------------------------------------------------------------
 # truncated series (index -> value)
 # ---------------------------------------------------------------------------
 
@@ -253,10 +215,8 @@ def lambda_series(x, n, trunc, oracle):
     """
     if n < 1:
         raise NotAdmissible("source degree must be >= 1")
-    if isinstance(x, Presentation):
-        x = x.as_expr(oracle.field)
     if x.field is not oracle.field:
-        raise FieldMismatch("presentation over the wrong field")
+        raise FieldMismatch("expression over the wrong field")
     series = {0: oracle.one()}
     term_order = lambda kv: (kv[0][0], tuple(_unit_sort_key(u) for u in kv[0][1]))
     for (d, units), mult in sorted(x.terms.items(), key=term_order):
@@ -366,8 +326,7 @@ def f_eval(n, l, y, x, oracle, direct=False):
         return _act(oracle.one(), y, oracle)
     if direct:
         # independent oracle, kept on purpose: checks the twisted-sum formula
-        neg = _negate_presentation(x)
-        return _act(oracle.lambda_values(neg, n, l)[l], y, oracle)
+        return _act(oracle.lambda_values(x.neg(), n, l)[l], y, oracle)
     series = oracle.lambda_values(x, n, l)
     sign = -1 if l % 2 else 1
     value = twisted_sum(
@@ -394,12 +353,6 @@ def f_lambda_convert(coeffs, n, field):
         )
         out.append(twisted_sum(terms, n, power))
     return out
-
-
-def _negate_presentation(x):
-    if isinstance(x, Presentation):
-        return Presentation(x.n, tuple((-s, u) for s, u in x.entries))
-    return x.neg()
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +440,27 @@ def _g_map_table(L, minus_first):
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _g_map_weights(field, n, L, minus_first):
+    """Row l: the pairs (k, c tau^(k-l)) for the pairs (k, c) of
+    _g_map_table's row l, tau = [-1]^n, each weight computed once by the
+    model's own mul and scale.  A weight the model computes as zero is left
+    out."""
+    twist = minus_one_power(field, n)
+    rows = []
+    for l, row in enumerate(_g_map_table(L, minus_first)):
+        weights = []
+        for k, c in row:
+            w = MWElem.one(field)
+            for _ in range(k - l):
+                w = twist.mul(w)
+            w = w.scale(c)
+            if not w.is_zero():
+                weights.append((k, w))
+        rows.append(tuple(weights))
+    return tuple(rows)
+
+
 class OpSequence:
     """The coefficient sequence (a_l) of an operation sum_l sigma_l . a_l.
 
@@ -515,6 +489,21 @@ class OpSequence:
                 )
         self.coeffs = coeffs
         self._admissible = None  # decided on first use
+
+    @classmethod
+    def _admitted(cls, source, target, n, m, field, coeffs):
+        """The sequence, unchecked and marked admissible: the caller passes
+        well-typed coefficients that each pass coefficient_allowed (drawn
+        from allowed_coefficients, zero, or a shift of an admissible
+        sequence), so the verdict is known without deciding it (pinned by
+        test_built_sequences_are_admissible_when_decided_afresh and
+        test_shift_preserves_admissibility)."""
+        seq = _new(cls)
+        seq.source, seq.target, seq.n, seq.m = source, target, n, m
+        seq.field = field
+        seq.coeffs = tuple(coeffs)
+        seq._admissible = True
+        return seq
 
     @property
     def trunc(self):
@@ -562,9 +551,8 @@ class OpSequence:
         plus:  b_l = a_{l+1} + [l odd]  tau a_{l+2}
         minus: b_l = a_{l+1} + [l even] tau a_{l+2}
 
-        A shift of an admissible sequence is admissible again (pinned by
-        test_shift_preserves_admissibility), so the result inherits the
-        verdict instead of deciding it afresh.
+        A shift of an admissible sequence is admissible again, so the
+        result is built by _admitted instead of deciding it afresh.
         """
         self.require_admissible()
         if sign not in (+1, -1):
@@ -577,9 +565,9 @@ class OpSequence:
             if l % 2 == parity:
                 b = b.add(twist.mul(self.coeff(l + 2)))
             out.append(b)
-        seq = OpSequence(self.source, self.target, self.n, self.m - self.n, self.field, out)
-        seq._admissible = True
-        return seq
+        return OpSequence._admitted(
+            self.source, self.target, self.n, self.m - self.n, self.field, out
+        )
 
     def shifted(self, plus, minus, minus_first=True):
         self.require_admissible()
@@ -598,17 +586,15 @@ class OpSequence:
         where the sign's parity admits it.  So entry l is the sum of
         c_lk tau^(k-l) a_k over k = l..min(2l, L): c_lk counts the l-step paths
         from index k to 0 (_g_map_table), each two-index step taking one tau.
+        The weights c_lk tau^(k-l) are computed once (_g_map_weights).
         """
         self.require_admissible()
-        twist = minus_one_power(self.field, self.n)
         out = []
-        for l, row in enumerate(_g_map_table(self.trunc, minus_first)):
-            acc = self.coeffs[l]  # every row starts with (l, 1)
-            for k, c in row[1:]:
-                term = self.coeffs[k]
-                for _ in range(k - l):  # tau^(k-l) a_k by the model's own mul
-                    term = twist.mul(term)
-                acc = acc.add(term if c == 1 else term.scale(c))
+        for l, row in enumerate(_g_map_weights(self.field, self.n, self.trunc, minus_first)):
+            acc = None  # every row holds (l, 1)
+            for k, w in row:
+                term = w.mul(self.coeffs[k])
+                acc = term if acc is None else acc.add(term)
             out.append(acc)
         return out
 

@@ -38,7 +38,6 @@ from .model import (
 from .operations import (
     ADMISSIBILITY_RULES,
     OpSequence,
-    Presentation,
     admissible,
     allowed_coefficients,
     delta,
@@ -128,13 +127,22 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def sample_presentation(n, rng, r_max, s_max, sampler):
-    entries = []
-    for _ in range(rng.randrange(0, r_max + 1)):
-        entries.append((1, tuple(sampler() for _ in range(n))))
-    for _ in range(rng.randrange(0, s_max + 1)):
-        entries.append((-1, tuple(sampler() for _ in range(n))))
-    return Presentation(n, tuple(entries))
+def _draw_symbols(n, rng, r_max, s_max, sampler):
+    """The unit tuples of r <= r_max positive and then s <= s_max negative
+    pure symbols of length n, r and s drawn first in each group."""
+    pos = [tuple(sampler() for _ in range(n)) for _ in range(rng.randrange(0, r_max + 1))]
+    neg = [tuple(sampler() for _ in range(n)) for _ in range(rng.randrange(0, s_max + 1))]
+    return pos, neg
+
+
+def _signed_sum(field, pos, neg):
+    """The presentation sum_i [pos_i] - sum_j [neg_j] as an expression."""
+    return SymExpr(field, [((0, u), 1) for u in pos] + [((0, u), -1) for u in neg])
+
+
+def sample_presentation(field, n, rng, r_max, s_max, sampler):
+    """A random presentation sum_i [a_i] - sum_j [b_j] of degree n."""
+    return _signed_sum(field, *_draw_symbols(n, rng, r_max, s_max, sampler))
 
 
 def sample_expr(field, degree, rng, max_terms, max_eta, sampler=None):
@@ -166,16 +174,7 @@ def sample_sequence(field, source, target, n, m, L, rng):
         rng.choice(allowed_coefficients(field, source, target, n, l, m - n * l))
         for l in range(L + 1)
     ]
-    return _admitted(OpSequence(source, target, n, m, field, coeffs))
-
-
-def _admitted(seq):
-    """seq, marked admissible: the rule is per coefficient, and the caller
-    drew every coefficient from allowed_coefficients or chose zero, so the
-    verdict is known without deciding it (pinned by
-    test_built_sequences_are_admissible_when_decided_afresh)."""
-    seq._admissible = True
-    return seq
+    return OpSequence._admitted(source, target, n, m, field, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +353,12 @@ def run_lambda_wd(config):
 
     for trial in range(config.trials if generators else 0):
         kind, gen = generators[trial % len(generators)]
-        x = sample_presentation(n, rng, r_max=1, s_max=1, sampler=sampler)
+        x = sample_presentation(field, n, rng, r_max=1, s_max=1, sampler=sampler)
         y = sample_torsion_coeff(base, rng.choice([0, -1]), rng)
         l = rng.choice([2, 3])
-        perturbed = x.as_expr(field).add(gen)
+        perturbed = x.add(gen)
         try:
-            v1 = lambda_eval(n, l, y, x.as_expr(field), oracle)
+            v1 = lambda_eval(n, l, y, x, oracle)
             v2 = lambda_eval(n, l, y, perturbed, oracle)
         except TorsionViolation:
             rep.check(False, f"unexpected torsion rejection ({kind})")
@@ -372,9 +371,9 @@ def run_lambda_wd(config):
     # rejected at the precondition, and actually breaks an identity
     if delta(n) == 1:
         bad = MWElem.one(base)
-        x = sample_presentation(n, rng, r_max=1, s_max=0, sampler=sampler)
+        x = sample_presentation(field, n, rng, r_max=1, s_max=0, sampler=sampler)
         try:
-            lambda_eval(n, 2, bad, x.as_expr(field), oracle)
+            lambda_eval(n, 2, bad, x, oracle)
             rep.check(False, "negative control not rejected at the precondition")
         except TorsionViolation:
             rep.check(True, "negative control rejected")
@@ -386,9 +385,9 @@ def run_lambda_wd(config):
             deg2 = field.from_poly(first_monic_irreducible(field.base, 2))
             witt_gens = [witt_generator(1, (field.t_unit(), deg2), 0)]
             witt_gens += [g for kind, g in generators if kind == "witt"][:12]
-            probes = [Presentation.empty(n).as_expr(field)]
+            probes = [SymExpr.zero(field)]
             probes += [
-                sample_presentation(n, rng, r_max=1, s_max=0, sampler=sampler).as_expr(field)
+                sample_presentation(field, n, rng, r_max=1, s_max=0, sampler=sampler)
                 for _ in range(3)
             ]
             violated, _ = _perturbation_search(
@@ -431,12 +430,12 @@ def run_prop64(config):
     L = 3
 
     for trial in range(config.trials):
-        x = sample_presentation(n, rng, r_max=2, s_max=1, sampler=sampler)
-        xp = sample_presentation(n, rng, r_max=2, s_max=1, sampler=sampler)
+        x = sample_presentation(field, n, rng, r_max=2, s_max=1, sampler=sampler)
+        xp = sample_presentation(field, n, rng, r_max=2, s_max=1, sampler=sampler)
         y = sample_torsion_coeff(base, rng.choice([0, -1]), rng)
         sx = oracle.lambda_values(x, n, L)
         sxp = oracle.lambda_values(xp, n, L)
-        sboth = oracle.lambda_values(x.as_expr(field).add(xp.as_expr(field)), n, L)
+        sboth = oracle.lambda_values(x.add(xp), n, L)
         l = rng.randrange(1, L + 1)
         acc = oracle.zero(l * n)
         for i in range(l + 1):
@@ -452,19 +451,17 @@ def run_prop64(config):
         # since y is h-torsion, so the permuted products must agree)
         if trial % 2 == 0:
             r = rng.randrange(1, 4)
-            pos = Presentation(
-                n, tuple((1, tuple(sampler() for _ in range(n))) for _ in range(r))
-            )
+            symbols = [tuple(sampler() for _ in range(n)) for _ in range(r)]
             l2 = rng.randrange(0, min(r, 2) + 1)
-            got = lambda_eval(n, l2, y, pos, oracle)
+            got = lambda_eval(n, l2, y, _signed_sum(field, symbols, ()), oracle)
             acc2 = rev2 = oracle.zero(l2 * n)
             for subset in itertools.combinations(range(r), l2):
                 term = oracle.one()
                 rterm = oracle.one()
                 for i in subset:
-                    term = term.mul(oracle.bracket(pos.entries[i][1]))
+                    term = term.mul(oracle.bracket(symbols[i]))
                 for i in reversed(subset):
-                    rterm = rterm.mul(oracle.bracket(pos.entries[i][1]))
+                    rterm = rterm.mul(oracle.bracket(symbols[i]))
                 acc2 = acc2.add(term)
                 rev2 = rev2.add(rterm)
             deg2 = y.degree + l2 * n
@@ -519,10 +516,10 @@ def run_shift73(config):
 
     for trial in range(config.trials):
         seq = _sequence_for_shift(config, rng)
-        x = sample_presentation(n, rng, r_max=1, s_max=1, sampler=sampler)
+        x = sample_presentation(field, n, rng, r_max=1, s_max=1, sampler=sampler)
         abar = tuple(sampler() for _ in range(n))
         sign = rng.choice([1, -1])
-        x_mod = x.append(sign, abar)
+        x_mod = x.add(SymExpr.bracket(*abar).scale(sign))
         lhs = seq.apply(x_mod, oracle)
         rhs = seq.apply(x, oracle)  # before the shift, which reads a slice of x's series
         correction = oracle.bracket(abar).mul(seq.shift(sign).apply(x, oracle))
@@ -533,7 +530,7 @@ def run_shift73(config):
         if trial % 4 == 0:
             y = sample_torsion_coeff(base, 0, rng)
             l = rng.choice([2, 3])
-            plus = x.append(1, abar)
+            plus = x.add(SymExpr.bracket(*abar))
             lhs2 = lambda_eval(n, l, y, plus, oracle)
             rhs2 = lambda_eval(n, l, y, x, oracle).add(
                 oracle.bracket(abar).mul(lambda_eval(n, l - 1, y, x, oracle))
@@ -541,7 +538,7 @@ def run_shift73(config):
             rep.equal(
                 oracle, lhs2, rhs2, MW, y.degree + l * n, f"lambda plus-shift formula trial {trial}"
             )
-            minus = x.append(-1, abar)
+            minus = x.sub(SymExpr.bracket(*abar))
             lhs3 = lambda_eval(n, l, y, minus, oracle)
             acc = None
             for i in range(l):
@@ -596,7 +593,7 @@ def run_lemma75(config):
 
     for trial in range(config.trials):
         seq = _sequence_for_shift(config, rng)
-        x = sample_presentation(n, rng, r_max=1, s_max=1, sampler=sampler)
+        x = sample_presentation(field, n, rng, r_max=1, s_max=1, sampler=sampler)
         # the single shifts first: they ask the oracle for x's series at the
         # largest truncation of the trial, and the double shifts read slices
         v_p = seq.shift(1).apply(x, oracle)
@@ -662,8 +659,10 @@ def run_prop83(config):
 
     for trial in range(config.trials):
         cap = 2 if symbolic else 3
-        x = sample_presentation(n, rng, r_max=cap, s_max=cap, sampler=sampler)
-        bound = 2 * max(x.positives, x.negatives) + 1
+        pos, neg = _draw_symbols(n, rng, cap, cap, sampler)
+        r, s = len(pos), len(neg)
+        x = _signed_sum(field, pos, neg)
+        bound = 2 * max(r, s) + 1
         if bound > L:
             continue
         y = sample_torsion_coeff(base, rng.choice([0, -1]), rng)
@@ -672,7 +671,7 @@ def run_prop83(config):
         for l in range(bound, L + 1):
             rep.zero(
                 oracle, sig[l].mul(y_val), MW, y.degree + l * n,
-                f"sigma_{l} nonzero beyond the bound (r={x.positives}, s={x.negatives}, trial {trial})",
+                f"sigma_{l} nonzero beyond the bound (r={r}, s={s}, trial {trial})",
             )
     return rep
 
@@ -712,7 +711,7 @@ def thm84_sequences(field, L):
                 for l in range(L + 1)
             ]
             for coeffs in itertools.product(*choices):
-                yield _admitted(OpSequence(MW, MW, n, m, field, coeffs))
+                yield OpSequence._admitted(MW, MW, n, m, field, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -852,14 +851,14 @@ def run_lemma91(config):
 
     for trial in range(config.trials):
         seq = _sequence_for_shift(config, rng)
-        x = sample_presentation(n, rng, r_max=1, s_max=1, sampler=sampler)
+        x = sample_presentation(field, n, rng, r_max=1, s_max=1, sampler=sampler)
         r = rng.choice([1, 2])
         signs = [rng.choice([0, 1]) for _ in range(r)]
         abars = [tuple(sampler() for _ in range(n)) for _ in range(r)]
         x_mod = x
         for s, abar in zip(signs, abars):
             squared = (abar[0].mul(abar[0]),) + abar[1:]
-            x_mod = x_mod.append(1 if s % 2 == 0 else -1, squared)
+            x_mod = x_mod.add(SymExpr.bracket(*squared).scale(1 if s % 2 == 0 else -1))
         lhs = seq.apply(x_mod, oracle)
         rhs = seq.apply(x, oracle)
         for j in range(1, r + 1):
@@ -887,7 +886,7 @@ def run_lemma91(config):
             all(u == v for u, v in zip(coeffs, back)),
             f"f/lambda conversion not involutive (trial {trial})",
         )
-        x = sample_presentation(n, rng, r_max=2, s_max=0, sampler=sampler)
+        x = sample_presentation(field, n, rng, r_max=2, s_max=0, sampler=sampler)
         y = sample_torsion_coeff(base, 0, rng)
         l = rng.choice([1, 2, 3])
         va = f_eval(n, l, y, x, oracle)
@@ -914,13 +913,12 @@ def run_lemma93(config):
     for trial in range(config.trials):
         target = rng.choice([MILNOR, MOD2])
         seq = _sequence_for_shift(config, rng, target=target)
-        x = sample_presentation(n, rng, r_max=1, s_max=1, sampler=sampler)
+        x = sample_presentation(field, n, rng, r_max=1, s_max=1, sampler=sampler)
         a, b = sampler(), sampler()
         cs = tuple(sampler() for _ in range(n - 1))
         eta_term = SymExpr(field, {(1, (a, b) + cs): 1})
         sign = rng.choice([1, -1])
-        x_expr = x.as_expr(field)
-        lhs = seq.apply(x_expr.add(eta_term.scale(sign)), oracle)
+        lhs = seq.apply(x.add(eta_term.scale(sign)), oracle)
         rhs = seq.apply(x, oracle)  # before the shifts, which read a slice of x's series
         shifted = seq.shifted(0, 2) if sign == 1 else seq.shifted(2, 0)
         corr = (
@@ -1017,15 +1015,16 @@ def run_table1(config):
     # source, eta-multiples for a Milnor source)
     oracle = oracle_for(config.field) if isinstance(config.field, RatFuncField) else None
     if oracle is not None:
-        sampler = unit_sampler(config.field, rng, max_degree=2)
+        rf = config.field
+        sampler = unit_sampler(rf, rng, max_degree=2)
         for trial in range(min(config.trials, 10)):
             n = rng.choice([1, 2])
             m = rng.choice([2, 3])
             seq_w = sample_sequence(field, WITT, MW, n, m, 3, rng)
-            x = sample_presentation(n, rng, r_max=1, s_max=1, sampler=sampler)
+            x = sample_presentation(rf, n, rng, r_max=1, s_max=1, sampler=sampler)
             abar = tuple(sampler() for _ in range(n))
             squared = (abar[0].mul(abar[0]),) + abar[1:]
-            x_h = x.append(rng.choice([1, -1]), squared)
+            x_h = x.add(SymExpr.bracket(*squared).scale(rng.choice([1, -1])))
             rep.equal(
                 oracle, seq_w.apply(x, oracle), seq_w.apply(x_h, oracle), MW, m,
                 f"Witt-source sequence sees an h-multiple (trial {trial})",
@@ -1035,17 +1034,27 @@ def run_table1(config):
                 tgt = MILNOR
             seq_m = sample_sequence(field, MILNOR, tgt, n, m, 3, rng)
             eta_units = tuple(sampler() for _ in range(n + 1))
-            eta_term = SymExpr(config.field, {(1, eta_units): rng.choice([1, -1])})
+            eta_term = SymExpr(rf, {(1, eta_units): rng.choice([1, -1])})
             rep.equal(
                 oracle,
-                seq_m.apply(x.as_expr(config.field), oracle),
-                seq_m.apply(x.as_expr(config.field).add(eta_term), oracle),
+                seq_m.apply(x, oracle),
+                seq_m.apply(x.add(eta_term), oracle),
                 tgt,
                 m,
                 f"Milnor-source sequence sees an eta-multiple (trial {trial}, {tgt})",
             )
 
-        # rejection audit: rejected sequences violate an identity or act as zero
+        # rejection audit: rejected sequences violate an identity or act as zero.
+        # The witnesses sit at the first places P of degree 2 and 3: the
+        # surviving h-multiples there are multiples of [tbar^2], whose
+        # order in kappa(P)^* is 2 and 13 over F_3.  At the cubic place
+        # tbar^2 lies outside F_q, so its order exceeds 2 for every q,
+        # and together they catch every nonzero rank (-2..2) of a
+        # rejected coefficient
+        witnesses = [
+            witt_generator(1, (rf.t_unit(), rf.from_poly(first_monic_irreducible(field, d))), 0)
+            for d in (2, 3)
+        ]
         audited = 0
         for trial in range(200):
             if audited >= min(config.trials, 12):
@@ -1067,27 +1076,15 @@ def run_table1(config):
                 f"sequence with non-torsion a_{l} accepted (trial {trial})",
             )
             seq = OpSequence(MW, MW, n, m, field, coeffs)
-            sampler = unit_sampler(config.field, rng, max_degree=2)
-            t_unit = config.field.t_unit()
-            # witnesses at the first places P of degree 2 and 3: the
-            # surviving h-multiples there are multiples of [tbar^2], whose
-            # order in kappa(P)^* is 2 and 13 over F_3.  At the cubic place
-            # tbar^2 lies outside F_q, so its order exceeds 2 for every q,
-            # and together they catch every nonzero rank (-2..2) of a
-            # rejected coefficient
-            deg2 = config.field.from_poly(first_monic_irreducible(field, 2))
-            deg3 = config.field.from_poly(first_monic_irreducible(field, 3))
-            gens = [
-                witt_generator(1, (t_unit, deg2), 0),
-                witt_generator(1, (t_unit, deg3), 0),
+            gens = witnesses + [
+                g
+                for kind, g in relation_generators(
+                    rf, n, d_max=1, sampler=sampler, rng=rng, per_family=3
+                )
+                if g.max_term_size() <= 5
             ]
-            for kind, g in relation_generators(
-                config.field, n, d_max=1, sampler=sampler, rng=rng, per_family=3
-            ):
-                if g.max_term_size() <= 5:
-                    gens.append(g)
-            probes = [SymExpr.zero(config.field)] + [
-                sample_presentation(n, rng, r_max=2, s_max=0, sampler=sampler).as_expr(config.field)
+            probes = [SymExpr.zero(rf)] + [
+                sample_presentation(rf, n, rng, r_max=2, s_max=0, sampler=sampler)
                 for _ in range(2)
             ]
             violated, values = _perturbation_search(

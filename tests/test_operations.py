@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from mwk import operations
+from mwk import model, operations
 from mwk.errors import FieldMismatch, Inhomogeneous, NotAdmissible, TorsionViolation
 from mwk.fields import Poly, ff_build, ff_build_q, rat_func_field
 from mwk.model import (
@@ -23,9 +23,9 @@ from mwk.operations import (
     ADMISSIBILITY_RULES,
     ModelOracle,
     OpSequence,
-    Presentation,
     ValuationOracle,
     _g_map_table,
+    _g_map_weights,
     admissible,
     allowed_coefficients,
     coefficient_allowed,
@@ -66,9 +66,19 @@ def units(*vals):
     return tuple(F3.unit(v) for v in vals)
 
 
+def of_signed(field, entries):
+    """The presentation sum_i sign_i [units_i] of (sign, units) entries,
+    added one bracket at a time."""
+    x = SymExpr.zero(field)
+    for sign, us in entries:
+        x = x.add(SymExpr.bracket(*us).scale(sign))
+    return x
+
+
 def of_symbols(n, *unit_tuples):
     """The presentation sum of the given degree-n symbols, each with sign +1."""
-    return Presentation(n, tuple((1, tuple(us)) for us in unit_tuples))
+    assert all(len(us) == n for us in unit_tuples)
+    return of_signed(unit_tuples[0][0].field, [(1, us) for us in unit_tuples])
 
 
 def test_lambda_series_of_zero():
@@ -109,7 +119,8 @@ def test_lambda_elementary_symmetric():
 def test_lambda_cancellation():
     y = h_torsion_y()
     a = units(2)
-    x = Presentation(1, ((1, a), (-1, a)))
+    x = of_signed(F3, [(1, a), (-1, a)])
+    assert x.is_structurally_zero()
     for l in (1, 2, 3):
         assert lambda_eval(1, l, y, x, OM).is_zero()
 
@@ -139,26 +150,29 @@ def test_lambda_eta_term_series():
     assert series[1] == want
 
 
-def _geometric_series(x, trunc):
-    """The series of a presentation with the plain inverse sum_j (-[a])^j t^j
-    for each negative entry, instead of the twisted one."""
-    zeros = [OM.zero(l * x.n) for l in range(trunc + 1)]
+def _geometric_series(x, n, trunc):
+    """The series of a presentation (pure symbols of length n, signed
+    multiplicities) with the plain inverse sum_j (-[a])^j t^j for each
+    negative one, instead of the twisted one."""
+    zeros = [OM.zero(l * n) for l in range(trunc + 1)]
     series = [OM.one()] + zeros[1:]
-    for sign, us in x.entries:
+    for (d, us), mult in x.terms.items():
+        assert d == 0 and len(us) == n
         v = OM.bracket(us)
-        if sign == 1:
+        if mult > 0:
             factor = [OM.one(), v] + zeros[2:]
         else:
             factor = [OM.one()]
             for _ in range(trunc):
                 factor.append(factor[-1].mul(v.neg()))
-        product_ = []
-        for l in range(trunc + 1):
-            acc = zeros[l]
-            for i in range(l + 1):
-                acc = acc.add(series[i].mul(factor[l - i]))
-            product_.append(acc)
-        series = product_
+        for _ in range(abs(mult)):
+            product_ = []
+            for l in range(trunc + 1):
+                acc = zeros[l]
+                for i in range(l + 1):
+                    acc = acc.add(series[i].mul(factor[l - i]))
+                product_.append(acc)
+            series = product_
     return series
 
 
@@ -169,16 +183,16 @@ def test_inverse_series_modes_agree():
     y = h_torsion_y()
     for _ in range(50):
         n = rng.choice([1, 2])
-        x = Presentation(
-            n,
-            tuple(
+        x = of_signed(
+            F3,
+            [
                 (rng.choice([1, -1]), tuple(F3.unit_exp(rng.randrange(2)) for _ in range(n)))
                 for _ in range(rng.randrange(1, 3))
-            ),
+            ],
         )
         for l in range(0, 4):
             twisted = lambda_series(x, n, l, OM)[l]
-            plain = _geometric_series(x, l)[l]
+            plain = _geometric_series(x, n, l)[l]
             assert twisted.mul(y) == plain.mul(y)
 
 
@@ -289,7 +303,7 @@ def test_vanishing_bound():
         ) + tuple(
             (-1, tuple(F3.unit_exp(rng.randrange(2)) for _ in range(n))) for _ in range(s)
         )
-        x = Presentation(n, entries)
+        x = of_signed(F3, entries)
         series = lambda_series(x, n, 8, OM)
         sig = sigma_operator_values(series, n, 8, OM)
         for l in range(2 * max(r, s) + 1, 9):
@@ -558,6 +572,54 @@ def test_g_map_makes_no_shift_step(monkeypatch):
     assert calls[0] == 0
 
 
+def test_a_warm_g_map_reads_its_weights(monkeypatch):
+    # each weight is c tau^(k-l) for a pair (k, c) of _g_map_table, here by
+    # repeated multiplication with [-1] and repeated addition; the model's
+    # zeros are left out
+    for field, n, L, minus_first in product((F3, F9), (1, 2, 3), (0, 1, 4, 8), (True, False)):
+        m1 = MWElem.from_unit(field.minus_one())
+        table = _g_map_table(L, minus_first)
+        weights = _g_map_weights(field, n, L, minus_first)
+        assert len(weights) == len(table)
+        for l, (row, got) in enumerate(zip(table, weights)):
+            want = []
+            for k, c in row:
+                power = MWElem.one(field)
+                for _ in range(n * (k - l)):
+                    power = power.mul(m1)
+                w = MWElem.zero(field, n * (k - l))
+                for _ in range(c):
+                    w = w.add(power)
+                if not w.is_zero():
+                    want.append((k, w))
+            assert list(got) == want, (field, n, L, minus_first, l)
+            assert got[0] == (l, MWElem.one(field))
+    rng = random.Random(31)
+    seqs = [
+        seq
+        for field, n, m in product((F3, F9), (1, 2), (0, 1, 2))
+        for seq in full_support_sequences(field, n, m, 8, rng, 2)
+    ]
+    want = {(i, mf): seq.g_map(mf) for i, seq in enumerate(seqs) for mf in (True, False)}
+    calls = Counter()
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(MWElem, "scale")
+    counted(operations, "minus_one_power")
+    counted(model, "minus_one_power")
+    for (i, minus_first), entries in want.items():
+        assert seqs[i].g_map(minus_first) == entries
+    assert not calls, calls
+
+
 def counted_paths(signs, L):
     """Brute force over every choice of steps: walk from position 0 back
     through the shifts `signs`, one index per step or two where the step's
@@ -662,6 +724,24 @@ def test_sample_sequence_fills_each_slot_once(monkeypatch):
     assert calls[0] == slots
 
 
+@pytest.mark.parametrize("spec", ["3", "9", "3(t)"])
+def test_sample_presentation_is_the_signed_sum_of_the_replayed_draws(spec):
+    field = parse_field_spec(spec)
+    rng, replay = random.Random(41), random.Random(41)
+    sampler = unit_sampler(field, rng, max_degree=1)
+    replay_sampler = unit_sampler(field, replay, max_degree=1)
+    for n, r_max, s_max in product((1, 2), (0, 1, 3), (0, 2)):
+        for _ in range(5):
+            x = sample_presentation(field, n, rng, r_max, s_max, sampler)
+            want = SymExpr.zero(field)
+            for sign, bound in ((1, r_max), (-1, s_max)):
+                for _ in range(replay.randrange(0, bound + 1)):
+                    units_ = [replay_sampler() for _ in range(n)]
+                    want = want.add(SymExpr.bracket(*units_).scale(sign))
+            assert x == want and x.field is field
+            assert rng.getstate() == replay.getstate()
+
+
 def test_built_sequences_are_admissible_when_decided_afresh():
     """sample_sequence and thm84 mark the sequences they build admissible
     without deciding it; the module-level predicate decides each afresh."""
@@ -711,7 +791,7 @@ def series_inputs(field, rng):
     out = []
     for n in (1, 2):
         for _ in range(3):
-            out.append((sample_presentation(n, rng, r_max=2, s_max=1, sampler=sampler), n))
+            out.append((sample_presentation(field, n, rng, r_max=2, s_max=1, sampler=sampler), n))
             out.append((sample_expr(field, n, rng, max_terms=2, max_eta=1, sampler=sampler), n))
     return out
 
@@ -754,9 +834,11 @@ def test_a_presentation_and_its_expression_share_one_entry(computed):
     for field in (F3, RF):
         oracle = oracle_for(field)
         m1 = field.minus_one()
-        x = of_symbols(1, (m1,), (m1,))  # its expression merges to 2 [-1]
+        # [-1] + [-1], added one bracket at a time, and one term 2 [-1]
+        x = of_symbols(1, (m1,), (m1,))
         oracle.sigma_series(x, 1, 3)
-        expr = x.as_expr(field)
+        expr = SymExpr(field, {(0, (m1,)): 2})
+        assert expr is not x and expr == x and hash(expr) == hash(x)
         assert oracle.lambda_values(expr, 1, 2) == oracle.lambda_values(x, 1, 2)
         assert oracle.sigma_series(expr, 1, 3) == oracle.sigma_series(x, 1, 3)
         assert len(oracle._series) == 1
@@ -777,7 +859,7 @@ def test_invalid_input_raises_on_a_cold_and_a_warm_oracle():
             if warm:
                 oracle.sigma_series(x, 1, 4)
             with pytest.raises(NotAdmissible):
-                oracle.sigma_series(of_symbols(0, ()), 0, 2)
+                oracle.sigma_series(SymExpr.one(oracle.field), 0, 2)
             with pytest.raises(NotAdmissible):
                 oracle.lambda_values(x, 0, 2)
             with pytest.raises(Inhomogeneous):
@@ -785,7 +867,7 @@ def test_invalid_input_raises_on_a_cold_and_a_warm_oracle():
             with pytest.raises(Inhomogeneous):
                 oracle.sigma_series(SymExpr.bracket(m1, m1), 1, 2)
             with pytest.raises(FieldMismatch):
-                oracle.sigma_series(x.as_expr(F9), 1, 2)
+                oracle.sigma_series(SymExpr.bracket(F9.minus_one()), 1, 2)
             assert len(oracle._series) == warm
 
 
