@@ -40,8 +40,6 @@ from .model import (
 from .symbols import SymExpr, _unit_sort_key, embed_expr
 from .valuation import is_zero as val_is_zero
 
-_new = object.__new__
-
 
 def delta(n):
     """Parity flag: 1 for odd n, 0 for even n."""
@@ -443,18 +441,14 @@ def _g_map_table(L, minus_first):
 @lru_cache(maxsize=None)
 def _g_map_weights(field, n, L, minus_first):
     """Row l: the pairs (k, c tau^(k-l)) for the pairs (k, c) of
-    _g_map_table's row l, tau = [-1]^n, each weight computed once by the
-    model's own mul and scale.  A weight the model computes as zero is left
+    _g_map_table's row l, tau = [-1]^n, so tau^(k-l) = [-1]^(n(k-l)); each
+    weight is computed once.  A weight the model computes as zero is left
     out."""
-    twist = minus_one_power(field, n)
     rows = []
     for l, row in enumerate(_g_map_table(L, minus_first)):
         weights = []
         for k, c in row:
-            w = MWElem.one(field)
-            for _ in range(k - l):
-                w = twist.mul(w)
-            w = w.scale(c)
+            w = minus_one_power(field, n * (k - l)).scale(c)
             if not w.is_zero():
                 weights.append((k, w))
         rows.append(tuple(weights))
@@ -492,16 +486,14 @@ class OpSequence:
 
     @classmethod
     def _admitted(cls, source, target, n, m, field, coeffs):
-        """The sequence, unchecked and marked admissible: the caller passes
-        well-typed coefficients that each pass coefficient_allowed (drawn
-        from allowed_coefficients, zero, or a shift of an admissible
-        sequence), so the verdict is known without deciding it (pinned by
+        """The sequence, marked admissible: the caller passes coefficients
+        that each pass coefficient_allowed (drawn from allowed_coefficients,
+        zero, or a shift of an admissible sequence), so the verdict is known
+        without deciding it (pinned by
         test_built_sequences_are_admissible_when_decided_afresh and
-        test_shift_preserves_admissibility)."""
-        seq = _new(cls)
-        seq.source, seq.target, seq.n, seq.m = source, target, n, m
-        seq.field = field
-        seq.coeffs = tuple(coeffs)
+        test_shift_preserves_admissibility).  The constructor's own checks
+        still run."""
+        seq = cls(source, target, n, m, field, coeffs)
         seq._admissible = True
         return seq
 

@@ -97,7 +97,9 @@ def test_eval_at_a_place_whose_residue_field_order_has_a_large_prime(capsys):
     [
         *(
             ["verify", "--suite", suite, "--field", field, "--n", "0", "--trials", "2"]
-            for suite in ("lambda-wd", "prop64", "prop83")
+            for suite in (
+                "lambda-wd", "prop64", "prop83", "shift73", "lemma75", "lemma91", "lemma93"
+            )
             for field in ("3", "3(t)")
         ),
         *(
