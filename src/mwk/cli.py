@@ -15,7 +15,7 @@ import sys
 
 from .errors import MWKError
 from .exprtext import format_field_spec, parse_expr, parse_field_spec
-from .fields import RatFuncField
+from .fields import RatFuncField, ff_build_q
 from .model import eval_model, group_structure_model, snf_oracle
 from .suites import SUITES, SuiteConfig, run_suite
 from .valuation import canonical_form
@@ -30,8 +30,6 @@ def _emit(payload, as_json):
 
 
 def cmd_group(args):
-    from .fields import ff_build_q
-
     field = ff_build_q(args.q)
     model = group_structure_model(field, args.n)
     oracle = snf_oracle(field, args.n, args.d_max)

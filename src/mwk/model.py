@@ -40,8 +40,8 @@ from .errors import (
     Inhomogeneous,
     SizeBound,
 )
-from .fields import FFUnit, FiniteField, RatFuncField
-from .symbols import SymExpr
+from .fields import FFUnit, FiniteField, RatFuncField, size_bound
+from .symbols import SymExpr, embed_expr
 
 MW = "MW"
 MILNOR = "Milnor"
@@ -377,11 +377,20 @@ def eval_model(expr, degree):
 
 
 def theory_torsion_test(y, kind, theory, n=None):
-    """h-torsion, 2-torsion or tau_n-torsion of a model element, taken inside
-    a companion theory (on projections); theory MW tests the element itself."""
+    """Whether a model element passes a torsion kind of the admissibility
+    table, taken inside a companion theory (on projections); theory MW tests
+    the element itself.  The kinds are h-torsion "h", 2-torsion "two" and
+    tau_n-torsion "tau"; "delta_h" and "delta_two" ask for h- and 2-torsion
+    at odd source degree n and hold at even n."""
+    if kind in ("delta_h", "delta_two"):
+        if n is None:
+            raise ValueError(f"{kind}-torsion needs the source degree n")
+        if n % 2 == 0:
+            return True
+        kind = kind[len("delta_") :]
     if kind == "h":
         return y.h_mul().is_zero_in(theory)
-    if kind == "2":
+    if kind == "two":
         return y.add(y).is_zero_in(theory)
     if kind == "tau":
         if n is None:
@@ -407,8 +416,6 @@ def minus_one_power(field, k):
 def base_change(elem, target):
     """Extension of scalars along F_q -> F_{q^k}: the Milnor part follows the
     unit embedding, the Witt part extends the form."""
-    from .symbols import embed_expr
-
     if target is elem.field:
         return elem
     return eval_model(embed_expr(model_to_sym(elem), target), elem.degree)
@@ -532,8 +539,6 @@ def group_structure_model(field, n):
     Finite factors come first in divisibility order; a trailing 0 denotes a
     free Z summand (only in degree 0, where the rank splits off).
     """
-    from .fields import size_bound
-
     if field.q > size_bound():
         raise SizeBound(f"q = {field.q} exceeds the enumeration bound")
     if n == 0:
@@ -689,13 +694,10 @@ class _Presentation:
             raise SizeBound("presentation oracle needs n >= 0")
         if d_max < 0:
             raise SizeBound("presentation oracle needs d_max >= 0")
-        from .fields import size_bound
-
         limit = size_bound()
         self.field = field
         self.n = n
         self.d_max = d_max
-        self.level = 0  # the level of the row relation_rows yielded last
         for d in range(d_max + 1):
             if (field.q - 1) ** (n + d) > limit:
                 raise SizeBound(
@@ -767,14 +769,14 @@ class _Presentation:
                     yield twice + vec(tup[:pos] + (minus_one,) + tup[pos:])
 
     def relation_rows(self):
-        """The distinct nonzero relation rows, level by level, as tuples."""
+        """The distinct nonzero relation rows, level by level, as (level,
+        row) with the row a tuple."""
         seen = {0}
         for d in range(self.d_max + 1):
-            self.level = d
             for packed in self.packed_rows(d):
                 if packed not in seen:
                     seen.add(packed)
-                    yield _unpack(packed, self.width, self.m)
+                    yield d, _unpack(packed, self.width, self.m)
 
 
 def snf_oracle(field, n, d_max):
@@ -800,8 +802,8 @@ def snf_oracle(field, n, d_max):
         free = width - sum(1 for d in diag if d != 0)
         return sorted(d for d in diag if d not in (0, 1)) + [0] * free
 
-    for row in pres.relation_rows():
-        while len(per_d) < pres.level:
+    for level, row in pres.relation_rows():
+        while len(per_d) < level:
             per_d.append(factors())
         _insert_row(basis, row)
         if len(basis) == m and all(basis[j][j] == 1 for j in range(m)):

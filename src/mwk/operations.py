@@ -256,7 +256,7 @@ def divided_power_series(n, x, y, trunc, oracle):
 
 def require_torsion(n, y):
     """Odd source degree needs an h-torsion coefficient."""
-    if delta(n) and not theory_torsion_test(y, "h", MW):
+    if not theory_torsion_test(y, "delta_h", MW, n):
         raise TorsionViolation(
             f"degree-{n} divided powers need an h-torsion coefficient"
         )
@@ -287,10 +287,9 @@ def twisted_sum(terms, n, minus_one_power):
     return acc
 
 
-def lambda_eval(n, l, y, x, oracle, skip_check=False):
+def lambda_eval(n, l, y, x, oracle):
     """The l-th divided power of x acting on y."""
-    if not skip_check:
-        require_torsion(n, y)
+    require_torsion(n, y)
     return _act(oracle.lambda_values(x, n, l)[l], y, oracle)
 
 
@@ -372,17 +371,6 @@ ADMISSIBILITY_RULES = {
 }
 
 
-# a kind of the table -> (the torsion theory_torsion_test takes, whether
-# the kind constrains only odd source degrees)
-_TORSION_KINDS = {
-    "delta_two": ("2", True),
-    "two": ("2", False),
-    "delta_h": ("h", True),
-    "h": ("h", False),
-    "tau": ("tau", False),
-}
-
-
 def admissibility_row(source, target):
     """The table's (start, kinds) for the row (source, target)."""
     try:
@@ -400,10 +388,7 @@ def coefficient_allowed(source, target, n, l, a):
     # that is zero in the target passes every torsion kind
     if start is None or l < start or a.is_zero_in(target):
         return True
-    return all(
-        (odd_only and not delta(n)) or theory_torsion_test(a, test, target, n)
-        for test, odd_only in map(_TORSION_KINDS.__getitem__, kinds)
-    )
+    return all(theory_torsion_test(a, kind, target, n) for kind in kinds)
 
 
 @lru_cache(maxsize=None)

@@ -2,9 +2,11 @@
 the applicable equality oracle with seeded sampling and machine-readable
 reports.
 
-Each suite returns a report dict with the suite id, its anchor (a one-line
-description of the verified law), the field, trial and failure counts, and
-the seed.  A suite passes iff it records no failures.
+Each suite is a check registered once by `_suite` under its id and anchor
+(a one-line description of the verified law); `run_suite` gives it a fresh
+report, seeded rng and oracle.  The report's JSON holds the suite id, the
+anchor, the field, trial and failure counts, and the seed.  A suite passes
+iff it records at least one check and no failures.
 """
 
 from __future__ import annotations
@@ -123,6 +125,34 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
+# registry
+# ---------------------------------------------------------------------------
+
+SUITES = {}  # suite id -> (anchor, check), in registration order
+
+
+def _suite(suite_id, anchor):
+    """Register check(rep, config, rng, oracle) as the suite suite_id."""
+
+    def register(check):
+        SUITES[suite_id] = (anchor, check)
+        return check
+
+    return register
+
+
+def run_suite(suite_id, config):
+    """Run a suite on a fresh report, an rng seeded with config.seed and a
+    fresh oracle of config.field (so the sigma cache is one per run)."""
+    if suite_id not in SUITES:
+        raise UnknownSuite(f"unknown suite id {suite_id!r}; known: {sorted(SUITES)}")
+    anchor, check = SUITES[suite_id]
+    rep = Report(suite_id, anchor, config)
+    check(rep, config, random.Random(config.seed), oracle_for(config.field))
+    return rep
+
+
+# ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
 
@@ -201,15 +231,9 @@ def _perturbation_search(oracle, value, probes, generators, theory, degree):
 # ---------------------------------------------------------------------------
 
 
-def run_lemma32(config):
-    rep = Report(
-        "lemma32",
-        "defining relations and the nine core symbol laws",
-        config,
-    )
+@_suite("lemma32", "defining relations and the nine core symbol laws")
+def lemma32(rep, config, rng, oracle):
     field = config.field
-    rng = random.Random(config.seed)
-    oracle = oracle_for(field)
     sampler = unit_sampler(field, rng)
 
     if isinstance(field, FiniteField) and (field.q - 1) ** 2 <= size_bound():
@@ -294,7 +318,6 @@ def run_lemma32(config):
         rep.zero(
             oracle, SymExpr.bracket(a).eta_mul().sub(SymExpr.bracket(a).eta_mul()), MW, 0, "MW3"
         )
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +325,9 @@ def run_lemma32(config):
 # ---------------------------------------------------------------------------
 
 
-def run_relations34(config):
-    rep = Report(
-        "relations34",
-        "standard-presentation relation generators evaluate to zero",
-        config,
-    )
+@_suite("relations34", "standard-presentation relation generators evaluate to zero")
+def relations34(rep, config, rng, oracle):
     field = config.field
-    rng = random.Random(config.seed)
-    oracle = oracle_for(field)
     sampler = unit_sampler(field, rng)
     per_family = max(5, config.trials // 10)
     count = 0
@@ -323,7 +340,6 @@ def run_relations34(config):
         count += 1
         if count >= config.trials:
             break
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +347,10 @@ def run_relations34(config):
 # ---------------------------------------------------------------------------
 
 
-def run_lambda_wd(config):
-    rep = Report(
-        "lambda-wd",
-        "divided powers factor through the presentation (perturbation trials)",
-        config,
-    )
+@_suite("lambda-wd", "divided powers factor through the presentation (perturbation trials)")
+def lambda_wd(rep, config, rng, oracle):
     field = config.field
     n = config.n
-    rng = random.Random(config.seed)
-    oracle = oracle_for(field)
     base = oracle.base
     sampler = unit_sampler(field, rng, max_degree=2)
 
@@ -390,9 +400,10 @@ def run_lambda_wd(config):
                 sample_presentation(field, n, rng, r_max=1, s_max=0, sampler=sampler)
                 for _ in range(3)
             ]
+            # lambda_2(x) . bad, read past the precondition that rejects bad
             violated, _ = _perturbation_search(
                 oracle,
-                lambda x: lambda_eval(n, 2, bad, x, oracle, skip_check=True),
+                lambda x: oracle.lambda_values(x, n, 2)[2].mul(oracle.from_base(bad)),
                 probes,
                 [g for g in witt_gens if g.max_term_size() <= 6],
                 MW,
@@ -407,7 +418,6 @@ def run_lambda_wd(config):
                 "violation search skipped"
             )
         rep.note("negative control: precondition rejection verified")
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +425,10 @@ def run_lambda_wd(config):
 # ---------------------------------------------------------------------------
 
 
-def run_prop64(config):
-    rep = Report(
-        "prop64",
-        "divided-power sum formula and elementary-symmetric values",
-        config,
-    )
+@_suite("prop64", "divided-power sum formula and elementary-symmetric values")
+def prop64(rep, config, rng, oracle):
     field = config.field
     n = config.n
-    rng = random.Random(config.seed)
-    oracle = oracle_for(field)
     base = oracle.base
     sampler = unit_sampler(field, rng, max_degree=1)
     L = 3
@@ -488,7 +492,6 @@ def run_prop64(config):
                     oracle, sa[l3].mul(y_val), sb[l3].mul(y_val), MW, y.degree + l3 * n,
                     f"eta-form series trial {trial} (l={l3})",
                 )
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -496,26 +499,19 @@ def run_prop64(config):
 # ---------------------------------------------------------------------------
 
 
-def _sequence_for_shift(config, rng, target=MW):
-    field_base = config.field.base if isinstance(config.field, RatFuncField) else config.field
-    return sample_sequence(field_base, MW, target, config.n, config.m, min(config.trunc, 4), rng)
+def _sequence_for_shift(config, rng, oracle, target=MW):
+    return sample_sequence(oracle.base, MW, target, config.n, config.m, min(config.trunc, 4), rng)
 
 
-def run_shift73(config):
-    rep = Report(
-        "shift73",
-        "defining shift identity and the shift formulas for sigma and lambda",
-        config,
-    )
+@_suite("shift73", "defining shift identity and the shift formulas for sigma and lambda")
+def shift73(rep, config, rng, oracle):
     field = config.field
     n = config.n
-    rng = random.Random(config.seed)
-    oracle = oracle_for(field)
     base = oracle.base
     sampler = unit_sampler(field, rng, max_degree=1)
 
     for trial in range(config.trials):
-        seq = _sequence_for_shift(config, rng)
+        seq = _sequence_for_shift(config, rng, oracle)
         x = sample_presentation(field, n, rng, r_max=1, s_max=1, sampler=sampler)
         abar = tuple(sampler() for _ in range(n))
         sign = rng.choice([1, -1])
@@ -575,24 +571,20 @@ def run_shift73(config):
                 rep.equal(
                     oracle, direct, want, MW, m_local - n, f"sigma shift trial {trial} sign {sgn}"
                 )
-    return rep
 
 
-def run_lemma75(config):
-    rep = Report(
-        "lemma75",
-        "double-shift commutation, torsion of double plus-shifts, and the shift difference law",
-        config,
-    )
+@_suite(
+    "lemma75",
+    "double-shift commutation, torsion of double plus-shifts, and the shift difference law",
+)
+def lemma75(rep, config, rng, oracle):
     field = config.field
     n = config.n
-    rng = random.Random(config.seed)
-    oracle = oracle_for(field)
     sampler = unit_sampler(field, rng, max_degree=1)
     eps_pow_trivial_everywhere = True
 
     for trial in range(config.trials):
-        seq = _sequence_for_shift(config, rng)
+        seq = _sequence_for_shift(config, rng, oracle)
         x = sample_presentation(field, n, rng, r_max=1, s_max=1, sampler=sampler)
         # the single shifts first: they ask the oracle for x's series at the
         # largest truncation of the trial, and the double shifts read slices
@@ -634,7 +626,6 @@ def run_lemma75(config):
         if eps_pow_trivial_everywhere
         else "only the untwisted double-shift commutation form holds"
     )
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -642,16 +633,10 @@ def run_lemma75(config):
 # ---------------------------------------------------------------------------
 
 
-def run_prop83(config):
-    rep = Report(
-        "prop83",
-        "sigma values vanish beyond twice the presentation size",
-        config,
-    )
+@_suite("prop83", "sigma values vanish beyond twice the presentation size")
+def prop83(rep, config, rng, oracle):
     field = config.field
     n = config.n
-    rng = random.Random(config.seed)
-    oracle = oracle_for(field)
     base = oracle.base
     symbolic = isinstance(field, RatFuncField)
     sampler = unit_sampler(field, rng, max_degree=1)
@@ -673,7 +658,6 @@ def run_prop83(config):
                 oracle, sig[l].mul(y_val), MW, y.degree + l * n,
                 f"sigma_{l} nonzero beyond the bound (r={r}, s={s}, trial {trial})",
             )
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -681,21 +665,13 @@ def run_prop83(config):
 # ---------------------------------------------------------------------------
 
 
-def run_thm84(config):
-    rep = Report(
-        "thm84",
-        "coefficient recovery: reading shifted operations at zero is inverse to assembly",
-        config,
-    )
-    field = config.field
-    if isinstance(field, RatFuncField):
-        field = field.base
+@_suite("thm84", "coefficient recovery: reading shifted operations at zero is inverse to assembly")
+def thm84(rep, config, rng, oracle):
     count = 0
-    for seq in thm84_sequences(field, config.trunc):
+    for seq in thm84_sequences(oracle.base, config.trunc):
         rep.check(seq.roundtrip_ok(), f"roundtrip failed (n={seq.n}, m={seq.m}, #{count})")
         count += 1
     rep.note(f"exhausted {count} admissible windowed coefficient tuples")
-    return rep
 
 
 def thm84_sequences(field, L):
@@ -719,17 +695,12 @@ def thm84_sequences(field, L):
 # ---------------------------------------------------------------------------
 
 
-def run_seq37(config):
-    rep = Report(
-        "seq37",
-        "split exact sequence: retraction, constants have no residues, additivity",
-        config,
-    )
+@_suite("seq37", "split exact sequence: retraction, constants have no residues, additivity")
+def seq37(rep, config, rng, oracle):
     rf = config.field
     if not isinstance(rf, RatFuncField):
         raise FieldMismatch("the seq37 suite needs a rational function field")
     base = rf.base
-    rng = random.Random(config.seed)
     t_place = Place(rf, rf.var_poly())
     ctx = ValuationContext(t_place)
     sampler = unit_sampler(rf, rng, max_degree=2)
@@ -760,20 +731,14 @@ def run_seq37(config):
             else:
                 ok = ok and total == zs
         rep.check(ok, f"canonical form not additive (trial {trial})")
-    return rep
 
 
-def run_prop36(config):
-    rep = Report(
-        "prop36",
-        "residue/specialization linearity, uniformizer change, and the left inverse",
-        config,
-    )
+@_suite("prop36", "residue/specialization linearity, uniformizer change, and the left inverse")
+def prop36(rep, config, rng, oracle):
     rf = config.field
     if not isinstance(rf, RatFuncField):
         raise FieldMismatch("the prop36 suite needs a rational function field")
     base = rf.base
-    rng = random.Random(config.seed)
     sampler = unit_sampler(rf, rng, max_degree=1)
     t_poly = rf.var_poly()
     t_place = Place(rf, t_poly)
@@ -827,7 +792,6 @@ def run_prop36(config):
         lifted = embed_expr(const, rf)
         got = ctx_t.residue(SymExpr.bracket(t_unit).mul(lifted))
         rep.equal(base_oracle, got, const, MW, const.degree(0), f"left-inverse rule trial {trial}")
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -835,22 +799,16 @@ def run_prop36(config):
 # ---------------------------------------------------------------------------
 
 
-def run_lemma91(config):
-    rep = Report(
-        "lemma91",
-        "hyperbolic-multiple perturbation expansion and the f/lambda conversion",
-        config,
-    )
+@_suite("lemma91", "hyperbolic-multiple perturbation expansion and the f/lambda conversion")
+def lemma91(rep, config, rng, oracle):
     field = config.field
     n = config.n
-    rng = random.Random(config.seed)
-    oracle = oracle_for(field)
     base = oracle.base
     sampler = unit_sampler(field, rng, max_degree=1)
     h_val = oracle.from_base(MWElem.h(base))
 
     for trial in range(config.trials):
-        seq = _sequence_for_shift(config, rng)
+        seq = _sequence_for_shift(config, rng, oracle)
         x = sample_presentation(field, n, rng, r_max=1, s_max=1, sampler=sampler)
         r = rng.choice([1, 2])
         signs = [rng.choice([0, 1]) for _ in range(r)]
@@ -895,24 +853,17 @@ def run_lemma91(config):
             oracle, va, vb, MW, y.degree + l * n,
             f"f formula vs inverted series (trial {trial}, l={l})",
         )
-    return rep
 
 
-def run_lemma93(config):
-    rep = Report(
-        "lemma93",
-        "eta-multiple perturbation law for eta-trivial targets",
-        config,
-    )
+@_suite("lemma93", "eta-multiple perturbation law for eta-trivial targets")
+def lemma93(rep, config, rng, oracle):
     field = config.field
     n = config.n
-    rng = random.Random(config.seed)
-    oracle = oracle_for(field)
     sampler = unit_sampler(field, rng, max_degree=1)
 
     for trial in range(config.trials):
         target = rng.choice([MILNOR, MOD2])
-        seq = _sequence_for_shift(config, rng, target=target)
+        seq = _sequence_for_shift(config, rng, oracle, target=target)
         x = sample_presentation(field, n, rng, r_max=1, s_max=1, sampler=sampler)
         a, b = sampler(), sampler()
         cs = tuple(sampler() for _ in range(n - 1))
@@ -931,7 +882,6 @@ def run_lemma93(config):
             oracle, lhs, rhs, target, seq.m,
             f"eta perturbation law trial {trial} (sign {sign}, target {target})",
         )
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -977,16 +927,9 @@ def _expected_subgroup(field, target, deg, n, l, start, kinds):
     return out
 
 
-def run_table1(config):
-    rep = Report(
-        "table1",
-        "executable admissibility table vs directly enumerated coefficient groups",
-        config,
-    )
-    field = config.field
-    if isinstance(field, RatFuncField):
-        field = field.base
-    rng = random.Random(config.seed)
+@_suite("table1", "executable admissibility table vs directly enumerated coefficient groups")
+def table1(rep, config, rng, oracle):
+    field = oracle.base
     L = 4
     for (src, tgt), (start, kinds) in _TABLE1_EXPECTED.items():
         for n in (1, 2):
@@ -1013,8 +956,7 @@ def run_table1(config):
     # quotient-source rows: admissible sequences must be insensitive to
     # perturbations inside the quotiented ideal (h-multiples for a Witt
     # source, eta-multiples for a Milnor source)
-    oracle = oracle_for(config.field) if isinstance(config.field, RatFuncField) else None
-    if oracle is not None:
+    if isinstance(config.field, RatFuncField):
         rf = config.field
         sampler = unit_sampler(rf, rng, max_degree=2)
         for trial in range(min(config.trials, 10)):
@@ -1097,31 +1039,3 @@ def run_table1(config):
             )
             audited += 1
         rep.note(f"rejection audit over {audited} non-admissible sequences")
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-SUITES = {
-    "lemma32": run_lemma32,
-    "relations34": run_relations34,
-    "lambda-wd": run_lambda_wd,
-    "prop64": run_prop64,
-    "shift73": run_shift73,
-    "lemma75": run_lemma75,
-    "prop83": run_prop83,
-    "thm84": run_thm84,
-    "seq37": run_seq37,
-    "prop36": run_prop36,
-    "lemma91": run_lemma91,
-    "lemma93": run_lemma93,
-    "table1": run_table1,
-}
-
-
-def run_suite(suite_id, config):
-    if suite_id not in SUITES:
-        raise UnknownSuite(f"unknown suite id {suite_id!r}; known: {sorted(SUITES)}")
-    return SUITES[suite_id](config)

@@ -18,7 +18,7 @@ a term dict nor a unit may ever be changed in place.
 from __future__ import annotations
 
 from .errors import DegreeBound, FieldMismatch, Inhomogeneous
-from .fields import FFUnit, FiniteField, Poly, RatFuncField
+from .fields import FFUnit, FiniteField, Place, Poly, RatFuncField
 
 
 class SymExpr:
@@ -171,8 +171,6 @@ class SymExpr:
 
     def support_places(self):
         """All finite places appearing in the factorization of any unit entry."""
-        from .fields import Place
-
         assert isinstance(self.field, RatFuncField)
         seen = {}
         for (_, units) in self.terms:

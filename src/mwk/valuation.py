@@ -37,11 +37,10 @@ _CONTEXT_CACHE = {}
 def valuation_context(place):
     """The cached ValuationContext of a place with its standard uniformizer
     (the rewrite caches persist across calls)."""
-    key = (id(place.rf), place)
-    ctx = _CONTEXT_CACHE.get(key)
+    ctx = _CONTEXT_CACHE.get(place)
     if ctx is None:
         ctx = ValuationContext(place)
-        _CONTEXT_CACHE[key] = ctx
+        _CONTEXT_CACHE[place] = ctx
     return ctx
 
 

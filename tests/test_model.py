@@ -20,6 +20,7 @@ from mwk.model import (
     MOD2,
     MW,
     WITT,
+    THEORIES,
     MWElem,
     _insert_row,
     _Presentation,
@@ -328,6 +329,23 @@ def test_torsion_examples():
         theory_torsion_test(nonzero, "tau", MW)
 
 
+@pytest.mark.parametrize("field", [F3, F9], ids=["3", "9"])
+def test_torsion_test_takes_the_kinds_of_the_admissibility_table(field):
+    # a delta_ kind is its base kind at odd n and holds at even n
+    for theory in THEORIES:
+        for degree in range(-2, 3):
+            for a in model_elements(field, degree):
+                two = a.add(a).is_zero_in(theory)
+                assert theory_torsion_test(a, "two", theory) == two
+                for n in (1, 2, 3):
+                    for kind in ("two", "h"):
+                        assert theory_torsion_test(a, "delta_" + kind, theory, n) == (
+                            n % 2 == 0 or theory_torsion_test(a, kind, theory, n)
+                        ), (theory, degree, n, kind, a)
+                with pytest.raises(ValueError):
+                    theory_torsion_test(a, "2", theory)
+
+
 @pytest.mark.parametrize(
     "field", [F3, F5, F7, F9, ff_build_q(25)], ids=["3", "5", "7", "9", "25"]
 )
@@ -593,7 +611,7 @@ def test_packed_relation_rows_are_the_distinct_reference_rows_in_order():
         field = ff_build_q(q)
         for d_max in range((4 if n == 0 else 3) + 1):
             pres = _Presentation(field, n, d_max)
-            got = [(pres.level, row) for row in pres.relation_rows()]
+            got = list(pres.relation_rows())
             ref = ReferencePresentation(field, n, d_max)
             want, seen = [], set()
             for level in range(d_max + 1):
