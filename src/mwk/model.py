@@ -106,7 +106,7 @@ def _build(field, degree, milnor, rank, disc):
         values = field._model_values
     except AttributeError:
         values = field._model_values = {}
-        field._model_constants = {}
+        field._model_constants, field._unit_values = {}, {}
     x = values.get(key)
     if x is None:
         x = _new(MWElem)
@@ -143,6 +143,17 @@ def _constant(field, key):
     else:
         x = _build(field, key, _zero_milnor(key), 0, 0)
     field._model_constants[key] = x
+    return x
+
+
+def _unit_value(u):
+    """Build [u] in degree 1 and keep it in the field's table `_unit_values`
+    (made beside its intern table), keyed by the unit's encoding, while that
+    table holds under INTERN_CAP units."""
+    x = _build(u.field, 1, u.value, 0, _chi(u))
+    units = u.field._unit_values
+    if len(units) < INTERN_CAP:
+        units[u.value] = x
     return x
 
 
@@ -214,7 +225,10 @@ class MWElem:
     @staticmethod
     def from_unit(u):
         """[a]: Milnor symbol {a} paired with the Pfister-type class <a> - <1>."""
-        return _build(u.field, 1, u.value, 0, _chi(u))
+        try:
+            return u.field._unit_values[u.value]
+        except (AttributeError, KeyError):
+            return _unit_value(u)
 
     @staticmethod
     def angle(u):

@@ -11,8 +11,8 @@ Only the public constructor `SymExpr(field, terms)` merges like terms and
 drops zero coefficients.  The ring operations already produce distinct keys
 with nonzero coefficients, so, like `MWElem` arithmetic, they hand their
 merged dict over unchecked (`_of`), which keeps the dict it is given.
-Since nothing re-merges a result and `RatFuncUnit` caches its hash, neither
-a term dict nor a unit may ever be changed in place.
+Since nothing re-merges a result and `SymExpr` and `RatFuncUnit` cache their
+hashes, neither a term dict nor a unit may ever be changed in place.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ class SymExpr:
     terms maps (d, units tuple) to a nonzero integer coefficient.  The
     constructor merges like terms and drops zero coefficients of any input;
     the ring operations build their results unchecked through `_of`.  The
-    dict is never changed after construction.
+    dict is never changed after construction, so the hash is computed on
+    first use and kept in `_hash`, which `__init__` and `_of` leave unset.
     """
 
-    __slots__ = ("field", "terms")
+    __slots__ = ("field", "terms", "_hash")
 
     def __init__(self, field, terms=None):
         self.field = field
@@ -201,7 +202,11 @@ class SymExpr:
         )
 
     def __hash__(self):
-        return hash((id(self.field), frozenset(self.terms.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = hash((id(self.field), frozenset(self.terms.items())))
+            return h
 
     def __str__(self):
         from .exprtext import format_expr

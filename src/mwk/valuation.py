@@ -13,7 +13,11 @@ pi^e u, from its cached (e, [u-bar], eps [u-bar], c_e) with c_e the image of
 
 Zero testing uses the split short exact sequence for F(t): an element is
 zero iff its specialization at t and all of its residues at finite places
-vanish.  This is the authoritative equality oracle over F_q(t).
+vanish.  This is the authoritative equality oracle over F_q(t).  A component
+in a trivial group (the specialization from degree 2 on, the residues from
+degree 3 on) is read from the model as zero, and a term is scanned only at
+the places where one of its entries has nonzero valuation, read from the
+factored units.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from .errors import (
     PlaceMismatch,
 )
 from .fields import Place, RatFuncField, residue_field
-from .model import MW, MWElem
-from .symbols import SymExpr, power_symbol
+from .model import MW, MWElem, theory_group_is_trivial
+from .symbols import SymExpr, _of, power_symbol
 
 MAX_TERM_SIZE = 8
 
@@ -319,20 +323,32 @@ def sorted_residues(residues):
 
 def canonical_form(x, degree):
     """The complete invariant of a homogeneous expression of the given
-    degree over F_q(t)."""
+    degree over F_q(t).
+
+    Only what can be nonzero is computed: the base (in K^MW_n(F_q)) and the
+    residues (in K^MW_{n-1} of the residue fields) are read from the model as
+    zero where those groups are trivial, and each term is scanned only at the
+    places where one of its entries has nonzero valuation; at any other place
+    every step of its scan multiplies the residue 0."""
     rf = x.field
     if not isinstance(rf, RatFuncField):
         raise FieldMismatch("canonical_form needs an expression over F_q(t)")
     if not x.is_structurally_zero() and x.degree() != degree:
         raise Inhomogeneous("stated degree does not match the expression")
-    t_place = Place(rf, rf.var_poly())
-    places = {t_place: True}
-    for p in x.support_places():
-        places[p] = True
-    base = valuation_context(t_place).specialize_model(x, degree)
+    if theory_group_is_trivial(rf.base, MW, degree):
+        base = MWElem.zero(rf.base, degree)  # kappa(t) = F_q
+    else:
+        base = valuation_context(Place(rf, rf.var_poly())).specialize_model(x, degree)
     residues = {}
-    for place in places:
-        r = valuation_context(place).residue_model(x, degree)
+    if theory_group_is_trivial(rf.base, MW, degree - 1):
+        return CanonicalForm(rf, degree, base, residues)
+    parts = {}
+    for key, coeff in x.terms.items():
+        for p in {p: None for u in key[1] for p, _ in u.factors}:
+            parts.setdefault(p, {})[key] = coeff
+    for p, terms in parts.items():
+        place = Place._known(rf, p)
+        r = valuation_context(place).residue_model(_of(rf, terms), degree)
         if not r.is_zero():
             residues[place] = r
     return CanonicalForm(rf, degree, base, residues)

@@ -222,6 +222,27 @@ def test_tables_stay_under_their_caps_and_answers_stay_right_past_them():
     assert len(F._model_values) == INTERN_CAP
 
 
+def test_from_unit_keeps_one_value_per_unit(monkeypatch):
+    def built(u):
+        return model._build(u.field, 1, u.value, 0, model._chi(u))
+
+    rng = random.Random(8)
+    kappa = QuotientField(first_monic_irreducible(F5, 3))
+    kappa_units = [kappa.unit(rng.randrange(1, kappa.q)) for _ in range(200)]
+    for units in (F3.units(), F9.units(), ff_build(5, 2).units(), kappa_units):
+        for u in units:
+            x = MWElem.from_unit(u)
+            assert x == built(u) and MWElem.from_unit(u) is x
+    # a private residue field under a small cap: the table stops growing and
+    # the values stay right
+    monkeypatch.setattr(model, "INTERN_CAP", 4)
+    kappa = QuotientField(first_monic_irreducible(F5, 3))
+    for v in range(1, 60):
+        u = kappa.unit(v)
+        assert MWElem.from_unit(u) == built(u) == MWElem.from_unit(u)
+    assert len(kappa._unit_values) == 4
+
+
 def compared_zero(x):
     """The zero test by comparison of parts, the reference for the flag."""
     return x.milnor == (1 if x.degree == 1 else 0) and x.witt == (0, 0)

@@ -238,3 +238,20 @@ def test_power_squares_and_multiplies(monkeypatch):
             for _ in range(e):
                 want = want.mul(base)
             assert base.pow(e) == want
+
+
+def test_hash_is_kept_and_agrees_with_equality():
+    rng = random.Random(31)
+    for F in _fast_path_fields():
+        sample = unit_sampler(F, rng)
+        a, b = sample(), sample()
+        x = SymExpr.bracket(a, b).add(SymExpr.eta(F).mul(SymExpr.bracket(a)))
+        y = SymExpr(F, {(1, (a,)): 1, (0, (a, b)): 1})
+        for z in (x, y):
+            with pytest.raises(AttributeError):
+                z._hash  # unset until the first hash
+        assert x == y and hash(x) == hash(y)
+        table = {x: "x"}
+        assert table[y] == "x" and hash(x) == x._hash == hash((id(F), frozenset(x.terms.items())))
+        cancelled = x.sub(y)
+        assert cancelled == SymExpr.zero(F) and hash(cancelled) == hash(SymExpr.zero(F))

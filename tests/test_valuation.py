@@ -2,17 +2,28 @@ import random
 
 import pytest
 
-from mwk.errors import DegreeBound, NotAUniformizer
+from mwk import valuation
+from mwk.errors import DegreeBound, Inhomogeneous, NotAUniformizer
 from mwk.fields import Place, Poly, ff_build, ff_build_q, rat_func_field
 from mwk.model import MWElem, eval_model
-from mwk.symbols import SymExpr, embed_expr, one_minus, relation_generators, rewrite_mw2
+from mwk.suites import sample_expr
+from mwk.symbols import (
+    SymExpr,
+    embed_expr,
+    one_minus,
+    relation_generators,
+    rewrite_mw2,
+    unit_sampler,
+)
 from mwk.valuation import (
+    CanonicalForm,
     ValuationContext,
     canonical_form,
     equal,
     is_zero,
     residue,
     specialize,
+    valuation_context,
 )
 
 F3 = ff_build(3, 1)
@@ -313,3 +324,114 @@ def test_minus_one_powers_of_length_two_and_more_vanish():
         for k in (2, 3):
             form = canonical_form(SymExpr.bracket(*([m1] * k)), k)
             assert form.is_zero() and not form.residues, (q, k)
+
+
+def full_scan(x, degree):
+    """The canonical form computed without skipping anything: the
+    specialization at t and the residue of all of x at t and at every
+    support place, each through the model-valued scan."""
+    rf = x.field
+    t_place = Place(rf, rf.var_poly())
+    base = valuation_context(t_place).specialize_model(x, degree)
+    residues = {}
+    for place in dict.fromkeys([t_place] + x.support_places()):
+        r = valuation_context(place).residue_model(x, degree)
+        if not r.is_zero():
+            residues[place] = r
+    return CanonicalForm(rf, degree, base, residues)
+
+
+def sampled_inputs(rf, rng, degree):
+    """Seeded expressions of one degree: sampled ones (eta terms among them),
+    the structurally zero one, and a sample with one entry per term times
+    pi^e, |e| <= 3, for pi the uniformizer at t or at a support place."""
+    sampler = unit_sampler(rf, rng, max_degree=2)
+    out = [SymExpr.zero(rf)]
+    for _ in range(4):
+        x = sample_expr(rf, degree, rng, max_terms=3, max_eta=2, sampler=sampler)
+        out.append(x)
+        places = [Place(rf, rf.var_poly())] + x.support_places()
+        pi = rng.choice(places).uniformizer()
+        terms = []
+        for (d, units), c in x.terms.items():
+            if units:
+                i = rng.randrange(len(units))
+                units = units[:i] + (units[i].mul(pi.pow(rng.randint(-3, 3))),) + units[i + 1 :]
+            terms.append(((d, units), c))
+        out.append(SymExpr(rf, terms))
+    return out
+
+
+def test_canonical_form_equals_the_full_scan():
+    rng = random.Random(24)
+    compared = nonzero = 0
+    for q in (3, 5, 25):
+        rf = rat_func_field(ff_build_q(q))
+        for degree in range(-2, 6):
+            for x in sampled_inputs(rf, rng, degree):
+                got, want = canonical_form(x, degree), full_scan(x, degree)
+                assert got == want, (q, degree, x)
+                assert got.to_json() == want.to_json() and repr(got) == repr(want)
+                compared += 1
+                nonzero += not got.is_zero()
+    assert compared == 3 * 8 * 9 and nonzero > 40
+
+
+def test_canonical_form_computes_only_what_can_be_nonzero(monkeypatch):
+    calls = {"lookup": 0, "build": 0, "specialize": 0, "residue": 0}
+    lookup = valuation.valuation_context
+    build = ValuationContext.__init__
+    specialize_model = ValuationContext.specialize_model
+    residue_model = ValuationContext.residue_model
+
+    def counted_lookup(place):
+        calls["lookup"] += 1
+        return lookup(place)
+
+    def counted_build(ctx, *args):
+        calls["build"] += 1
+        build(ctx, *args)
+
+    def counted_specialize(ctx, x, degree):
+        calls["specialize"] += 1
+        return specialize_model(ctx, x, degree)
+
+    def checked_residue(ctx, x, degree):
+        calls["residue"] += 1
+        for _, units in x.terms:
+            assert any(u.valuation(ctx.place) for u in units), (ctx.place, x)
+        return residue_model(ctx, x, degree)
+
+    monkeypatch.setattr(valuation, "_CONTEXT_CACHE", {})
+    monkeypatch.setattr(valuation, "valuation_context", counted_lookup)
+    monkeypatch.setattr(ValuationContext, "__init__", counted_build)
+    monkeypatch.setattr(ValuationContext, "specialize_model", counted_specialize)
+    monkeypatch.setattr(ValuationContext, "residue_model", checked_residue)
+    rng = random.Random(7)
+    for q in (3, 5, 25):
+        rf = rat_func_field(ff_build_q(q))
+        for degree in range(-2, 6):
+            before = dict(calls)
+            for x in sampled_inputs(rf, rng, degree):
+                canonical_form(x, degree)
+            if degree >= 3:
+                assert calls == before, (q, degree)
+            elif degree == 2:
+                assert calls["specialize"] == before["specialize"], q
+                assert calls["residue"] > before["residue"], q
+            else:
+                assert calls["specialize"] > before["specialize"], (q, degree)
+
+
+def test_inhomogeneous_inputs_raise_in_every_degree():
+    rf = rat_func_field(ff_build_q(5))
+    t, t1 = rf.t_unit(), rf.from_poly(Poly.make(rf.base, [1, 1]))
+    for degree in range(3, 6):
+        x = SymExpr.bracket(*([t, t1] * degree)[:degree])
+        for stated in (degree - 1, degree + 1):
+            with pytest.raises(Inhomogeneous):
+                canonical_form(x, stated)
+        mixed = x.add(SymExpr.bracket(*([t1] * (degree + 1))))
+        for stated in (degree, degree + 1):
+            with pytest.raises(Inhomogeneous):
+                canonical_form(mixed, stated)
