@@ -45,17 +45,6 @@ def size_bound():
     return int(os.environ.get("MWK_SIZE_BOUND", DEFAULT_SIZE_BOUND))
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def factorint(n):
     """Prime factorization of a positive integer as {prime: multiplicity}, by
     trial division up to size_bound(): a cofactor without prime factors up
@@ -267,20 +256,22 @@ _FIELD_CACHE = {}
 
 
 def ff_build(p, d=1):
-    """Deterministic model of F_{p^d}: smallest modulus, smallest generator."""
+    """Deterministic model of F_{p^d}: smallest modulus, smallest generator.
+    The rules run before the cache, so a lowered bound applies to a field
+    built earlier; the bound test never builds p^d much beyond the bound."""
+    if p == 2:
+        raise EvenCharacteristic("characteristic 2 is excluded")
+    if d < 1:
+        raise SizeBound("extension degree must be >= 1")
+    limit = size_bound()
+    if abs(p) > 1 and d > limit.bit_length() or abs(p) ** d > limit:
+        raise SizeBound(f"p^d = {p}^{d} exceeds bound {limit}")
+    if factorint(p) != {p: 1}:
+        raise NotPrime(f"{p} is not prime")
     key = (p, d)
     cached = _FIELD_CACHE.get(key)
     if cached is not None:
         return cached
-    if p == 2:
-        raise EvenCharacteristic("characteristic 2 is excluded")
-    if not _is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if d < 1:
-        raise SizeBound("extension degree must be >= 1")
-    limit = size_bound()
-    if p**d > limit:
-        raise SizeBound(f"p^d = {p ** d} exceeds bound {limit}")
     if d == 1:
         fld = FiniteField(p, 1, (0, 1))
     else:

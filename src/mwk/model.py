@@ -326,6 +326,10 @@ class MWElem:
     def is_zero(self):
         return self._is_zero
 
+    # the normal form leaves the zero value as the only zero, so the test a
+    # symbolic expression makes on its terms is the zero test here
+    is_structurally_zero = is_zero
+
     # -- projections to the companion theories --------------------------------
 
     def project(self, theory):

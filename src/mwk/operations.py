@@ -4,10 +4,13 @@ their shift transforms, and the executable admissibility table.
 
 Values are computed through one of two interchangeable oracles: the
 closed-form model over F_q (exact pairs), or symbolic expressions over
-F_q(t) compared through the valuation oracle.  Operations evaluate an
+F_q(t) compared through the valuation oracle.  An oracle supplies three
+things: the lift of a base-field value (`from_base`), brackets of units
+(`bracket`) and a zero test (`is_zero`); its one, its zeros and the
+twists [-1]^k are lifts of the base's constants.  Operations evaluate an
 expression in the presentation generators (a presentation sum_i [a_i] -
-sum_j [b_j] is one) to a value, which is then multiplied by a coefficient
-living over the base field.
+sum_j [b_j] is one) to a value, which is then multiplied by the lift of a
+coefficient living over the base field.
 """
 
 from __future__ import annotations
@@ -52,21 +55,35 @@ def delta(n):
 
 
 class _Oracle:
-    """What both oracles share: `equal`, and the sigma-series cache.
+    """An oracle is a lift, a bracket and a zero test: each subclass defines
+    `from_base` (a model value over the base field, as a value of this
+    oracle), `bracket` and `is_zero`.  The rest is derived here once:
+    `equal`, and the constants `one`, `zero(degree)` and
+    `minus_one_power(k)` = [-1]^k, which are lifts of the base's constants.
 
-    The cache maps (expr, n) to [L, lambda values, sigma values or None].
-    lambda is computed once, at the largest truncation L asked for so far
-    (a larger L computes it again), and sigma lazily from it.  A smaller
-    truncation reads a slice, which is exact: a coefficient of a truncated
-    series product depends only on lower indices.  Only a valid input is
-    stored, so a miss runs lambda_series with all its checks.  The cache
-    lives as long as the oracle, which is one per suite run.
+    The oracle also keeps the sigma-series cache, mapping (expr, n) to
+    [L, lambda values, sigma values or None].  lambda is computed once, at
+    the largest truncation L asked for so far (a larger L computes it
+    again), and sigma lazily from it.  A smaller truncation reads a slice,
+    which is exact: a coefficient of a truncated series product depends only
+    on lower indices.  Only a valid input is stored, so a miss runs
+    lambda_series with all its checks.  The cache lives as long as the
+    oracle, which is one per suite run.
     """
 
     def __init__(self, field, base):
         self.field = field
         self.base = base
         self._series = {}
+
+    def one(self):
+        return self.from_base(MWElem.one(self.base))
+
+    def zero(self, degree):
+        return self.from_base(MWElem.zero(self.base, degree))
+
+    def minus_one_power(self, k):
+        return self.from_base(minus_one_power(self.base, k))
 
     def equal(self, a, b, theory, degree):
         return self.is_zero(a.sub(b), theory, degree)
@@ -97,23 +114,14 @@ class ModelOracle(_Oracle):
     def __init__(self, field):
         super().__init__(field, field)
 
-    def one(self):
-        return MWElem.one(self.field)
-
-    def zero(self, degree):
-        return MWElem.zero(self.field, degree)
+    def from_base(self, elem):
+        return base_change(elem, self.field)
 
     def bracket(self, units):
         out = MWElem.one(self.field)
         for u in units:
             out = out.mul(MWElem.from_unit(u))
         return out
-
-    def minus_one_power(self, k):
-        return minus_one_power(self.field, k)
-
-    def from_base(self, elem):
-        return base_change(elem, self.field)
 
     def is_zero(self, value, theory, degree):
         if isinstance(value, SymExpr):
@@ -125,25 +133,22 @@ class ModelOracle(_Oracle):
 
 class ValuationOracle(_Oracle):
     """Values are symbolic expressions over F_q(t); equality goes through
-    the canonical form of the split exact sequence."""
+    the canonical form of the split exact sequence.  Each base value is
+    lifted once per oracle (`_lifts`, keyed by the interned model value),
+    so a suite run builds each lift once."""
 
     def __init__(self, rf):
         super().__init__(rf, rf.base)
+        self._lifts = {}
 
-    def one(self):
-        return SymExpr.one(self.field)
-
-    def zero(self, degree):
-        return SymExpr.zero(self.field)
+    def from_base(self, elem):
+        lift = self._lifts.get(elem)
+        if lift is None:
+            lift = self._lifts[elem] = embed_expr(model_to_sym(elem), self.field)
+        return lift
 
     def bracket(self, units):
         return SymExpr.bracket(*units)
-
-    def minus_one_power(self, k):
-        return self.from_base(minus_one_power(self.base, k))
-
-    def from_base(self, elem):
-        return embed_expr(model_to_sym(elem), self.field)
 
     def is_zero(self, value, theory, degree):
         return val_is_zero(value, degree, theory)
@@ -172,13 +177,7 @@ def _series_mul(a, b, trunc):
                 continue
             prod = va.mul(vb)
             out[k] = out[k].add(prod) if k in out else prod
-    return {k: v for k, v in out.items() if not _value_is_structural_zero(v)}
-
-
-def _value_is_structural_zero(v):
-    if isinstance(v, SymExpr):
-        return v.is_structurally_zero()
-    return v.is_zero()
+    return {k: v for k, v in out.items() if not v.is_structurally_zero()}
 
 
 def _series_pow(s, k, trunc):
@@ -276,7 +275,7 @@ def twisted_sum(terms, n, minus_one_power):
     for i, c, v in terms:
         if i:
             twist = minus_one_power(n * i)
-            if _value_is_structural_zero(twist):
+            if twist.is_structurally_zero():
                 continue
             term = twist.mul(v)
         else:

@@ -195,6 +195,20 @@ def test_eval_output_is_independent_of_hash_seed():
     assert len(json.loads(outs[0])["canonical_form"]["residues"]) >= 4
 
 
+@pytest.mark.parametrize("spec", ["1000000000000000003,1", "3,10000000"])
+def test_a_field_beyond_the_size_bound_exits_2_at_once(spec):
+    # the bound is checked before primality and without building p^d in full
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("MWK_SIZE_BOUND", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mwk.cli", "eval", "[1]", "--field", spec],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "error: SizeBound" in proc.stderr
+    assert len(proc.stderr) < 200
+
+
 def test_verify_command(capsys):
     code, out = run(
         capsys, "verify", "--suite", "lemma32", "--field", "3", "--trials", "50", "--json"

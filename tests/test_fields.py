@@ -137,6 +137,8 @@ def test_extension_fields_generators_exp_tables_and_embeddings_are_pinned():
 def test_even_characteristic_rejected():
     with pytest.raises(EvenCharacteristic):
         ff_build(2, 1)
+    with pytest.raises(EvenCharacteristic):  # before the bound
+        ff_build(2, 10**9)
 
 
 def test_not_prime_rejected():
@@ -144,11 +146,25 @@ def test_not_prime_rejected():
         ff_build(9, 1)
     with pytest.raises(NotPrime):
         ff_build_q(12)
+    with pytest.raises(NotPrime):  # 1^d is within any bound
+        ff_build(1, 10**9)
 
 
-def test_size_bound():
+def test_size_bound(monkeypatch):
     with pytest.raises(SizeBound):
         ff_build(101, 3)
+    with pytest.raises(SizeBound, match="extension degree"):
+        ff_build(9, 0)
+    # the bound comes before primality, and p^d is not written out
+    with pytest.raises(SizeBound, match=r"p\^d = 10001\^1 exceeds bound"):
+        ff_build(10001, 1)
+    with pytest.raises(SizeBound, match=r"p\^d = 3\^9000 exceeds"):
+        ff_build(3, 9000)
+    # a field built earlier is checked against a lowered bound
+    assert ff_build(3, 2).q == 9
+    monkeypatch.setenv("MWK_SIZE_BOUND", "8")
+    with pytest.raises(SizeBound):
+        ff_build(3, 2)
 
 
 def test_square_classes_by_enumeration():

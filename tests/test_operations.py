@@ -6,7 +6,15 @@ import pytest
 
 from mwk import model, operations
 from mwk.errors import FieldMismatch, Inhomogeneous, NotAdmissible, TorsionViolation
-from mwk.fields import Poly, ff_build, ff_build_q, rat_func_field
+from mwk.fields import (
+    Place,
+    Poly,
+    ff_build,
+    ff_build_q,
+    first_monic_irreducible,
+    rat_func_field,
+    residue_field,
+)
 from mwk.model import (
     MILNOR,
     MOD2,
@@ -16,6 +24,7 @@ from mwk.model import (
     eval_model,
     minus_one_power,
     model_elements,
+    model_to_sym,
     theory_elements,
     theory_torsion_test,
 )
@@ -47,7 +56,7 @@ from mwk.suites import (
     thm84_sequences,
     unit_sampler,
 )
-from mwk.symbols import SymExpr
+from mwk.symbols import SymExpr, embed_expr
 
 F3 = ff_build(3, 1)
 F9 = ff_build(3, 2)
@@ -872,3 +881,53 @@ def test_invalid_input_raises_on_a_cold_and_a_warm_oracle():
 def test_lemma75_computes_each_series_once(computed):
     assert run_suite("lemma75", SuiteConfig(F3)).passed
     assert computed and set(computed.values()) == {1}, computed.most_common(3)
+
+
+# -- an oracle is a lift, a bracket and a zero test -------------------------------
+
+
+def test_oracle_constants_are_lifts_of_the_base_constants():
+    kappa, _ = residue_field(Place(RF, first_monic_irreducible(F3, 2)))
+    for field in (F3, F9, kappa):
+        oracle = ModelOracle(field)
+        assert oracle.one() is MWElem.one(field)
+        for d in range(-3, 5):
+            assert oracle.zero(d) is MWElem.zero(field, d), (field, d)
+        for k in range(5):
+            assert oracle.minus_one_power(k) is minus_one_power(field, k), (field, k)
+    for spec in ("3(t)", "25(t)"):
+        rf = parse_field_spec(spec)
+        oracle = ValuationOracle(rf)
+        assert oracle.one() == SymExpr.one(rf)
+        for d in range(-3, 5):
+            assert oracle.zero(d) == SymExpr.zero(rf), (spec, d)
+        for k in range(5):
+            want = embed_expr(model_to_sym(minus_one_power(rf.base, k)), rf)
+            assert oracle.minus_one_power(k) == want, (spec, k)
+
+
+@pytest.mark.parametrize("spec", ["3(t)", "25(t)"])
+def test_a_valuation_oracle_lifts_each_base_value_once(spec, monkeypatch):
+    rf = parse_field_spec(spec)
+    embeds = Counter()
+    uncounted = operations.embed_expr
+
+    def counting(expr, target):
+        embeds[expr] += 1
+        return uncounted(expr, target)
+
+    monkeypatch.setattr(operations, "embed_expr", counting)
+    oracle = ValuationOracle(rf)
+    assert oracle._lifts == {}
+    values = [e for d in range(-2, 3) for e in model_elements(rf.base, d)]
+    for e in values + values:
+        assert oracle.from_base(e) == uncounted(model_to_sym(e), rf), (spec, e)
+    assert sum(embeds.values()) == len(set(values)) == len(oracle._lifts)
+    assert ValuationOracle(rf)._lifts == {}
+
+
+def test_model_values_answer_the_structural_zero_test():
+    for field in (F3, ff_build(5, 1), F9):
+        for d in range(-2, 3):
+            for e in model_elements(field, d):
+                assert e.is_structurally_zero() == e.is_zero(), (field, d, e)
