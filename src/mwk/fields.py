@@ -7,9 +7,9 @@ encoding are the coefficients (low to high) of the residue polynomial modulo
 P.  A unit is its encoding.  Its square class is the parity of its discrete
 logarithm in a field with tables, and in a residue field F_q[t]/(P) the
 Jacobi symbol of F_q[t], decided by quadratic reciprocity; so no residue
-field needs a discrete logarithm.  Polynomial kernels over F_p multiply and
-add plain integers and reduce mod p; over F_{p^d} with d > 1 they read the
-exp/log/Zech tables.
+field needs a discrete logarithm.  Polynomial arithmetic has one multiply
+and one division kernel: over F_p on plain integers reduced mod p, over
+F_{p^d} with d > 1 on discrete logarithms with Zech addition.
 
 Units of F_q(t) are kept in fully factored form: a constant of the base field
 times a product of monic irreducible polynomials with integer exponents.
@@ -179,9 +179,10 @@ class FiniteField:
                 x = self._mul(x, g)
         self._exp = exp
         self._dlog = {v: k for k, v in enumerate(exp)}
-        # Zech logarithms Z(k) = log(1 + g^k), None where 1 + g^k = 0
-        p = self.p
-        self._zech = [self._dlog.get(v - v % p + (v + 1) % p) for v in exp]
+        if self.d > 1:  # only F_{p^d} adds by the logs
+            # Zech logarithms Z(k) = log(1 + g^k), None where 1 + g^k = 0
+            p = self.p
+            self._zech = [self._dlog.get(v - v % p + (v + 1) % p) for v in exp]
 
     def gen_power(self, k):
         """The encoding of generator^k, 0 <= k < q - 1."""
@@ -359,9 +360,7 @@ class Poly:
     @staticmethod
     def _trimmed(field, coeffs):
         # coeffs: a list of valid encodings that the caller hands over
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return Poly(field, tuple(coeffs))
+        return Poly(field, _trim(coeffs))
 
     @staticmethod
     def zero(field):
@@ -411,25 +410,7 @@ class Poly:
         return self.add(other.neg())
 
     def mul(self, other):
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(F)
-        out = [0] * (len(a) + len(b) - 1)
-        if F.d == 1:  # plain ints, reduced once at the end
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b, i):
-                        out[j] += x * y
-            p = F.p
-            return Poly(F, tuple([c % p for c in out]))
-        add, mul = F.add, F.mul
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    if y:
-                        out[j] = add(out[j], mul(x, y))
-        return Poly(F, tuple(out))
+        return Poly(self.field, _mul(self.field, self.coeffs, other.coeffs))
 
     def pow(self, e):
         """self^e for e >= 1, by repeated squaring."""
@@ -452,31 +433,8 @@ class Poly:
         if other.is_zero():
             raise ZeroPolynomial("division by the zero polynomial")
         F = self.field
-        rem = list(self.coeffs)
-        db = other.degree
-        inv_lead = F.inv(other.lead())
-        # subtracting c * other from the top: add c * (-other) below the lead
-        neg = [(j, F.neg(c)) for j, c in enumerate(other.coeffs[:db]) if c]
-        quo = [0] * max(len(rem) - db, 0)
-        if F.d == 1:  # plain ints: reduce each quotient digit and the rest
-            p = F.p
-            for shift in range(len(rem) - 1 - db, -1, -1):
-                c = rem.pop() % p
-                if c:
-                    c = c * inv_lead % p
-                    quo[shift] = c
-                    for j, y in neg:
-                        rem[shift + j] += c * y
-            return Poly._trimmed(F, quo), Poly._trimmed(F, [c % p for c in rem])
-        add, mul = F.add, F.mul
-        for shift in range(len(rem) - 1 - db, -1, -1):
-            c = rem.pop()
-            if c:
-                c = mul(c, inv_lead)
-                quo[shift] = c
-                for j, y in neg:
-                    rem[shift + j] = add(rem[shift + j], mul(c, y))
-        return Poly._trimmed(F, quo), Poly._trimmed(F, rem)
+        quo, rem = _divmod(F, self.coeffs, other.coeffs)
+        return Poly(F, quo), Poly(F, rem)
 
     def mod(self, other):
         return self.divmod(other)[1]
@@ -527,64 +485,95 @@ def _candidate_polys(field, deg):
         yield Poly(field, digits[::-1] + (1,))
 
 
-def _mulmod(field, a, b, m):
-    """a * b mod m for coefficient tuples (low to high), m monic of degree
-    >= 1; the result is trimmed.  Over F_p on plain ints, over F_{p^d} on
-    the discrete logs; a residue field has no tables and stops at `_exp`."""
-    if not a or not b:
-        return ()
-    n = len(m) - 1
+def _trim(coeffs):
+    """The tuple of a coefficient list without its zero top digits."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _mul(field, a, b):
+    """The product of two trimmed coefficient tuples (low to high).  Over
+    F_p on plain ints, reduced mod p once; over F_{p^d} on the discrete
+    logs, None for 0, adding by g^r + g^s = g^(r + Z(s - r)).  A residue
+    field has no tables: `_mul` and `_divmod` read them before any early
+    return, so over one they stop with FieldMismatch on every input."""
     if field.d == 1:
-        p = field.p
+        if not a or not b:
+            return ()
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b, i):
                     out[j] += x * y
-        neg = [(j, p - c) for j, c in enumerate(m[:n]) if c]  # subtract c * m
-        for i in range(len(out) - 1, n - 1, -1):
-            c = out[i] % p
-            if c:
-                for j, y in neg:
-                    out[i - n + j] += c * y
-        out = [c % p for c in out[:n]]
-        while out and out[-1] == 0:
-            out.pop()
-        return tuple(out)
-    # discrete logs, None for 0; g^r + g^s = g^(r + Z(s - r))
+        p = field.p
+        return tuple([c % p for c in out])
     exp, dlog, zech, order = field._exp, field._dlog, field._zech, field._order
+    if not a or not b:
+        return ()
     out = [None] * (len(a) + len(b) - 1)
     lb = [dlog[y] if y else None for y in b]
     for i, x in enumerate(a):
         if x:
             x = dlog[x]
-            for j, y in enumerate(lb):
+            for j, y in enumerate(lb, i):
                 if y is not None:
-                    r = out[i + j]
+                    r = out[j]
                     if r is None:
-                        out[i + j] = x + y
+                        out[j] = x + y
                     else:
                         z = zech[(x + y - r) % order]
-                        out[i + j] = None if z is None else r + z
-    lm = [dlog[c] if c else None for c in m]
-    half = order // 2
-    for i in range(len(out) - 1, n - 1, -1):
+                        out[j] = None if z is None else r + z
+    return tuple([0 if r is None else exp[r % order] for r in out])
+
+
+def _divmod(field, a, m):
+    """(quotient, remainder) of a trimmed coefficient tuple by a nonzero one,
+    both trimmed (the quotient's top digit is a's over m's).  From the top,
+    each digit c of the rest over the lead of m is a quotient digit, and
+    c * (-m) is added below it; over F_p and over F_{p^d} on the
+    representations of `_mul`."""
+    n = len(m) - 1
+    if field.d == 1:
+        p = field.p
+        inv_lead = pow(m[-1], -1, p)
+        neg = [(j, p - y) for j, y in enumerate(m[:n]) if y]
+        rem, quo = list(a), [0] * max(len(a) - n, 0)
+        for i in range(len(a) - 1, n - 1, -1):
+            c = rem[i] % p
+            if c:
+                c = c * inv_lead % p
+                quo[i - n] = c
+                for j, y in neg:
+                    rem[i - n + j] += c * y
+        return tuple(quo), _trim([c % p for c in rem[:n]])
+    exp, dlog, zech, order = field._exp, field._dlog, field._zech, field._order
+    out = [dlog[c] if c else None for c in a]
+    lead, half = dlog[m[-1]], order // 2  # -1 = g^half
+    neg = [(j, dlog[y] + half) for j, y in enumerate(m[:n]) if y]
+    quo = [None] * max(len(a) - n, 0)
+    for i in range(len(a) - 1, n - 1, -1):
         c = out[i]
         if c is not None:
-            c += half  # subtract c * m
-            for j in range(n):
-                y = lm[j]
-                if y is not None:
-                    r = out[i - n + j]
-                    if r is None:
-                        out[i - n + j] = c + y
-                    else:
-                        z = zech[(c + y - r) % order]
-                        out[i - n + j] = None if z is None else r + z
-    out = [0 if r is None else exp[r % order] for r in out[:n]]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+            c -= lead
+            quo[i - n] = c
+            for j, y in neg:
+                k = i - n + j
+                r = out[k]
+                if r is None:
+                    out[k] = c + y
+                else:
+                    z = zech[(c + y - r) % order]
+                    out[k] = None if z is None else r + z
+    return (
+        tuple([0 if r is None else exp[r % order] for r in quo]),
+        _trim([0 if r is None else exp[r % order] for r in out[:n]]),
+    )
+
+
+def _mulmod(field, a, b, m):
+    """a * b mod m for coefficient tuples, m of degree >= 1; trimmed."""
+    return _divmod(field, _mul(field, a, b), m)[1]
 
 
 def _powmod(field, a, e, m):
@@ -886,7 +875,7 @@ class RatFuncUnit:
     def valuation(self, place):
         if place.poly is None:
             return -sum(e * p.degree for p, e in self.factors)
-        return dict(self.factors).get(place.poly, 0)
+        return next((e for p, e in self.factors if p == place.poly), 0)
 
     def to_fraction(self):
         """Expand to a (numerator, denominator) pair of polynomials, each of
@@ -1052,8 +1041,9 @@ class QuotientField(FiniteField):
 
     units = unit_exp = gen_unit = gen_power = _no_generator
 
-    # the table kernel `_mulmod` and the irreducible listings read these, so
-    # polynomial algorithms over a residue field stop here
+    # the polynomial kernels `_mul` and `_divmod` and the irreducible
+    # listings read these, so polynomial algorithms over a residue field
+    # stop here
     @property
     def _exp(self):
         raise FieldMismatch(f"no polynomial algorithms run over the residue field {self!r}")
@@ -1085,23 +1075,36 @@ class _ResidueData:
         return found
 
     def reduce_unit(self, u):
-        """Reduce a unit of valuation 0 at the place to a residue-field unit:
-        a constant keeps its encoding, and at infinity, where every stored
-        factor is monic, the unit reduces to its constant.  The factors with
-        negative exponents are multiplied apart, so a unit takes at most one
-        inversion."""
+        """Reduce a unit of valuation 0 at the place to a residue-field unit."""
         if u.valuation(self.place) != 0:
             raise NotRegularAtPlace(f"unit has nonzero valuation at {self.place}")
-        kappa, value = self.kappa, u.const
-        if not self.place.is_infinity:
-            den = 1
-            for poly, e in u.factors:
-                if e > 0:
-                    value = kappa.mul(value, kappa.pow(self._image(poly), e))
+        return self.reduce_local(u)
+
+    def reduce_local(self, a, pi_bar=1):
+        """The residue-field unit of the local unit a * pi^-e, e = v(a), read
+        from a's factors with P's own factor skipped; pi_bar encodes the
+        reduction of pi over the standard uniformizer.  A constant keeps its
+        encoding, and at infinity, where every stored factor is monic, a unit
+        reduces to its constant.  The factors with negative exponents, and
+        pi_bar^e for e > 0, are multiplied apart: one inversion at most."""
+        kappa, value, den = self.kappa, a.const, 1
+        place_poly = self.place.poly
+        if place_poly is not None:
+            for poly, k in a.factors:
+                if poly == place_poly:
+                    continue
+                if k > 0:
+                    value = kappa.mul(value, kappa.pow(self._image(poly), k))
                 else:
-                    den = kappa.mul(den, kappa.pow(self._image(poly), -e))
-            if den != 1:
-                value = kappa.mul(value, kappa.inv(den))
+                    den = kappa.mul(den, kappa.pow(self._image(poly), -k))
+        if pi_bar != 1:
+            e = a.valuation(self.place)
+            if e > 0:
+                den = kappa.mul(den, kappa.pow(pi_bar, e))
+            elif e < 0:
+                value = kappa.mul(value, kappa.pow(pi_bar, -e))
+        if den != 1:
+            value = kappa.mul(value, kappa.inv(den))
         return FFUnit(kappa, value)
 
 

@@ -9,7 +9,9 @@ map (with the leading-unit sign rule and [pi, pi] = [pi, -1]) resolve each
 term over the residue field.  The zero test evaluates the same maps straight
 into the residue-field model by a linear scan: one closed-form step per entry
 pi^e u, from its cached (e, [u-bar], eps [u-bar], c_e) with c_e the image of
-[pi^e] = e_eps [pi].  The rewriting stays as the scan's independent oracle.
+[pi^e] = e_eps [pi].  The scan and the symbolic specialization never build
+u: u-bar is reduced straight from the entry's factors, skipping P's own.
+The rewriting stays as the scan's independent oracle.
 
 Zero testing uses the split short exact sequence for F(t): an element is
 zero iff its specialization at t and all of its residues at finite places
@@ -29,7 +31,7 @@ from .errors import (
     NotAUniformizer,
     PlaceMismatch,
 )
-from .fields import Place, RatFuncField, residue_field
+from .fields import Place, RatFuncField
 from .model import MW, MWElem, theory_group_is_trivial
 from .symbols import SymExpr, _of, power_symbol
 
@@ -62,7 +64,11 @@ class ValuationContext:
         self.rf = rf
         self.place = place
         self.pi = uniformizer
-        self.kappa, self.reduce_unit = residue_field(place)
+        data = rf.residue_data(place)
+        self.kappa, self.reduce_unit = data.kappa, data.reduce_unit
+        self._reduce_local = data.reduce_local
+        # pi over the standard uniformizer, reduced (1 for the standard one)
+        self._pi_bar = data.reduce_local(uniformizer).value
         self._minus_one = rf.minus_one()
         self._eps_kappa = SymExpr.eps_elem(self.kappa)
         self._eps_model = MWElem.eps(self.kappa)
@@ -74,22 +80,17 @@ class ValuationContext:
 
     # -- entry expansion ----------------------------------------------------
 
-    def split(self, a):
-        """a = pi^e * u with u a local unit; returns (e, u)."""
-        e = a.valuation(self.place)
-        u = a.mul(self.pi.pow(-e)) if e else a
-        return e, u
-
     def _expand_unit(self, a):
-        """[a] as a sum of terms whose entries are pi or local units."""
+        """[a] = [pi^e u] as a sum of terms whose entries are pi or local units."""
         found = self._expand_cache.get(a)
         if found is not None:
             return found
-        e, u = self.split(a)
+        e = a.valuation(self.place)
         if e == 0:
-            out = SymExpr.bracket(u)
+            out = SymExpr.bracket(a)
         else:
             pi_power = power_symbol(self.pi, e)
+            u = a.mul(self.pi.pow(-e))
             if u.is_one():
                 out = pi_power
             else:
@@ -187,12 +188,13 @@ class ValuationContext:
 
     def _entry_model(self, a):
         """(e, [u-bar], eps [u-bar], c_e) for an entry a = pi^e u, once per
-        entry (the split, the square class and eps [u-bar] = [u-bar^-1] each
-        cost a power); c_0 = 0 is held as None, which the e == 0 step skips."""
+        entry: u-bar is reduced from a's own factors (`reduce_local`), and
+        the square class and eps [u-bar] = [u-bar^-1] each cost a power;
+        c_0 = 0 is held as None, which the e == 0 step skips."""
         found = self._entry_models.get(a)
         if found is None:
-            e, u = self.split(a)
-            ub = MWElem.from_unit(self.reduce_unit(u))
+            e = a.valuation(self.place)
+            ub = MWElem.from_unit(self._reduce_local(a, self._pi_bar))
             c = None
             if e:
                 c = MWElem.one(self.kappa).scale(abs(e)).add(self._eta_m1.scale(abs(e) // 2))
@@ -214,30 +216,25 @@ class ValuationContext:
             s = s2
         return s.eta_mul(d), r.eta_mul(d)
 
+    def _scan(self, x, degree, half):
+        """The sum of one half (0: specialization, 1: residue) of the scan."""
+        if x.field is not self.rf:
+            raise FieldMismatch("expression over a different function field")
+        total = MWElem.zero(self.kappa, degree - half)
+        for (d, units), coeff in x.terms.items():
+            if len(units) - d != degree:
+                raise Inhomogeneous("expression mixes degrees")
+            total = total.add(self._scan_term(d, units)[half].scale(coeff))
+        return total
+
     def residue_model(self, x, degree):
         """The residue evaluated straight into the residue-field model."""
         # independent oracle, kept on purpose: residue() computes the same map symbolically
-        if x.field is not self.rf:
-            raise FieldMismatch("expression over a different function field")
-        total = MWElem.zero(self.kappa, degree - 1)
-        for (d, units), coeff in x.terms.items():
-            if len(units) - d != degree:
-                raise Inhomogeneous("expression mixes degrees")
-            _, res = self._scan_term(d, units)
-            total = total.add(res.scale(coeff))
-        return total
+        return self._scan(x, degree, 1)
 
     def specialize_model(self, x, degree):
         """The specialization evaluated straight into the residue-field model."""
-        total = MWElem.zero(self.kappa, degree)
-        for (d, units), coeff in x.terms.items():
-            if len(units) - d != degree:
-                raise Inhomogeneous("expression mixes degrees")
-            term = MWElem.one(self.kappa)
-            for a in units:
-                term = term.mul(self._entry_model(a)[1])
-            total = total.add(term.eta_mul(d).scale(coeff))
-        return total
+        return self._scan(x, degree, 0)
 
     def specialize(self, x):
         """The graded ring map sending [pi^e u] to [u-bar] and eta to eta."""
@@ -247,9 +244,7 @@ class ValuationContext:
         for (d, units), coeff in x.terms.items():
             term = SymExpr.const(self.kappa, coeff)
             for a in units:
-                _, u = self.split(a)
-                u_bar = self.reduce_unit(u)
-                term = term.mul(SymExpr.bracket(u_bar))
+                term = term.mul(SymExpr.bracket(self._reduce_local(a, self._pi_bar)))
             total = total.add(term.eta_mul(d))
         return total
 

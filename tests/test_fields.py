@@ -624,13 +624,20 @@ def test_rat_func_unit_hash_is_kept_and_agrees_with_equality():
 def test_polynomial_algorithms_over_residue_fields_raise_field_mismatch():
     F5 = ff_build(5, 1)
     kappa, _ = residue_field(Place(rat_func_field(F5), first_monic_irreducible(F5, 2)))
-    f = Poly.make(kappa, [1, 0, 1, 0, 1])
+    f, g = Poly.make(kappa, [1, 0, 1, 0, 1]), Poly.make(kappa, [2, 1])
     calls = (
         lambda: poly_factor(f),
         lambda: is_irreducible(f),
         lambda: first_monic_irreducible(kappa, 2),
         lambda: monic_irreducibles(kappa, 2),
         lambda: rat_func_field(kappa).from_poly(f),
+        # the kernels read the tables first, so inputs they would return at
+        # once stop as well
+        lambda: f.mul(f),
+        lambda: f.mul(Poly.zero(kappa)),
+        lambda: f.divmod(g),
+        lambda: g.divmod(f),
+        lambda: f.pow(2),
     )
     for call in calls:
         with pytest.raises(FieldMismatch):
@@ -717,7 +724,7 @@ def test_residue_square_classes_by_reciprocity_match_eulers_criterion():
             assert_square_classes_match_euler(rf25, poly, values)
 
 
-# -- the plain-int kernels over F_p against the field's own add and mul --------
+# -- the polynomial kernels against the field's own add and mul ---------------
 
 
 def ref_mul(F, a, b):
@@ -747,15 +754,17 @@ def ref_divmod(F, a, b):
     return tuple(quo), tuple(rem)
 
 
-def test_prime_field_kernels_match_the_fields_own_arithmetic():
+def test_polynomial_kernels_match_the_fields_own_arithmetic():
+    """Plain ints over F_p, discrete logs over F_{p^d}: the multiply, the
+    division by a divisor that is not monic in general, and `_mulmod`."""
     from mwk.fields import _mulmod
 
     rng = random.Random(21)
-    for p in (3, 5, 7, 11):
-        F = ff_build(p, 1)
+    for q in (3, 5, 7, 11, 9, 25, 27, 49):
+        F = ff_build_q(q)
 
         def poly(deg, monic=False):
-            return [rng.randrange(p) for _ in range(deg)] + [1 if monic else rng.randrange(1, p)]
+            return [rng.randrange(q) for _ in range(deg)] + [1 if monic else rng.randrange(1, q)]
 
         for da in range(7):
             for db in range(7):
@@ -764,11 +773,11 @@ def test_prime_field_kernels_match_the_fields_own_arithmetic():
                     assert Poly(F, tuple(a)).mul(Poly(F, tuple(b))).coeffs == ref_mul(F, a, b)
                     # b is not monic in general
                     quo, rem = Poly(F, tuple(a)).divmod(Poly(F, tuple(b)))
-                    assert (quo.coeffs, rem.coeffs) == ref_divmod(F, a, b), (p, a, b)
+                    assert (quo.coeffs, rem.coeffs) == ref_divmod(F, a, b), (q, a, b)
                     if db >= 1:
                         m = poly(db, monic=True)
                         want = ref_divmod(F, ref_mul(F, a, b), m)[1]
-                        assert _mulmod(F, tuple(a), tuple(b), tuple(m)) == want, (p, a, b, m)
+                        assert _mulmod(F, tuple(a), tuple(b), tuple(m)) == want, (q, a, b, m)
         assert Poly(F, (1, 2)).mul(Poly.zero(F)).is_zero()
         assert _mulmod(F, (), (1, 1), (0, 1)) == ()
     F5 = ff_build(5, 1)

@@ -4,7 +4,14 @@ import pytest
 
 from mwk import valuation
 from mwk.errors import DegreeBound, Inhomogeneous, NotAUniformizer
-from mwk.fields import Place, Poly, ff_build, ff_build_q, rat_func_field
+from mwk.fields import (
+    Place,
+    Poly,
+    ff_build,
+    ff_build_q,
+    first_monic_irreducible,
+    rat_func_field,
+)
 from mwk.model import MWElem, eval_model
 from mwk.suites import sample_expr
 from mwk.symbols import (
@@ -421,6 +428,65 @@ def test_canonical_form_computes_only_what_can_be_nonzero(monkeypatch):
                 assert calls["residue"] > before["residue"], q
             else:
                 assert calls["specialize"] > before["specialize"], (q, degree)
+
+
+def reference_entry(ctx, a):
+    """(e, u-bar) by the route through a product: u = a * pi^-e is built and
+    then reduced by the checked `reduce_unit`."""
+    e = a.valuation(ctx.place)
+    return e, ctx.reduce_unit(a.mul(ctx.pi.pow(-e)))
+
+
+def test_entries_reduce_from_their_own_factors_as_by_the_product_route():
+    rng = random.Random(26)
+    for q in (3, 25):
+        F = ff_build_q(q)
+        rf = rat_func_field(F)
+        sampler = unit_sampler(rf, rng, max_degree=2)
+
+        def with_valuation(place, e):
+            a = sampler().mul(sampler().inv())
+            return a.mul(place.uniformizer().pow(e - a.valuation(place)))
+
+        places = [Place(rf, first_monic_irreducible(F, k)) for k in (1, 2, 3)] + [Place(rf, None)]
+        for place in places:
+            u = with_valuation(place, 0)
+            while u.is_one():
+                u = with_valuation(place, 0)
+            for pi in (place.uniformizer(), u.mul(place.uniformizer())):
+                ctx = ValuationContext(place, pi)
+                for e in range(-3, 4):
+                    a, b = with_valuation(place, e), with_valuation(place, rng.randint(-3, 3))
+                    want_e, want_bar = reference_entry(ctx, a)
+                    assert want_e == e
+                    assert ctx._entry_model(a)[:2] == (e, MWElem.from_unit(want_bar)), (place, pi, a)
+                    b_bar = reference_entry(ctx, b)[1]
+                    x = SymExpr.bracket(a, b).add(SymExpr.bracket(b).eta_mul())
+                    want = SymExpr.bracket(want_bar, b_bar).add(SymExpr.bracket(b_bar).eta_mul())
+                    assert ctx.specialize(x) == want, (place, pi, a, b)
+
+
+def test_canonical_form_builds_no_unit_on_factored_input(monkeypatch):
+    from mwk.fields import RatFuncUnit
+
+    rng = random.Random(27)
+    inputs = [
+        (rf, degree, x)
+        for rf in (rat_func_field(ff_build_q(3)), rat_func_field(ff_build_q(25)))
+        for degree in range(-1, 3)
+        for x in sampled_inputs(rf, rng, degree)
+    ]
+    calls = []
+    for name in ("mul", "pow"):
+        method = getattr(RatFuncUnit, name)
+        monkeypatch.setattr(
+            RatFuncUnit, name, lambda u, v, method=method: calls.append(u) or method(u, v)
+        )
+    monkeypatch.setattr(valuation, "_CONTEXT_CACHE", {})
+    residues = 0
+    for _, degree, x in inputs:
+        residues += len(canonical_form(x, degree).residues)
+    assert not calls and residues > 20
 
 
 def test_inhomogeneous_inputs_raise_in_every_degree():
