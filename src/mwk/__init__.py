@@ -15,8 +15,6 @@ from .fields import (
     ff_build_q,
     poly_factor,
     rat_func_field,
-    residue_field,
-    unit_normalize,
 )
 from .model import (
     MILNOR,

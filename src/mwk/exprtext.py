@@ -21,7 +21,6 @@ import re
 
 from .errors import ParseError
 from .fields import (
-    FFUnit,
     Poly,
     RatFuncField,
     expand_fraction,
@@ -228,22 +227,22 @@ class _Parser:
         raise ParseError(f"unexpected unit token {tok!r}", pos)
 
 
-def parse_expr(text, field):
+def _parse_all(text, field, read):
+    """read(parser) over the whole text: trailing input is a ParseError."""
     parser = _Parser(text, field)
-    expr = parser.parse_expr()
+    value = read(parser)
     tok, pos = parser.tokens[parser.i]
     if tok is not None:
         raise ParseError(f"trailing input {tok!r}", pos)
-    return expr
+    return value
+
+
+def parse_expr(text, field):
+    return _parse_all(text, field, _Parser.parse_expr)
 
 
 def parse_unit(text, field):
-    parser = _Parser(text, field)
-    unit = parser.parse_unit()
-    tok, pos = parser.tokens[parser.i]
-    if tok is not None:
-        raise ParseError(f"trailing input {tok!r}", pos)
-    return unit
+    return _parse_all(text, field, _Parser.parse_unit)
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +285,6 @@ def format_rat_unit(u):
     return "*".join(parts)
 
 
-def format_unit(u):
-    if isinstance(u, FFUnit):
-        return str(u.value)
-    return format_rat_unit(u)
-
-
 def format_expr(expr):
     if expr.is_structurally_zero():
         return "0"
@@ -302,7 +295,7 @@ def format_expr(expr):
         if d:
             parts.append("eta" if d == 1 else f"eta^{d}")
         if units:
-            parts.append("[" + ", ".join(format_unit(u) for u in units) + "]")
+            parts.append("[" + ", ".join(map(str, units)) + "]")
         if mag != 1 or not parts:
             parts.insert(0, str(mag))
         body = "*".join(parts)

@@ -616,10 +616,6 @@ def _is_irreducible(field, f):
     return all(_gcd(f, _minus_t(field, frob[n // r])).is_one() for r in factorint(n))
 
 
-def is_irreducible(f):
-    return _is_irreducible(f.field, f if f.is_monic() else f.monic())
-
-
 def _derivative(f):
     field = f.field
     p = field.p
@@ -867,7 +863,8 @@ class RatFuncUnit:
         )
 
     def negate(self):
-        return self.mul(self.rf.minus_one())
+        """The unit -u: only the constant changes sign."""
+        return RatFuncUnit(self.rf, self.rf.base.neg(self.const), self.factors)
 
     def is_one(self):
         return self.const == 1 and not self.factors
@@ -906,14 +903,6 @@ def expand_fraction(base, const, factors):
     return num, den
 
 
-def unit_normalize(num, den):
-    """The canonical RatFuncUnit num/den for two nonzero polynomials."""
-    if num.is_zero() or den.is_zero():
-        raise ZeroPolynomial("unit_normalize needs nonzero polynomials")
-    rf = rat_func_field(num.field)
-    return rf.from_fraction(num, den)
-
-
 @dataclass(frozen=True)
 class Place:
     """A place of F_q(t): a monic irreducible polynomial, or infinity."""
@@ -934,10 +923,6 @@ class Place:
         object.__setattr__(place, "rf", rf)
         object.__setattr__(place, "poly", poly)
         return place
-
-    @property
-    def is_infinity(self):
-        return self.poly is None
 
     @property
     def degree(self):
@@ -1106,9 +1091,3 @@ class _ResidueData:
         if den != 1:
             value = kappa.mul(value, kappa.inv(den))
         return FFUnit(kappa, value)
-
-
-def residue_field(place):
-    """Residue field of a place together with its reduction map."""
-    data = place.rf.residue_data(place)
-    return data.kappa, data.reduce_unit

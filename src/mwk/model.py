@@ -780,7 +780,7 @@ class _Presentation:
                             yield a[j] - x[j] - y[j] - vec(pre + (b, bp) + suf)
         # Witt relations: 2 eta^e [tuple] + eta^{e+1} [tuple with -1 inserted]
         if e >= 1:
-            minus_one = F._exp[(F.q - 1) // 2]
+            minus_one = F.neg(1)
             for tup in self._tuples(r):
                 twice = 2 * vec(tup)
                 for pos in range(r + 1):

@@ -17,6 +17,8 @@ hashes, neither a term dict nor a unit may ever be changed in place.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .errors import DegreeBound, FieldMismatch, Inhomogeneous
 from .fields import FFUnit, FiniteField, Place, Poly, RatFuncField
 
@@ -346,42 +348,28 @@ def witt_generator(e, units, position):
 
 
 def _ff_unit_pairs_summing_to_one(field):
-    """(a, b) with a, b units of F_q and a + b = 1."""
-    out = []
-    for a in range(2, field.q):  # skip a = 1 (would force b = 0)
-        b = field.sub(1, a)
-        if b != 0:
-            out.append((field.unit(a), field.unit(b)))
-    return out
+    """(a, 1 - a) for the units a != 1 of F_q (encoding 1 is the unit 1)."""
+    return [(a, one_minus(a)) for a in map(field.unit, range(2, field.q))]
 
 
 # largest instance space of a relation family that is enumerated in full
 EXHAUSTIVE_BOUND = 2000
 
 
-def relation_generators(field, n, d_max, rng, per_family, sampler=None):
+def relation_generators(field, n, d_max, rng, per_family, sampler):
     """Yield (kind, SymExpr) pairs that are zero in degree-n Milnor-Witt K-theory.
 
     Over a finite field, a family whose free-entry count keeps the instance
     space within EXHAUSTIVE_BOUND is enumerated completely; otherwise (and
     always over F_q(t)) per_family instances are drawn, with unit entries
-    from the sampler (by default unit_sampler(field, rng)).  Kinds are
-    "steinberg", "twisted_tensor" and "witt".
+    from the sampler.  Kinds are "steinberg", "twisted_tensor" and "witt".
     """
     if n < 0:
         raise DegreeBound("relation generators need degree >= 0")
-    if sampler is None:
-        sampler = unit_sampler(field, rng)
     finite = isinstance(field, FiniteField)
 
     def units_for(count):
         return tuple(sampler() for _ in range(count))
-
-    def all_tuples(count):
-        out = [()]
-        for _ in range(count):
-            out = [t + (u,) for t in out for u in field.units()]
-        return out
 
     def exhaustive(count):
         return finite and (field.q - 1) ** max(count, 1) <= EXHAUSTIVE_BOUND
@@ -395,7 +383,7 @@ def relation_generators(field, n, d_max, rng, per_family, sampler=None):
             pairs = _ff_unit_pairs_summing_to_one(field)
             for i in range(r - 1):
                 for (a, b) in pairs:
-                    for rest in all_tuples(r - 2):
+                    for rest in product(field.units(), repeat=r - 2):
                         units = rest[:i] + (a, b) + rest[i:]
                         yield "steinberg", steinberg_generator(d, units)
         else:
@@ -415,12 +403,11 @@ def relation_generators(field, n, d_max, rng, per_family, sampler=None):
             continue
         if exhaustive(r + 1):
             for i in range(r):
-                for rest in all_tuples(r - 1):
-                    for b in field.units():
-                        for bp in field.units():
-                            yield "twisted_tensor", twisted_tensor_generator(
-                                d, rest[:i], b, bp, rest[i:]
-                            )
+                for rest in product(field.units(), repeat=r - 1):
+                    for b, bp in product(field.units(), repeat=2):
+                        yield "twisted_tensor", twisted_tensor_generator(
+                            d, rest[:i], b, bp, rest[i:]
+                        )
         else:
             for _ in range(per_family):
                 i = rng.randrange(r)
@@ -436,7 +423,7 @@ def relation_generators(field, n, d_max, rng, per_family, sampler=None):
         if r < 1:
             continue
         if exhaustive(r):
-            for units in all_tuples(r):
+            for units in product(field.units(), repeat=r):
                 for pos in range(r + 1):
                     yield "witt", witt_generator(e, units, pos)
         else:

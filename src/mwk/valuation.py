@@ -333,7 +333,8 @@ def canonical_form(x, degree):
     if theory_group_is_trivial(rf.base, MW, degree):
         base = MWElem.zero(rf.base, degree)  # kappa(t) = F_q
     else:
-        base = valuation_context(Place(rf, rf.var_poly())).specialize_model(x, degree)
+        t_place = Place._known(rf, rf.var_poly())  # t is irreducible
+        base = valuation_context(t_place).specialize_model(x, degree)
     residues = {}
     if theory_group_is_trivial(rf.base, MW, degree - 1):
         return CanonicalForm(rf, degree, base, residues)

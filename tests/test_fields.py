@@ -20,15 +20,17 @@ from mwk.fields import (
     QuotientField,
     ff_build,
     ff_build_q,
+    _is_irreducible,
     first_monic_irreducible,
-    is_irreducible,
     monic_irreducibles,
     poly_factor,
     rat_func_field,
-    residue_field,
     size_bound,
-    unit_normalize,
 )
+
+
+def is_irreducible(f):
+    return _is_irreducible(f.field, f.monic())
 
 
 def brute_order(field, value):
@@ -248,17 +250,19 @@ def test_poly_factor_errors():
 
 def test_unit_normalize_cancellation():
     F3 = ff_build(3, 1)
-    u = unit_normalize(Poly.make(F3, [2, 0, 1]), Poly.make(F3, [1, 1]))
+    rf = rat_func_field(F3)
+    u = rf.from_fraction(Poly.make(F3, [2, 0, 1]), Poly.make(F3, [1, 1]))
     assert u.const == 1
     assert [(p.coeffs, e) for p, e in u.factors] == [((2, 1), 1)]
-    u = unit_normalize(Poly.const(F3, 2), Poly.const(F3, 1))
+    u = rf.from_fraction(Poly.const(F3, 2), Poly.const(F3, 1))
     assert u.const == 2 and not u.factors
     t = Poly.var(F3)
-    assert unit_normalize(t, t).is_one()
+    assert rf.from_fraction(t, t).is_one()
 
 
 def test_unit_normalize_equivalent_fractions():
     F3 = ff_build(3, 1)
+    rf = rat_func_field(F3)
     rng = random.Random(2)
     for _ in range(30):
         num = Poly.make(F3, [rng.randrange(3) for _ in range(3)])
@@ -266,14 +270,15 @@ def test_unit_normalize_equivalent_fractions():
         mul = Poly.make(F3, [rng.randrange(3) for _ in range(2)])
         if num.is_zero() or den.is_zero() or mul.is_zero():
             continue
-        assert unit_normalize(num, den) == unit_normalize(num.mul(mul), den.mul(mul))
+        assert rf.from_fraction(num, den) == rf.from_fraction(num.mul(mul), den.mul(mul))
 
 
 def test_residue_field_linear_place():
     F3 = ff_build(3, 1)
     rf = rat_func_field(F3)
     place = Place(rf, Poly.make(F3, [1, 1]))  # t + 1
-    kappa, reduce_unit = residue_field(place)
+    data = rf.residue_data(place)
+    kappa, reduce_unit = data.kappa, data.reduce_unit
     assert kappa is F3
     assert reduce_unit(rf.t_unit()).value == 2  # t -> -1 = 2
 
@@ -282,7 +287,8 @@ def test_residue_field_quadratic_place():
     F3 = ff_build(3, 1)
     rf = rat_func_field(F3)
     place = Place(rf, Poly.make(F3, [1, 0, 1]))
-    kappa, reduce_unit = residue_field(place)
+    data = rf.residue_data(place)
+    kappa, reduce_unit = data.kappa, data.reduce_unit
     assert kappa.q == 9
     theta = reduce_unit(rf.t_unit())
     # the image of t is a root of t^2 + 1
@@ -299,7 +305,8 @@ def test_residue_reduction_multiplicative():
         Place(rf, Poly.make(F3, [1, 0, 1])),
         Place(rf, None),
     ):
-        kappa, reduce_unit = residue_field(place)
+        data = rf.residue_data(place)
+        kappa, reduce_unit = data.kappa, data.reduce_unit
         for _ in range(30):
             units = []
             while len(units) < 2:
@@ -317,7 +324,7 @@ def test_reduce_at_place_requires_regularity():
     F3 = ff_build(3, 1)
     rf = rat_func_field(F3)
     place = Place(rf, rf.var_poly())
-    _, reduce_unit = residue_field(place)
+    reduce_unit = rf.residue_data(place).reduce_unit
     with pytest.raises(NotRegularAtPlace):
         reduce_unit(rf.t_unit())
 
@@ -348,7 +355,8 @@ def test_infinity_place_reduction():
     F3 = ff_build(3, 1)
     rf = rat_func_field(F3)
     inf = Place(rf, None)
-    kappa, reduce_unit = residue_field(inf)
+    data = rf.residue_data(inf)
+    kappa, reduce_unit = data.kappa, data.reduce_unit
     assert kappa is F3
     # (2t^2 + ...)/(t^2 + ...) has valuation 0 at infinity; reduces to the
     # ratio of leading coefficients
@@ -543,7 +551,8 @@ def test_residue_field_units_match_generator_powers():
             polys = monic_irreducibles(F, k)
             for poly in (polys[0], polys[-1]):
                 generator, exponents = RESIDUE_EXPONENTS[(q, format_poly(poly))]
-                kappa, reduce_unit = residue_field(Place(rf, poly))
+                data = rf.residue_data(Place(rf, poly))
+                kappa, reduce_unit = data.kappa, data.reduce_unit
                 assert isinstance(kappa, QuotientField) and kappa.q == q**k
                 assert brute_order(kappa, generator) == kappa.q - 1
                 for text, n in exponents:
@@ -575,7 +584,8 @@ def test_residue_field_log_matches_power_table():
         F = ff_build_q(q)
         rf = rat_func_field(F)
         for poly in monic_irreducibles(F, k):
-            kappa, reduce_unit = residue_field(Place(rf, poly))
+            data = rf.residue_data(Place(rf, poly))
+            kappa, reduce_unit = data.kappa, data.reduce_unit
             assert isinstance(kappa, QuotientField) and kappa.q == q**k
             assert_power_table_matches_pow(kappa)
             # t reduces to the class of t, encoded as q
@@ -589,7 +599,8 @@ def test_residue_field_log_digit_by_digit(monkeypatch):
     rf = rat_func_field(F3)
     monkeypatch.setenv("MWK_SIZE_BOUND", "3")
     for poly in monic_irreducibles(F3, 4):
-        kappa, reduce_unit = residue_field(Place(rf, poly))
+        data = rf.residue_data(Place(rf, poly))
+        kappa, reduce_unit = data.kappa, data.reduce_unit
         assert kappa.q == 81
         assert_power_table_matches_pow(kappa)
         assert reduce_unit(rf.t_unit()).value == 3
@@ -621,9 +632,26 @@ def test_rat_func_unit_hash_is_kept_and_agrees_with_equality():
             assert w != u and w not in table
 
 
+def test_negate_changes_only_the_sign_of_the_constant():
+    """RatFuncUnit.negate against the route through mul(minus_one()), kept
+    here as the reference: equal units, the same factors and equal hashes."""
+    from mwk.symbols import unit_sampler
+
+    rng = random.Random(27)
+    for rf in (rat_func_field(ff_build(3, 1)), rat_func_field(ff_build(5, 2))):
+        sample = unit_sampler(rf, rng)
+        fixed = [rf.one_unit(), rf.minus_one(), rf.t_unit(), rf.t_unit().inv()]
+        for u in fixed + [sample() for _ in range(60)]:
+            want, got = u.mul(rf.minus_one()), u.negate()
+            assert got == want and got.factors == want.factors, u
+            assert hash(got) == hash(want)
+            assert got.negate() == u
+
+
 def test_polynomial_algorithms_over_residue_fields_raise_field_mismatch():
     F5 = ff_build(5, 1)
-    kappa, _ = residue_field(Place(rat_func_field(F5), first_monic_irreducible(F5, 2)))
+    rf = rat_func_field(F5)
+    kappa = rf.residue_data(Place(rf, first_monic_irreducible(F5, 2))).kappa
     f, g = Poly.make(kappa, [1, 0, 1, 0, 1]), Poly.make(kappa, [2, 1])
     calls = (
         lambda: poly_factor(f),
@@ -699,7 +727,7 @@ def euler_is_square(kappa, value):
 
 
 def assert_square_classes_match_euler(rf, poly, values):
-    kappa, _ = residue_field(Place(rf, poly))
+    kappa = rf.residue_data(Place(rf, poly)).kappa
     for value in values:
         assert kappa.unit(value).is_square() == euler_is_square(kappa, value), (kappa, poly, value)
 
@@ -781,7 +809,8 @@ def test_polynomial_kernels_match_the_fields_own_arithmetic():
         assert Poly(F, (1, 2)).mul(Poly.zero(F)).is_zero()
         assert _mulmod(F, (), (1, 1), (0, 1)) == ()
     F5 = ff_build(5, 1)
-    kappa, _ = residue_field(Place(rat_func_field(F5), first_monic_irreducible(F5, 2)))
+    rf = rat_func_field(F5)
+    kappa = rf.residue_data(Place(rf, first_monic_irreducible(F5, 2))).kappa
     for coeffs in ([1, 0, 1], [2, 1, 0, 1]):
         f = Poly.make(kappa, coeffs)
         with pytest.raises(FieldMismatch):

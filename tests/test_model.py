@@ -38,7 +38,7 @@ from mwk.model import (
     theory_group_is_trivial,
     theory_torsion_test,
 )
-from mwk.symbols import SymExpr, relation_generators
+from mwk.symbols import SymExpr, relation_generators, unit_sampler
 
 F3 = ff_build(3, 1)
 F5 = ff_build(5, 1)
@@ -708,7 +708,10 @@ def test_relation_generators_die_in_model():
     rng = random.Random(6)
     for F in (F3, F5):
         for n in (1, 2):
-            for kind, gen in relation_generators(F, n, 2, rng=rng, per_family=8):
+            sampler = unit_sampler(F, rng)
+            for kind, gen in relation_generators(
+                F, n, 2, rng=rng, per_family=8, sampler=sampler
+            ):
                 assert eval_model(gen, n).is_zero()
 
 

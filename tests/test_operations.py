@@ -13,7 +13,6 @@ from mwk.fields import (
     ff_build_q,
     first_monic_irreducible,
     rat_func_field,
-    residue_field,
 )
 from mwk.model import (
     MILNOR,
@@ -887,7 +886,7 @@ def test_lemma75_computes_each_series_once(computed):
 
 
 def test_oracle_constants_are_lifts_of_the_base_constants():
-    kappa, _ = residue_field(Place(RF, first_monic_irreducible(F3, 2)))
+    kappa = RF.residue_data(Place(RF, first_monic_irreducible(F3, 2))).kappa
     for field in (F3, F9, kappa):
         oracle = ModelOracle(field)
         assert oracle.one() is MWElem.one(field)

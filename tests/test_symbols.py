@@ -202,7 +202,10 @@ def test_relation_generators_evaluate_to_zero_over_model():
     for F in (F3, F5):
         for n in (1, 2):
             count = 0
-            for kind, gen in relation_generators(F, n, d_max=2, rng=rng, per_family=6):
+            sampler = unit_sampler(F, rng)
+            for kind, gen in relation_generators(
+                F, n, d_max=2, rng=rng, per_family=6, sampler=sampler
+            ):
                 assert eval_model(gen, n).is_zero(), (F, n, kind, gen.terms)
                 count += 1
             assert count > 10
