@@ -23,6 +23,7 @@ from .errors import ParseError
 from .fields import (
     Poly,
     RatFuncField,
+    check_expansion,
     expand_fraction,
     ff_build,
     ff_build_q,
@@ -30,17 +31,18 @@ from .fields import (
 )
 from .symbols import SymExpr
 
-_TOKEN = re.compile(r"(\d+)|([A-Za-z]+|[-*+^()\[\]<>,])|(\S)")
+_TOKEN = re.compile(r"([-*+^()\[\]<>,]|[A-Za-z]+)|([0-9]+)|(\S)")
 
 
 def _tokenize(text):
-    """(token, position) pairs, integer literals as ints, ending in None."""
+    """(token, position) pairs, integer literals (ASCII digits only) as ints,
+    ending in None."""
     out = []
     for m in _TOKEN.finditer(text):
         tok, pos = m.group(), m.start()
-        if m.lastindex == 3:
-            raise ParseError(f"unexpected character {tok!r}", pos)
-        if m.lastindex == 1:
+        if m.lastindex != 1:  # most tokens are operators and names
+            if m.lastindex == 3:
+                raise ParseError(f"unexpected character {tok!r}", pos)
             try:
                 tok = int(tok)
             except ValueError:  # more digits than int() converts (4,300 by default)
@@ -70,33 +72,70 @@ def _encoding_ops(field):
     return field.add, field.neg, field.mul, power
 
 
+def _product(base, v):
+    """A unit value over F_q(t) as a product (c, e, factors); a running sum
+    becomes its one polynomial factor here."""
+    if type(v) is list:
+        return 1, 0, ((Poly._trimmed(base, v), 1),)
+    return v
+
+
 def _product_ops(base):
-    """(add, neg, mul, pow) on unit values over F_q(t): formal products
-    [(Poly, k), ...] with one entry per atom, so that parse_unit factors every
-    atom on its own; only a sum expands its terms, into one fraction, or into
-    one polynomial when neither term has a denominator."""
-    one = Poly.const(base, 1)
-    minus_one = [(one.neg(), 1)]
+    """(add, neg, mul, pow) on unit values over F_q(t).  A product is a triple
+    (c, e, factors): an encoding c of F_q (0 included) times t^e, e >= 0,
+    times the formal product of the (Poly, k) in `factors`.  Integers and t
+    multiply into c and e with no Poly, and a bare t^k stays a power; each
+    parenthesised atom and each negative power of t is a factor of its own,
+    so that parse_unit factors every atom on its own.  A sum is a
+    coefficient list: monomials add coefficient-wise once the degree cap is
+    checked on each, the list becomes one Poly once per atom (`_product`),
+    and a term with other factors is expanded (`expand_fraction`)."""
+    t, one = Poly.var(base), Poly.const(base, 1)
 
     def fraction(v):
-        # a value that is one polynomial (a leaf or a sum, so within the
-        # degree cap) is its own numerator; the rest expand after the check
-        if len(v) == 1 and v[0][1] == 1:
-            return v[0][0], one
-        return expand_fraction(base, 1, v)
+        # (coefficient list, one) for a value with no denominator, else
+        # (numerator, denominator), both Polys
+        if type(v) is list:
+            return v, one
+        c, e, factors = v
+        if not factors:
+            check_expansion(e)
+            return [0] * e + [c], one
+        num, den = expand_fraction(base, c, factors + ((t, e),) if e else factors)
+        return (list(num.coeffs), one) if den.is_one() else (num, den)
 
     def add(a, b):
         (na, da), (nb, db) = fraction(a), fraction(b)
-        if da.is_one() and db.is_one():
-            return [(na.add(nb), 1)]
-        return [(na.mul(db).add(nb.mul(da)), 1), (da.mul(db), -1)]
+        if da is db is one:
+            if len(na) < len(nb):
+                na, nb = nb, na
+            for i, c in enumerate(nb):
+                if c:
+                    na[i] = base.add(na[i], c)
+            return na
+        na, nb = (Poly._trimmed(base, n) if type(n) is list else n for n in (na, nb))
+        return 1, 0, ((na.mul(db).add(nb.mul(da)), 1), (da.mul(db), -1))
 
-    def power(v, e):
-        if e < 0 and any(p.is_zero() for p, _ in v):
-            raise ParseError("0 is not a unit")
-        return [(p, k * e) for p, k in v] if e else []
+    def neg(v):
+        c, e, factors = _product(base, v)
+        return base.neg(c), e, factors
 
-    return add, lambda v: v + minus_one, list.__add__, power
+    def mul(a, b):
+        (ca, ea, fa), (cb, eb, fb) = _product(base, a), _product(base, b)
+        return base.mul(ca, cb), ea + eb, fa + fb
+
+    def power(v, k):
+        c, e, factors = _product(base, v)
+        if k < 0:
+            if c == 0 or any(p.is_zero() for p, _ in factors):
+                raise ParseError("0 is not a unit")
+            if e:  # t^-1 is a denominator, not a monomial
+                e, factors = 0, factors + ((t, e),)
+        if not k:
+            return 1, 0, ()
+        return base.pow(c, k), e * k, tuple((p, j * k) for p, j in factors)
+
+    return add, neg, mul, power
 
 
 class _Parser:
@@ -200,11 +239,15 @@ class _Parser:
             if value == 0:
                 raise ParseError("0 is not a unit")
             return self.field.unit(value)
-        if any(p.is_zero() for p, _ in value):
+        rf = self.field
+        c, e, factors = _product(rf.base, value)
+        if c == 0 or any(p.is_zero() for p, _ in factors):
             raise ParseError("0 is not a unit")
-        unit = self.field.one_unit()
-        for p, k in value:
-            unit = unit.mul(self.field.from_poly(p).pow(k))
+        unit = rf.constant(c)
+        if e:
+            unit = unit.mul(rf.t_unit().pow(e))
+        for p, k in factors:
+            unit = unit.mul(rf.from_poly(p).pow(k))
         return unit
 
     def _encoding_leaf(self):
@@ -212,18 +255,15 @@ class _Parser:
         if tok == "g":
             return self.field.generator
         if isinstance(tok, int):
-            # Poly.make's rule: reduced mod p over F_p, and over F_{p^d} an
-            # encoding in [0, q) or FieldMismatch
-            const = Poly.const(self.field, tok).coeffs
-            return const[0] if const else 0
+            return self.field.coefficient(tok)
         raise ParseError(f"unexpected unit token {tok!r}", pos)
 
     def _poly_leaf(self):
         tok, pos = self.next()
         if tok == "t":
-            return [(Poly.var(self.field.base), 1)]
+            return 1, 1, ()
         if isinstance(tok, int):
-            return [(Poly.const(self.field.base, tok), 1)]
+            return self.field.base.coefficient(tok), 0, ()
         raise ParseError(f"unexpected unit token {tok!r}", pos)
 
 

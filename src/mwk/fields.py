@@ -8,8 +8,11 @@ P.  A unit is its encoding.  Its square class is the parity of its discrete
 logarithm in a field with tables, and in a residue field F_q[t]/(P) the
 Jacobi symbol of F_q[t], decided by quadratic reciprocity; so no residue
 field needs a discrete logarithm.  Polynomial arithmetic has one multiply
-and one division kernel: over F_p on plain integers reduced mod p, over
-F_{p^d} with d > 1 on discrete logarithms with Zech addition.
+and one division loop, over F_p on plain integers reduced mod p and over
+F_{p^d} with d > 1 on discrete logarithms with Zech addition; the multiply
+mod m behind every field product and power (`_mulmod`) runs the two in
+that representation, with no quotient kept and no round trip through the
+encodings between them.
 
 Units of F_q(t) are kept in fully factored form: a constant of the base field
 times a product of monic irreducible polynomials with integer exponents.
@@ -195,6 +198,16 @@ class FiniteField:
 
     # -- units -------------------------------------------------------------
 
+    def coefficient(self, n):
+        """The encoding an integer names as a coefficient: over F_p it is
+        reduced mod p; over F_{p^d} with d > 1 it must already be an
+        encoding in [0, q)."""
+        if self.d == 1:
+            return n % self.p
+        if not 0 <= n < self.q:
+            raise FieldMismatch(f"coefficient encodings of F_{self.q} lie in [0, {self.q})")
+        return n
+
     def unit(self, value):
         """The unit with the given integer encoding."""
         if self.d == 1:
@@ -345,17 +358,9 @@ class Poly:
 
     @staticmethod
     def make(field, coeffs):
-        """Over F_p any integer coefficient is reduced mod p; over F_{p^d}
-        with d > 1 a coefficient must already be an encoding in [0, q)."""
-        if field.d == 1:
-            coeffs = [c % field.q for c in coeffs]
-        else:
-            coeffs = list(coeffs)
-            if any(c < 0 or c >= field.q for c in coeffs):
-                raise FieldMismatch(
-                    f"coefficient encodings of F_{field.q} lie in [0, {field.q})"
-                )
-        return Poly._trimmed(field, coeffs)
+        """The polynomial with integer coefficients read by
+        `field.coefficient`."""
+        return Poly._trimmed(field, [field.coefficient(c) for c in coeffs])
 
     @staticmethod
     def _trimmed(field, coeffs):
@@ -442,7 +447,8 @@ class Poly:
     def monic(self):
         if self.is_zero():
             raise ZeroPolynomial("cannot normalize the zero polynomial")
-        return self.scale(self.field.inv(self.lead()))
+        lead = self.coeffs[-1]
+        return self if lead == 1 else self.scale(self.field.inv(lead))
 
     def evaluate(self, point):
         """The value at a point of the coefficient field (Horner's rule)."""
@@ -492,25 +498,25 @@ def _trim(coeffs):
     return tuple(coeffs)
 
 
-def _mul(field, a, b):
-    """The product of two trimmed coefficient tuples (low to high).  Over
-    F_p on plain ints, reduced mod p once; over F_{p^d} on the discrete
-    logs, None for 0, adding by g^r + g^s = g^(r + Z(s - r)).  A residue
-    field has no tables: `_mul` and `_divmod` read them before any early
-    return, so over one they stop with FieldMismatch on every input."""
+def _kernel_mul(field, a, b):
+    """The product of two trimmed coefficient tuples (low to high) in the
+    kernels' representation: over F_p plain ints not yet reduced mod p; over
+    F_{p^d} the discrete logs, None for 0, adding by
+    g^r + g^s = g^(r + Z(s - r)).  A residue field has no tables: the kernels
+    read them before any early return, so over one they stop with
+    FieldMismatch on every input."""
     if field.d == 1:
         if not a or not b:
-            return ()
+            return []
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b, i):
                     out[j] += x * y
-        p = field.p
-        return tuple([c % p for c in out])
-    exp, dlog, zech, order = field._exp, field._dlog, field._zech, field._order
+        return out
+    dlog, zech, order = field._dlog, field._zech, field._order
     if not a or not b:
-        return ()
+        return []
     out = [None] * (len(a) + len(b) - 1)
     lb = [dlog[y] if y else None for y in b]
     for i, x in enumerate(a):
@@ -524,56 +530,81 @@ def _mul(field, a, b):
                     else:
                         z = zech[(x + y - r) % order]
                         out[j] = None if z is None else r + z
-    return tuple([0 if r is None else exp[r % order] for r in out])
+    return out
 
 
-def _divmod(field, a, m):
-    """(quotient, remainder) of a trimmed coefficient tuple by a nonzero one,
-    both trimmed (the quotient's top digit is a's over m's).  From the top,
-    each digit c of the rest over the lead of m is a quotient digit, and
-    c * (-m) is added below it; over F_p and over F_{p^d} on the
-    representations of `_mul`."""
+def _kernel_reduce(field, digits, m):
+    """Divide `digits`, in the kernels' representation, by a nonzero trimmed
+    tuple m in place.  From the top, each digit c over the lead of m is a
+    quotient digit and takes c's place, and c * (-m) is added below it; then
+    digits[:n] is the remainder and digits[n:] the quotient, n = deg m."""
     n = len(m) - 1
     if field.d == 1:
         p = field.p
         inv_lead = pow(m[-1], -1, p)
         neg = [(j, p - y) for j, y in enumerate(m[:n]) if y]
-        rem, quo = list(a), [0] * max(len(a) - n, 0)
-        for i in range(len(a) - 1, n - 1, -1):
-            c = rem[i] % p
+        for i in range(len(digits) - 1, n - 1, -1):
+            c = digits[i] % p
             if c:
                 c = c * inv_lead % p
-                quo[i - n] = c
                 for j, y in neg:
-                    rem[i - n + j] += c * y
-        return tuple(quo), _trim([c % p for c in rem[:n]])
-    exp, dlog, zech, order = field._exp, field._dlog, field._zech, field._order
-    out = [dlog[c] if c else None for c in a]
+                    digits[i - n + j] += c * y
+            digits[i] = c
+        return
+    dlog, zech, order = field._dlog, field._zech, field._order
     lead, half = dlog[m[-1]], order // 2  # -1 = g^half
     neg = [(j, dlog[y] + half) for j, y in enumerate(m[:n]) if y]
-    quo = [None] * max(len(a) - n, 0)
-    for i in range(len(a) - 1, n - 1, -1):
-        c = out[i]
+    for i in range(len(digits) - 1, n - 1, -1):
+        c = digits[i]
         if c is not None:
             c -= lead
-            quo[i - n] = c
+            digits[i] = c
             for j, y in neg:
                 k = i - n + j
-                r = out[k]
+                r = digits[k]
                 if r is None:
-                    out[k] = c + y
+                    digits[k] = c + y
                 else:
                     z = zech[(c + y - r) % order]
-                    out[k] = None if z is None else r + z
-    return (
-        tuple([0 if r is None else exp[r % order] for r in quo]),
-        _trim([0 if r is None else exp[r % order] for r in out[:n]]),
-    )
+                    digits[k] = None if z is None else r + z
+
+
+def _to_kernel(field, a):
+    if field.d == 1:
+        return list(a)
+    dlog = field._dlog
+    return [dlog[c] if c else None for c in a]
+
+
+def _from_kernel(field, digits):
+    if field.d == 1:
+        p = field.p
+        return [c % p for c in digits]
+    exp, order = field._exp, field._order
+    return [0 if r is None else exp[r % order] for r in digits]
+
+
+def _mul(field, a, b):
+    """The product of two trimmed coefficient tuples."""
+    return tuple(_from_kernel(field, _kernel_mul(field, a, b)))
+
+
+def _divmod(field, a, m):
+    """(quotient, remainder) of a trimmed coefficient tuple by a nonzero one,
+    both trimmed (the quotient's top digit is a's over m's)."""
+    n = len(m) - 1
+    digits = _to_kernel(field, a)
+    _kernel_reduce(field, digits, m)
+    return tuple(_from_kernel(field, digits[n:])), _trim(_from_kernel(field, digits[:n]))
 
 
 def _mulmod(field, a, b, m):
-    """a * b mod m for coefficient tuples, m of degree >= 1; trimmed."""
-    return _divmod(field, _mul(field, a, b), m)[1]
+    """a * b mod m for trimmed coefficient tuples, m of degree >= 1; trimmed.
+    The product is reduced in the kernels' representation, so no quotient
+    is kept and no log is read back before the remainder."""
+    digits = _kernel_mul(field, a, b)
+    _kernel_reduce(field, digits, m)
+    return _trim(_from_kernel(field, digits[: len(m) - 1]))
 
 
 def _powmod(field, a, e, m):
@@ -588,16 +619,18 @@ def _powmod(field, a, e, m):
     return result
 
 
-def _gcd(a, b):
-    """The monic gcd of two polynomials, not both zero."""
-    while not b.is_zero():
-        a, b = b, a.mod(b)
-    return a.monic()
+def _gcd(field, a, b):
+    """The monic gcd, as a Poly, of two coefficient tuples not both zero."""
+    while b:
+        a, b = b, _divmod(field, a, b)[1]
+    return Poly(field, a).monic()
 
 
-def _minus_t(field, h):
-    """The polynomial h - t, for h a coefficient tuple."""
-    return Poly._trimmed(field, list(h)).sub(Poly.var(field))
+def _minus(field, h, i):
+    """The coefficient tuple of h - t^i (i = 0 or 1), h a coefficient tuple."""
+    out = list(h) + [0] * (i + 1 - len(h))
+    out[i] = field.sub(out[i], 1)
+    return _trim(out)
 
 
 def _is_irreducible(field, f):
@@ -613,7 +646,9 @@ def _is_irreducible(field, f):
         frob.append(_powmod(field, frob[-1], field.q, f.coeffs))
     if frob[n] != (0, 1):
         return False
-    return all(_gcd(f, _minus_t(field, frob[n // r])).is_one() for r in factorint(n))
+    return all(
+        _gcd(field, f.coeffs, _minus(field, frob[n // r], 1)).is_one() for r in factorint(n)
+    )
 
 
 def _derivative(f):
@@ -632,24 +667,24 @@ def _pth_root(f):
 def _square_free(f):
     """[(g, m)] with f = prod g^m, the g monic, square-free, pairwise prime
     (f monic of degree >= 1)."""
-    p = f.field.p
+    field = f.field
     df = _derivative(f)
     if df.is_zero():
-        return [(g, m * p) for g, m in _square_free(_pth_root(f))]
-    c = _gcd(f, df)
+        return [(g, m * field.p) for g, m in _square_free(_pth_root(f))]
+    c = _gcd(field, f.coeffs, df.coeffs)
     if c.is_one():
         return [(f, 1)]
     out = []
     w = f.divmod(c)[0]
     i = 1
     while w.degree > 0:
-        y = _gcd(w, c)
+        y = _gcd(field, w.coeffs, c.coeffs)
         fac = w.divmod(y)[0]
         if fac.degree > 0:
             out.append((fac, i))
         w, c, i = y, c.divmod(y)[0], i + 1
     if c.degree > 0:
-        out.extend((g, m * p) for g, m in _square_free(_pth_root(c)))
+        out.extend((g, m * field.p) for g, m in _square_free(_pth_root(c)))
     return out
 
 
@@ -663,11 +698,11 @@ def _distinct_degree(f):
     while f.degree >= 2 * (k + 1):
         k += 1
         h = _powmod(field, h, field.q, f.coeffs)
-        g = _gcd(f, _minus_t(field, h))
+        g = _gcd(field, f.coeffs, _minus(field, h, 1))
         if g.degree > 0:
             out.append((g, k))
             f = f.divmod(g)[0]
-            h = Poly._trimmed(field, list(h)).mod(f).coeffs
+            h = _divmod(field, h, f.coeffs)[1]
     if f.degree > 0:
         out.append((f, f.degree))
     return out
@@ -687,11 +722,9 @@ def _equal_degree(g, k):
         return [g]
     field = g.field
     e = (field.q**k - 1) // 2
-    one = Poly.const(field, 1)
     for deg in range(1, g.degree):
         for a in _candidate_polys(field, deg):
-            b = Poly._trimmed(field, list(_powmod(field, a.coeffs, e, g.coeffs)))
-            d = _gcd(g, b.sub(one))
+            d = _gcd(field, g.coeffs, _minus(field, _powmod(field, a.coeffs, e, g.coeffs), 0))
             if 0 < d.degree < g.degree:
                 return _equal_degree(d, k) + _equal_degree(g.divmod(d)[0], k)
     raise AssertionError("no split candidate: g is not a product of distinct degree-k factors")
@@ -885,16 +918,23 @@ class RatFuncUnit:
         return format_rat_unit(self)
 
 
+def check_expansion(*degrees):
+    """Refuse, with DegreeBound, to expand a fraction a side of which has a
+    degree above the cap 3 * DEFAULT_DEGREE_BOUND."""
+    if max(degrees) > 3 * DEFAULT_DEGREE_BOUND:
+        raise DegreeBound("fraction expansion exceeds the degree cap")
+
+
 def expand_fraction(base, const, factors):
     """The (numerator, denominator) pair of const * prod p^k over the
-    (Poly, k) in `factors`.  Each side's degree is summed, and checked
-    against the cap 3 * DEFAULT_DEGREE_BOUND, before anything is multiplied."""
+    (Poly, k) in `factors`, const an encoding of the base field (0 included).
+    Each side's degree is summed, and checked against the cap
+    (`check_expansion`), before anything is multiplied."""
     degrees = [0, 0]  # numerator, denominator
     for p, k in factors:
         degrees[k < 0] += abs(k) * max(p.degree, 0)
-    if max(degrees) > 3 * DEFAULT_DEGREE_BOUND:
-        raise DegreeBound("fraction expansion exceeds the degree cap")
-    num, den = Poly(base, (const,)), Poly(base, (1,))  # const: a unit encoding
+    check_expansion(*degrees)
+    num, den = Poly._trimmed(base, [const]), Poly(base, (1,))
     for p, k in factors:
         if k > 0:
             num = num.mul(p.pow(k))
@@ -1026,14 +1066,13 @@ class QuotientField(FiniteField):
 
     units = unit_exp = gen_unit = gen_power = _no_generator
 
-    # the polynomial kernels `_mul` and `_divmod` and the irreducible
-    # listings read these, so polynomial algorithms over a residue field
-    # stop here
+    # the polynomial kernels and the irreducible listings read these, so
+    # polynomial algorithms over a residue field stop here
     @property
     def _exp(self):
         raise FieldMismatch(f"no polynomial algorithms run over the residue field {self!r}")
 
-    _irreducibles = _exp
+    _dlog = _irreducibles = _exp
 
 
 class _ResidueData:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -186,12 +187,71 @@ def test_a_unit_sum_expands_only_the_operands_that_are_no_polynomial(monkeypatch
     monkeypatch.setattr(
         exprtext, "expand_fraction", lambda *args: expanded.append(args[2]) or expand(*args)
     )
-    # t^3 and 2*t^2 are products and expand once each; the running sum, t and
-    # 1 are one polynomial each, and are not expanded again
+    # monomials such as t^3 and 2*t^2 are added coefficient-wise: nothing
+    # expands
     got = parse_unit("t^3+2*t^2+t+1", rf)
     assert got == rf.from_poly(Poly.make(F3, [1, 1, 2, 1]))
-    assert len(expanded) == 2
+    assert expanded == []
     # a sum of k polynomials expands nothing
-    expanded.clear()
     assert parse_unit("t+1+t+2+2", rf) == rf.from_poly(Poly.make(F3, [2, 2]))
     assert expanded == []
+    # the one term with a denominator expands, once
+    got = parse_unit("t^3+2*t^2+2*t^-1", rf)
+    assert got == rf.from_fraction(Poly.make(F3, [2, 0, 0, 2, 1]), Poly.make(F3, [0, 1]))
+    assert len(expanded) == 1
+
+
+def _eval(capsys, text, spec):
+    code = main(["eval", text, "--field", spec])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("spec", ["5", "3(t)"])
+@pytest.mark.parametrize("text, pos", [("[\u0663]", 1), ("[2, 1\u0663]", 5), ("2*[\uff12]", 3)])
+def test_integer_literals_are_ascii_digits_only(capsys, spec, text, pos):
+    # int() reads any Unicode decimal digit; the grammar has only 0-9
+    code, out, err = _eval(capsys, text, spec)
+    assert code == 2 and out == ""
+    assert f"ParseError: unexpected character {text[pos]!r} (at position {pos})" in err
+
+
+def test_a_bare_power_of_t_stays_a_formal_power():
+    start = time.perf_counter()
+    for q in (3, 25):
+        rf = rat_func_field(ff_build_q(q))
+        got = parse_expr("[t^400000, t^400000*t^-399999]", rf)
+        assert got == SymExpr.bracket(rf.t_unit().pow(400000), rf.t_unit())
+    assert time.perf_counter() - start < 1
+
+
+def test_parenthesised_atoms_are_factored_one_by_one(monkeypatch):
+    import mwk.fields as fields_mod
+
+    degrees = []
+    factor = fields_mod.poly_factor
+    monkeypatch.setattr(fields_mod, "poly_factor", lambda f: degrees.append(f.degree) or factor(f))
+    f, g = Poly.make(F5, [1] + [0] * 6 + [1]), Poly.make(F5, [2] + [0] * 6 + [1])
+    # 14 > 12 in all, but each atom is within the factorization cap
+    got = parse_expr("[(t^7+1)*(t^7+2)]", RF5)
+    assert got == SymExpr.bracket(RF5.from_poly(f).mul(RF5.from_poly(g)))
+    assert max(degrees) == 7
+
+
+@pytest.mark.parametrize("text", ["[t^20*t^20+1]", "[(2*t)^19*t^18+1]", "[0*t^37+1]"])
+def test_a_monomial_past_the_degree_cap_is_refused_before_any_multiply(
+    monkeypatch, capsys, text
+):
+    calls = []
+    poly_mul = Poly.mul
+    monkeypatch.setattr(Poly, "mul", lambda *args: calls.append(1) or poly_mul(*args))
+    code, _, err = _eval(capsys, text, "5(t)")
+    assert code == 2
+    assert "DegreeBound: fraction expansion exceeds the degree cap" in err
+    assert calls == []
+
+
+def test_a_monomial_with_coefficient_zero_adds_nothing():
+    for rf in (RF3, RF5):
+        assert format_expr(parse_expr("[0*t^5+1]", rf)) == "[1]"
+        assert format_expr(parse_expr("[t^2+0*t^36, (3*t)^0*t]", rf)) == "[t^2, t]"

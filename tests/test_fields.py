@@ -819,6 +819,56 @@ def test_polynomial_kernels_match_the_fields_own_arithmetic():
             is_irreducible(f)
 
 
+def test_mulmod_matches_the_remainder_of_the_product():
+    """`_mulmod` reduces the product in the kernels' own representation.  It
+    agrees with the remainder of the product by the two kernels one after
+    the other, and with the field's own add and mul (which share no loop
+    with the kernels), for a monic m of degree 1-5 and any a, b: zero,
+    shorter or longer than m, and products that cancel under Zech addition."""
+    from mwk.fields import _divmod, _mul, _mulmod
+
+    rng = random.Random(28)
+    for q in (3, 5, 9, 25, 27, 49):
+        F = ff_build_q(q)
+
+        def poly(deg):
+            if deg < 0:
+                return ()
+            return tuple([rng.randrange(q) for _ in range(deg)] + [rng.randrange(1, q)])
+
+        for dm in range(1, 6):
+            for _ in range(12):
+                m = tuple([rng.randrange(q) for _ in range(dm)] + [1])
+                a, b = poly(rng.randrange(-1, dm + 3)), poly(rng.randrange(-1, dm + 3))
+                want = _divmod(F, _mul(F, a, b), m)[1]
+                assert want == ref_divmod(F, ref_mul(F, a, b), m)[1], (q, a, b, m)
+                assert _mulmod(F, a, b, m) == want, (q, a, b, m)
+    # kappa = F_q[t]/(P) multiplies and powers through `_mulmod`
+    for q in (5, 9, 25):
+        F = ff_build_q(q)
+        rf = rat_func_field(F)
+        for k in (2, 3):
+            P = monic_irreducibles(F, k)[-1].coeffs
+            kappa = rf.residue_data(Place(rf, Poly(F, P))).kappa
+
+            def ref_kappa_mul(x, y):
+                prod = ref_mul(F, kappa._decode(x), kappa._decode(y))
+                return kappa._encode(ref_divmod(F, prod, P)[1])
+
+            for _ in range(40):
+                x, y = rng.randrange(kappa.q), rng.randrange(kappa.q)
+                assert kappa.mul(x, y) == ref_kappa_mul(x, y), (q, P, x, y)
+                e = rng.randrange(2 * kappa.q)
+                want, square, n = 1, x, e % (kappa.q - 1) if x else e
+                while n:
+                    if n & 1:
+                        want = ref_kappa_mul(want, square)
+                    square, n = ref_kappa_mul(square, square), n >> 1
+                assert kappa.pow(x, e) == want, (q, P, x, e)
+                if x:
+                    assert kappa.mul(kappa.pow(x, -e), want) == 1
+
+
 # -- one factoring per polynomial ---------------------------------------------
 
 
