@@ -27,6 +27,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import product
+from weakref import WeakValueDictionary
 
 from .errors import (
     DegreeBound,
@@ -86,6 +87,7 @@ class FiniteField:
         self.q = p**d
         self.modulus = modulus  # coefficient tuple over F_p, low to high, monic
         self.base = self if d == 1 else ff_build(p, 1)
+        self._unit_table = {}  # value -> FFUnit: at most q - 1 units, like the log tables
         self._irreducibles = {}  # degree -> list of monic irreducible Polys
         self._embeddings = {}  # id(bigger field) -> encoding map list
         self.generator = self._smallest_generator()
@@ -304,12 +306,29 @@ def ff_build_q(q):
     return ff_build(p, d)
 
 
-@dataclass(frozen=True)
 class FFUnit:
-    """A unit of a finite field, held as its encoding (nonzero, below q)."""
+    """A unit of a finite field, held as its encoding (nonzero, below q).
+    Interned: `FFUnit(field, value)` is the one live unit of that value in
+    the field's `_unit_table`, so units compare by identity and are read-only."""
 
-    field: FiniteField
-    value: int
+    __slots__ = ("field", "value", "__weakref__")
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __new__(cls, field, value):
+        u = field._unit_table.get(value)
+        if u is None:
+            u = field._unit_table[value] = object.__new__(cls)
+            object.__setattr__(u, "field", field)
+            object.__setattr__(u, "value", value)
+        return u
+
+    def __repr__(self):
+        data = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__[:-1])
+        return f"{type(self).__name__}({data})"
 
     def mul(self, other):
         if other.field is not self.field:
@@ -774,12 +793,14 @@ class RatFuncField:
         self.base = base
         self._residue_cache = {}
         self._factored = {}  # Poly -> RatFuncUnit, at most FACTOR_MEMO_CAP
+        self._unit_table = WeakValueDictionary()  # (const, factors) -> live unit
+        self._one = RatFuncUnit(self, 1, ())  # held: else rebuilt for most inputs
 
     def var_poly(self):
         return Poly.var(self.base)
 
     def one_unit(self):
-        return RatFuncUnit(self, 1, ())
+        return self._one
 
     def minus_one(self):
         return RatFuncUnit(self, self.base.neg(1), ())
@@ -840,28 +861,26 @@ def _factor_sort_key(item):
     return (poly.degree, poly.coeffs)
 
 
-@dataclass(frozen=True)
 class RatFuncUnit:
     """A unit of F_q(t): constant times a product of monic irreducibles.
 
     `factors` is a sorted tuple of (monic irreducible Poly, nonzero exponent);
-    `const` is the base-field encoding of the leading constant.  Equality of
-    units is literal equality of the factored data.  The hash is the
-    dataclass hash of that data, computed on first use and kept with the unit
-    (units key every symbol term dict).
-    """
+    `const` is the base-field encoding of the leading constant.  By unique
+    factorization this data is a normal form, and units are interned on it
+    in rf's weak-valued `_unit_table`, which holds only live units: they key
+    every symbol term dict, and hash and compare by identity."""
 
-    rf: RatFuncField
-    const: int
-    factors: tuple
+    __slots__ = ("rf", "const", "factors", "__weakref__")
+    __setattr__, __delattr__, __repr__ = FFUnit.__setattr__, FFUnit.__delattr__, FFUnit.__repr__
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.rf, self.const, self.factors))
-            object.__setattr__(self, "_hash", h)
-            return h
+    def __new__(cls, rf, const, factors):
+        u = rf._unit_table.get((const, factors))
+        if u is None:
+            u = rf._unit_table[const, factors] = object.__new__(cls)
+            object.__setattr__(u, "rf", rf)
+            object.__setattr__(u, "const", const)
+            object.__setattr__(u, "factors", factors)
+        return u
 
     @property
     def field(self):
@@ -999,6 +1018,7 @@ class QuotientField(FiniteField):
         self.p = base.p
         self.d = base.d * poly.degree
         self.q = base.q**poly.degree
+        self._unit_table = WeakValueDictionary()  # weak: q is unbounded over all P
 
     def add(self, a, b):
         base = self.base

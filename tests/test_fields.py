@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import random
 from math import isqrt
@@ -15,9 +16,11 @@ from mwk.errors import (
     ZeroPolynomial,
 )
 from mwk.fields import (
+    FFUnit,
     Place,
     Poly,
     QuotientField,
+    RatFuncUnit,
     ff_build,
     ff_build_q,
     _is_irreducible,
@@ -606,9 +609,10 @@ def test_residue_field_log_digit_by_digit(monkeypatch):
         assert reduce_unit(rf.t_unit()).value == 3
 
 
-def test_rat_func_unit_hash_is_kept_and_agrees_with_equality():
-    """RatFuncUnit caches its hash; equal units built independently hash
-    equal, and the cached value is the dataclass hash of the factored data."""
+def test_equal_units_are_one_object():
+    """Units are interned per field: every route to a value returns the same
+    object, and units of different fields stay distinct and unequal even
+    where their encodings or constants agree."""
     rng = random.Random(15)
     for rf in (rat_func_field(ff_build(3, 1)), rat_func_field(ff_build(5, 2))):
         F = rf.base
@@ -621,15 +625,78 @@ def test_rat_func_unit_hash_is_kept_and_agrees_with_equality():
             f, g, h = polys
             u = rf.from_fraction(f.mul(g), h)
             v = rf.from_poly(h).inv().mul(rf.from_poly(g)).mul(rf.from_poly(f))
-            assert u == v and u is not v
-            data = hash((u.rf, u.const, u.factors))
-            assert hash(u) == data == hash(v)
-            table = {u: "u"}
-            assert table[v] == "u" and v in table
-            assert {v: 1}.keys() == {u: 2}.keys()
-            assert hash(u) == hash((u.rf, u.const, u.factors)) == data
-            w = u.mul(rf.t_unit())
-            assert w != u and w not in table
+            assert u is v and RatFuncUnit(rf, u.const, u.factors) is u
+            assert u.mul(rf.t_unit()) is not u and u.mul(u.inv()) is rf.one_unit()
+    F9 = ff_build(3, 2)
+    F3 = rat_func_field(ff_build(3, 1))
+    kappa = F3.residue_data(Place(F3, first_monic_irreducible(F3.base, 2))).kappa
+    for K in (F9, kappa):
+        for a in range(1, K.q):
+            x = K.unit(a)
+            assert x is K.unit(a) is FFUnit(K, a) and x is not FFUnit(F9 if K is kappa else kappa, a)
+            assert x.mul(x) is K.unit(K.mul(a, a)) and x.pow(3) is x.mul(x).mul(x)
+            assert x.inv().mul(x) is K.one_unit() and x.negate() is K.unit(K.neg(a))
+    assert [u.value for u in F9.units()] == F9._exp and F9.units()[3] is F9.unit_exp(3)
+    # units over F_3 and F_9, and constants of 3(t) and 9(t), share encodings
+    assert ff_build(3, 1).unit(2) not in (F9.unit(2), F3.constant(2))
+    assert F3.constant(2) != rat_func_field(F9).constant(2)
+    assert repr(F9.unit(5)) == "FFUnit(field=F_9, value=5)"
+    assert repr(F3.t_unit()) == (
+        "RatFuncUnit(rf=F_3(t), const=1, factors=((Poly(field=F_3, coeffs=(0, 1)), 1),))"
+    )
+
+
+def test_unit_tables_hold_only_live_units():
+    """The weak intern tables of F_q(t) and of a residue field drop a unit
+    with its last holder, and a unit built again after that is the same as a
+    copy built while it is held.  A tabled field F_q keeps its units, at most
+    q - 1 of them."""
+    rf = rat_func_field(ff_build(5, 1))
+    table = rf._unit_table
+    held = rf.from_poly(Poly.make(rf.base, [1, 1])).mul(rf.t_unit().pow(3))
+    terms = {held: 1}
+    start = len(table)
+    for k in range(1000):
+        rf.t_unit().pow(k + 7).mul(held).negate()
+    gc.collect()
+    assert len(table) <= start + 3
+    data = rf.t_unit().pow(1234).negate()
+    const, factors = data.const, data.factors
+    del data
+    gc.collect()
+    again = rf.t_unit().pow(-1234).inv().negate()
+    copy = RatFuncUnit(rf, const, factors)
+    assert again is copy and again == copy and hash(again) == hash(copy)
+    assert terms[rf.t_unit().pow(3).mul(rf.from_poly(Poly.make(rf.base, [1, 1])))] == 1
+    kappa = rf.residue_data(Place(rf, first_monic_irreducible(rf.base, 3))).kappa
+    start = len(kappa._unit_table)
+    for a in range(1, kappa.q):
+        kappa.unit(a).pow(7).inv()
+    gc.collect()
+    assert len(kappa._unit_table) <= start + 3
+    F = ff_build(5, 2)
+    for a in range(1, F.q):
+        F.unit(a).pow(7).inv()
+    assert len(F._unit_table) <= F.q - 1
+
+
+def test_units_are_read_only():
+    """An interned unit is shared by every holder, so no write may change it."""
+    F = ff_build(3, 2)
+    rf = rat_func_field(F)
+    u, w = F.unit(4), rf.t_unit()
+    writes = (
+        lambda: setattr(u, "value", 2),
+        lambda: setattr(u, "field", ff_build(3, 1)),
+        lambda: setattr(w, "const", 2),
+        lambda: setattr(w, "factors", ()),
+        lambda: delattr(w, "rf"),
+        lambda: setattr(w, "_hash", 0),
+    )
+    for write in writes:
+        with pytest.raises(AttributeError):
+            write()
+    assert (u.field, u.value) == (F, 4) and w is rf.t_unit() and w.const == 1
 
 
 def test_negate_changes_only_the_sign_of_the_constant():
