@@ -10,16 +10,17 @@ Jacobi symbol of F_q[t], decided by quadratic reciprocity; so no residue
 field needs a discrete logarithm.  Polynomial arithmetic has one multiply
 and one division loop, over F_p on plain integers reduced mod p and over
 F_{p^d} with d > 1 on discrete logarithms with Zech addition; the multiply
-mod m behind every field product and power (`_mulmod`) runs the two in
-that representation, with no quotient kept and no round trip through the
-encodings between them.
+mod m (`_mulmod`) and the whole square-and-multiply chain of a power mod m
+(`_powmod`) run in that representation, converted once in and once out.
+A Poly is a tuple and hashes in C.
 
 Units of F_q(t) are kept in fully factored form: a constant of the base field
 times a product of monic irreducible polynomials with integer exponents.
 Unique factorization makes equality, valuations and residue-field reductions
 exact and cheap.  Factoring is Cantor-Zassenhaus and irreducibility is
 Rabin's test; the residue field at a place P of degree >= 2 is F_q[t]/(P)
-(`QuotientField`), with no tables.
+(`QuotientField`), with no tables; its inverse is extended Euclid on
+coefficient tuples, and its reductions (`reduce_local`) return encodings.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 from weakref import WeakValueDictionary
 
 from .errors import (
@@ -364,12 +366,12 @@ class FFUnit:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(NamedTuple):
     """A univariate polynomial over a finite field, coefficients low to high.
 
     The zero polynomial has an empty coefficient tuple; otherwise the leading
-    coefficient is nonzero.
+    coefficient is nonzero.  A Poly is the read-only tuple (field, coeffs) and
+    hashes and compares as that tuple, in C: fields by identity.
     """
 
     field: FiniteField
@@ -437,7 +439,9 @@ class Poly:
         return Poly(self.field, _mul(self.field, self.coeffs, other.coeffs))
 
     def pow(self, e):
-        """self^e for e >= 1, by repeated squaring."""
+        """self^e for e >= 0, by repeated squaring."""
+        if not e:
+            return Poly(self.field, (1,))
         out, square = None, self
         while True:
             if e & 1:
@@ -518,30 +522,23 @@ def _trim(coeffs):
 
 
 def _kernel_mul(field, a, b):
-    """The product of two trimmed coefficient tuples (low to high) in the
-    kernels' representation: over F_p plain ints not yet reduced mod p; over
-    F_{p^d} the discrete logs, None for 0, adding by
-    g^r + g^s = g^(r + Z(s - r)).  A residue field has no tables: the kernels
-    read them before any early return, so over one they stop with
-    FieldMismatch on every input."""
+    """The product of two digit lists in the kernels' representation: over
+    F_p plain ints, the product not yet reduced mod p; over F_{p^d} the
+    discrete logs, None for 0, adding by g^r + g^s = g^(r + Z(s - r))."""
+    if not a or not b:
+        return []
     if field.d == 1:
-        if not a or not b:
-            return []
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b, i):
                     out[j] += x * y
         return out
-    dlog, zech, order = field._dlog, field._zech, field._order
-    if not a or not b:
-        return []
+    zech, order = field._zech, field._order
     out = [None] * (len(a) + len(b) - 1)
-    lb = [dlog[y] if y else None for y in b]
     for i, x in enumerate(a):
-        if x:
-            x = dlog[x]
-            for j, y in enumerate(lb, i):
+        if x is not None:
+            for j, y in enumerate(b, i):
                 if y is not None:
                     r = out[j]
                     if r is None:
@@ -552,31 +549,38 @@ def _kernel_mul(field, a, b):
     return out
 
 
-def _kernel_reduce(field, digits, m):
-    """Divide `digits`, in the kernels' representation, by a nonzero trimmed
-    tuple m in place.  From the top, each digit c over the lead of m is a
-    quotient digit and takes c's place, and c * (-m) is added below it; then
-    digits[:n] is the remainder and digits[n:] the quotient, n = deg m."""
+def _kernel_modulus(field, m):
+    """m, nonzero and trimmed, as `_kernel_reduce` reads it: n = deg m, the
+    kernel digit of 1 / lead(m), and the nonzero (index, digit) of -m below."""
     n = len(m) - 1
     if field.d == 1:
         p = field.p
-        inv_lead = pow(m[-1], -1, p)
-        neg = [(j, p - y) for j, y in enumerate(m[:n]) if y]
+        return n, pow(m[-1], -1, p), [(j, p - y) for j, y in enumerate(m[:n]) if y]
+    dlog, half = field._dlog, field._order // 2  # -1 = g^half
+    return n, -dlog[m[-1]], [(j, dlog[y] + half) for j, y in enumerate(m[:n]) if y]
+
+
+def _kernel_reduce(field, digits, modulus):
+    """Divide `digits`, in the kernels' representation, by m (`_kernel_modulus`)
+    in place.  From the top, each digit c over the lead of m is replaced by
+    the quotient digit c / lead(m), which times -m is added below it; then
+    digits[:n] is the remainder and digits[n:] the quotient, n = deg m."""
+    n, inv, neg = modulus
+    if field.d == 1:
+        p = field.p
         for i in range(len(digits) - 1, n - 1, -1):
             c = digits[i] % p
             if c:
-                c = c * inv_lead % p
+                c = c * inv % p
                 for j, y in neg:
                     digits[i - n + j] += c * y
             digits[i] = c
         return
-    dlog, zech, order = field._dlog, field._zech, field._order
-    lead, half = dlog[m[-1]], order // 2  # -1 = g^half
-    neg = [(j, dlog[y] + half) for j, y in enumerate(m[:n]) if y]
+    zech, order = field._zech, field._order
     for i in range(len(digits) - 1, n - 1, -1):
         c = digits[i]
         if c is not None:
-            c -= lead
+            c += inv
             digits[i] = c
             for j, y in neg:
                 k = i - n + j
@@ -588,7 +592,19 @@ def _kernel_reduce(field, digits, m):
                     digits[k] = None if z is None else r + z
 
 
+def _kernel_mulmod(field, a, b, modulus):
+    """a * b mod m in the kernels' representation, each digit brought back
+    below p, or each log below the group order, so that chains stay small."""
+    digits = _kernel_mul(field, a, b)
+    _kernel_reduce(field, digits, modulus)
+    mod = field.p if field.d == 1 else field._order
+    return [c if c is None else c % mod for c in digits[: modulus[0]]]
+
+
 def _to_kernel(field, a):
+    """A coefficient tuple as a digit list in the kernels' representation.
+    A residue field has no tables and this reads them first, so every
+    kernel over one stops with FieldMismatch on every input."""
     if field.d == 1:
         return list(a)
     dlog = field._dlog
@@ -605,6 +621,7 @@ def _from_kernel(field, digits):
 
 def _mul(field, a, b):
     """The product of two trimmed coefficient tuples."""
+    a, b = _to_kernel(field, a), _to_kernel(field, b)
     return tuple(_from_kernel(field, _kernel_mul(field, a, b)))
 
 
@@ -613,7 +630,7 @@ def _divmod(field, a, m):
     both trimmed (the quotient's top digit is a's over m's)."""
     n = len(m) - 1
     digits = _to_kernel(field, a)
-    _kernel_reduce(field, digits, m)
+    _kernel_reduce(field, digits, _kernel_modulus(field, m))
     return tuple(_from_kernel(field, digits[n:])), _trim(_from_kernel(field, digits[:n]))
 
 
@@ -621,21 +638,21 @@ def _mulmod(field, a, b, m):
     """a * b mod m for trimmed coefficient tuples, m of degree >= 1; trimmed.
     The product is reduced in the kernels' representation, so no quotient
     is kept and no log is read back before the remainder."""
-    digits = _kernel_mul(field, a, b)
-    _kernel_reduce(field, digits, m)
-    return _trim(_from_kernel(field, digits[: len(m) - 1]))
+    a, b = _to_kernel(field, a), _to_kernel(field, b)
+    return _trim(_from_kernel(field, _kernel_mulmod(field, a, b, _kernel_modulus(field, m))))
 
 
 def _powmod(field, a, e, m):
-    """a^e mod m (e >= 0) for coefficient tuples, m monic of degree >= 1."""
-    result = (1,)
+    """a^e mod m (e >= 0) for coefficient tuples, m monic of degree >= 1, by a
+    square-and-multiply chain in the kernels' representation."""
+    a, result, modulus = _to_kernel(field, a), _to_kernel(field, (1,)), _kernel_modulus(field, m)
     while e:
         if e & 1:
-            result = _mulmod(field, result, a, m)
+            result = _kernel_mulmod(field, result, a, modulus)
         e >>= 1
         if e:
-            a = _mulmod(field, a, a, m)
-    return result
+            a = _kernel_mulmod(field, a, a, modulus)
+    return _trim(_from_kernel(field, result))
 
 
 def _gcd(field, a, b):
@@ -645,10 +662,12 @@ def _gcd(field, a, b):
     return Poly(field, a).monic()
 
 
-def _minus(field, h, i):
-    """The coefficient tuple of h - t^i (i = 0 or 1), h a coefficient tuple."""
-    out = list(h) + [0] * (i + 1 - len(h))
-    out[i] = field.sub(out[i], 1)
+def _sub(field, a, b):
+    """a - b for coefficient tuples, trimmed."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        if c:
+            out[i] = field.sub(out[i], c)
     return _trim(out)
 
 
@@ -666,7 +685,7 @@ def _is_irreducible(field, f):
     if frob[n] != (0, 1):
         return False
     return all(
-        _gcd(field, f.coeffs, _minus(field, frob[n // r], 1)).is_one() for r in factorint(n)
+        _gcd(field, f.coeffs, _sub(field, frob[n // r], (0, 1))).is_one() for r in factorint(n)
     )
 
 
@@ -717,7 +736,7 @@ def _distinct_degree(f):
     while f.degree >= 2 * (k + 1):
         k += 1
         h = _powmod(field, h, field.q, f.coeffs)
-        g = _gcd(field, f.coeffs, _minus(field, h, 1))
+        g = _gcd(field, f.coeffs, _sub(field, h, (0, 1)))
         if g.degree > 0:
             out.append((g, k))
             f = f.divmod(g)[0]
@@ -743,7 +762,7 @@ def _equal_degree(g, k):
     e = (field.q**k - 1) // 2
     for deg in range(1, g.degree):
         for a in _candidate_polys(field, deg):
-            d = _gcd(field, g.coeffs, _minus(field, _powmod(field, a.coeffs, e, g.coeffs), 0))
+            d = _gcd(field, g.coeffs, _sub(field, _powmod(field, a.coeffs, e, g.coeffs), (1,)))
             if 0 < d.degree < g.degree:
                 return _equal_degree(d, k) + _equal_degree(g.divmod(d)[0], k)
     raise AssertionError("no split candidate: g is not a product of distinct degree-k factors")
@@ -1033,16 +1052,16 @@ class QuotientField(FiniteField):
         return self._encode(self._mul(self._decode(a), self._decode(b)))
 
     def inv(self, a):
-        """Extended Euclid: s * a = r mod P, down to a constant r."""
+        """Extended Euclid on coefficient tuples: s * a = r mod P, r constant."""
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
         base = self.base
-        r0, r1 = Poly(base, self.modulus), Poly(base, self._decode(a))
-        s0, s1 = Poly.zero(base), Poly.const(base, 1)
-        while r1.degree > 0:
-            quo, rem = r0.divmod(r1)
-            r0, r1, s0, s1 = r1, rem, s1, s0.sub(quo.mul(s1))
-        return self._encode(s1.scale(base.inv(r1.lead())).coeffs)
+        r0, r1, s0, s1 = self.modulus, self._decode(a), (), (1,)
+        while len(r1) > 1:
+            quo, rem = _divmod(base, r0, r1)
+            r0, r1, s0, s1 = r1, rem, s1, _sub(base, s0, _mul(base, quo, s1))
+        c = base.inv(r1[0])
+        return self._encode([base.mul(c, x) for x in s1])
 
     def pow(self, a, e):
         if a == 0:
@@ -1066,17 +1085,17 @@ class QuotientField(FiniteField):
                   (m mod a / a)."""
         base = self.base
         odd_half = (base.q - 1) // 2 & 1  # q = 3 mod 4: the swap has a sign
-        a, m = Poly(base, self._decode(a)), Poly(base, self.modulus)
+        a, m = self._decode(a), self.modulus
         sign = 0  # the parity of the -1 factors so far
         while True:  # 0 <= deg a < deg m, a prime to m
-            da, dm = a.degree, m.degree
-            if dm & 1 and not base.is_square(a.coeffs[-1]):
+            da, dm = len(a) - 1, len(m) - 1
+            if dm & 1 and not base.is_square(a[-1]):
                 sign ^= 1
             if not da:
                 return not sign
             if da & 1:
-                sign ^= (dm & odd_half) ^ (not base.is_square(m.coeffs[-1]))
-            a, m = m.mod(a), a
+                sign ^= (dm & odd_half) ^ (not base.is_square(m[-1]))
+            a, m = _divmod(base, m, a)[1], a
 
     def embedding(self, big):
         raise FieldMismatch(f"no embeddings are defined for the residue field {self!r}")
@@ -1122,15 +1141,17 @@ class _ResidueData:
         """Reduce a unit of valuation 0 at the place to a residue-field unit."""
         if u.valuation(self.place) != 0:
             raise NotRegularAtPlace(f"unit has nonzero valuation at {self.place}")
-        return self.reduce_local(u)
+        return FFUnit(self.kappa, self.reduce_local(u))
 
     def reduce_local(self, a, pi_bar=1):
-        """The residue-field unit of the local unit a * pi^-e, e = v(a), read
-        from a's factors with P's own factor skipped; pi_bar encodes the
-        reduction of pi over the standard uniformizer.  A constant keeps its
-        encoding, and at infinity, where every stored factor is monic, a unit
-        reduces to its constant.  The factors with negative exponents, and
-        pi_bar^e for e > 0, are multiplied apart: one inversion at most."""
+        """The residue of the local unit a * pi^-e, e = v(a), as its encoding
+        in kappa: no unit is built, so a caller that reads the value once
+        makes no entry in kappa's unit table.  It is read from a's factors
+        with P's own factor skipped; pi_bar encodes the reduction of pi over
+        the standard uniformizer.  A constant keeps its encoding, and at
+        infinity, where every stored factor is monic, a unit reduces to its
+        constant.  The factors with negative exponents, and pi_bar^e for
+        e > 0, are multiplied apart: one inversion at most."""
         kappa, value, den = self.kappa, a.const, 1
         place_poly = self.place.poly
         if place_poly is not None:
@@ -1149,4 +1170,4 @@ class _ResidueData:
                 value = kappa.mul(value, kappa.pow(pi_bar, -e))
         if den != 1:
             value = kappa.mul(value, kappa.inv(den))
-        return FFUnit(kappa, value)
+        return value

@@ -146,14 +146,14 @@ def _constant(field, key):
     return x
 
 
-def _unit_value(u):
-    """Build [u] in degree 1 and keep it in the field's table `_unit_values`
-    (made beside its intern table), keyed by the unit's encoding, while that
+def _unit_value(field, value):
+    """Build [u] in degree 1 for the unit encoding `value` and keep it in the
+    field's table `_unit_values` (made beside its intern table) while that
     table holds under INTERN_CAP units."""
-    x = _build(u.field, 1, u.value, 0, _chi(u))
-    units = u.field._unit_values
+    x = _build(field, 1, value, 0, 0 if field.is_square(value) else 1)
+    units = field._unit_values
     if len(units) < INTERN_CAP:
-        units[u.value] = x
+        units[value] = x
     return x
 
 
@@ -225,10 +225,15 @@ class MWElem:
     @staticmethod
     def from_unit(u):
         """[a]: Milnor symbol {a} paired with the Pfister-type class <a> - <1>."""
+        return MWElem.from_encoding(u.field, u.value)
+
+    @staticmethod
+    def from_encoding(field, value):
+        """[a] for the unit encoding a, with no unit built: one lookup on a hit."""
         try:
-            return u.field._unit_values[u.value]
+            return field._unit_values[value]
         except (AttributeError, KeyError):
-            return _unit_value(u)
+            return _unit_value(field, value)
 
     @staticmethod
     def angle(u):

@@ -10,7 +10,8 @@ term over the residue field.  The zero test evaluates the same maps straight
 into the residue-field model by a linear scan: one closed-form step per entry
 pi^e u, from its cached (e, [u-bar], eps [u-bar], c_e) with c_e the image of
 [pi^e] = e_eps [pi].  The scan and the symbolic specialization never build
-u: u-bar is reduced straight from the entry's factors, skipping P's own.
+u: u-bar is reduced straight from the entry's factors, skipping P's own, to
+an encoding, from which the scan reads [u-bar] without building u-bar.
 The rewriting stays as the scan's independent oracle.
 
 Zero testing uses the split short exact sequence for F(t): an element is
@@ -24,6 +25,8 @@ factored units.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import (
     DegreeBound,
     FieldMismatch,
@@ -31,7 +34,7 @@ from .errors import (
     NotAUniformizer,
     PlaceMismatch,
 )
-from .fields import Place, RatFuncField
+from .fields import FFUnit, Place, RatFuncField
 from .model import MW, MWElem, theory_group_is_trivial
 from .symbols import SymExpr, _of, power_symbol
 
@@ -68,15 +71,19 @@ class ValuationContext:
         self.kappa, self.reduce_unit = data.kappa, data.reduce_unit
         self._reduce_local = data.reduce_local
         # pi over the standard uniformizer, reduced (1 for the standard one)
-        self._pi_bar = data.reduce_local(uniformizer).value
+        self._pi_bar = data.reduce_local(uniformizer)
         self._minus_one = rf.minus_one()
-        self._eps_kappa = SymExpr.eps_elem(self.kappa)
         self._eps_model = MWElem.eps(self.kappa)
-        self._m1_model = MWElem.from_unit(self.kappa.minus_one())
+        self._m1_model = MWElem.from_encoding(self.kappa, self.kappa.neg(1))
         self._eta_m1 = self._m1_model.eta_mul()
         self._expand_cache = {}
         self._residue_cache = {}
         self._entry_models = {}
+
+    @cached_property
+    def _eps_kappa(self):
+        # built on first use by the symbolic residue, which the scan never calls
+        return SymExpr.eps_elem(self.kappa)
 
     # -- entry expansion ----------------------------------------------------
 
@@ -194,7 +201,7 @@ class ValuationContext:
         found = self._entry_models.get(a)
         if found is None:
             e = a.valuation(self.place)
-            ub = MWElem.from_unit(self._reduce_local(a, self._pi_bar))
+            ub = MWElem.from_encoding(self.kappa, self._reduce_local(a, self._pi_bar))
             c = None
             if e:
                 c = MWElem.one(self.kappa).scale(abs(e)).add(self._eta_m1.scale(abs(e) // 2))
@@ -244,7 +251,8 @@ class ValuationContext:
         for (d, units), coeff in x.terms.items():
             term = SymExpr.const(self.kappa, coeff)
             for a in units:
-                term = term.mul(SymExpr.bracket(self._reduce_local(a, self._pi_bar)))
+                u_bar = FFUnit(self.kappa, self._reduce_local(a, self._pi_bar))
+                term = term.mul(SymExpr.bracket(u_bar))
             total = total.add(term.eta_mul(d))
         return total
 

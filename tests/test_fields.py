@@ -936,6 +936,123 @@ def test_mulmod_matches_the_remainder_of_the_product():
                     assert kappa.mul(kappa.pow(x, -e), want) == 1
 
 
+def test_powmod_chain_matches_mulmod_per_bit_and_the_fields_own_pow():
+    """`_powmod` runs its square-and-multiply chain in the kernels' own
+    representation.  It agrees with the chain of `_mulmod` per bit, with the
+    same chain through the field's own add and mul, and with the field's own
+    pow: at m = t - c through the value at c, and at m = the field's modulus
+    through the encoding of the power."""
+    from mwk.fields import _mulmod, _powmod
+
+    def chain(mulmod, a, e, m):
+        result = (1,)
+        while e:
+            if e & 1:
+                result = mulmod(result, a, m)
+            e >>= 1
+            if e:
+                a = mulmod(a, a, m)
+        return result
+
+    rng = random.Random(30)
+    for q in (3, 5, 9, 25, 27, 49):
+        F = ff_build_q(q)
+
+        def poly(deg):
+            if deg < 0:
+                return ()
+            return tuple([rng.randrange(q) for _ in range(deg)] + [rng.randrange(1, q)])
+
+        def ref_mulmod(a, b, m):
+            return ref_divmod(F, ref_mul(F, a, b), m)[1]
+
+        for dm in range(1, 6):
+            for _ in range(4):
+                m = tuple([rng.randrange(q) for _ in range(dm)] + [1])
+                for e in (0, 1, 2, q, q * q, (q**dm - 1) // 2):
+                    a = poly(rng.randrange(-1, dm + 2))
+                    got = _powmod(F, a, e, m)
+                    assert got == chain(lambda x, y, z: _mulmod(F, x, y, z), a, e, m), (q, a, e, m)
+                    assert got == chain(ref_mulmod, a, e, m), (q, a, e, m)
+                    if dm == 1:  # m = t - c
+                        v = F.pow(Poly(F, a).evaluate(F.neg(m[0])), e)
+                        assert got == ((v,) if v else ()), (q, a, e, m)
+        if F.d > 1:
+            base = F.base
+            for x in range(q):
+                for e in (0, 1, 2, q, (q - 1) // 2):
+                    want = F._decode(F.pow(x, e))
+                    assert _powmod(base, F._decode(x), e, F.modulus) == want, (q, x, e)
+    # the chain reads the tables first, so it stops over kappa on every input
+    F5 = ff_build(5, 1)
+    rf = rat_func_field(F5)
+    kappa = rf.residue_data(Place(rf, first_monic_irreducible(F5, 2))).kappa
+    for a, e in (((1, 1), 5), ((2,), 1), ((), 3), ((1,), 0)):
+        with pytest.raises(FieldMismatch):
+            _powmod(kappa, a, e, (1, 0, 1))
+
+
+def poly_euclid_inverse(kappa, a):
+    """The inverse in kappa = F_q[t]/(P) by extended Euclid on Polys."""
+    base = kappa.base
+    r0, r1 = Poly(base, kappa.modulus), Poly(base, kappa._decode(a))
+    s0, s1 = Poly.zero(base), Poly.const(base, 1)
+    while r1.degree > 0:
+        quo, rem = r0.divmod(r1)
+        r0, r1, s0, s1 = r1, rem, s1, s0.sub(quo.mul(s1))
+    return kappa._encode(s1.scale(base.inv(r1.lead())).coeffs)
+
+
+@pytest.mark.parametrize("q, k", [(5, 2), (5, 3), (9, 2), (9, 3), (25, 2)])
+def test_residue_field_inverse_matches_the_poly_euclid(q, k):
+    """`QuotientField.inv` runs extended Euclid on coefficient tuples; it
+    agrees with the same algorithm on Polys for every unit of kappa at the
+    first place of degree k."""
+    F = ff_build_q(q)
+    rf = rat_func_field(F)
+    kappa = rf.residue_data(Place(rf, first_monic_irreducible(F, k))).kappa
+    for a in range(1, kappa.q):
+        inv = kappa.inv(a)
+        assert inv == poly_euclid_inverse(kappa, a), (q, k, a)
+        assert kappa.mul(a, inv) == 1
+    with pytest.raises(ZeroDivisionError):
+        kappa.inv(0)
+
+
+@pytest.mark.parametrize("q", [3, 25])
+def test_poly_pow_zero_is_the_constant_one(q):
+    F = ff_build_q(q)
+    for coeffs in ((), (2,), (1, 1), (0, 2, 1)):
+        f = Poly(F, coeffs)
+        assert f.pow(0) == Poly(F, (1,)) and f.pow(0).is_one()
+        assert f.pow(1) == f and f.pow(3) == f.mul(f).mul(f)
+
+
+def test_poly_is_a_read_only_tuple_that_hashes_by_value():
+    """A Poly hashes as the tuple (field, coeffs), so dict and set orders are
+    those of the tuple hash; equal coefficients over different fields are
+    different polynomials."""
+    F3, F9 = ff_build(3, 1), ff_build(3, 2)
+    p3, p9 = Poly(F3, (1, 2, 1)), Poly(F9, (1, 2, 1))
+    for p in (p3, p9, Poly.zero(F9), Poly.var(F3)):
+        assert hash(p) == hash((p.field, p.coeffs))
+        assert p == Poly(p.field, tuple(p.coeffs)) and hash(p) == hash(Poly(p.field, p.coeffs))
+    assert p3 != p9 and p3.coeffs == p9.coeffs
+    table = {p3: "F_3", p9: "F_9"}
+    assert len(table) == 2 and table[Poly.make(F3, [1, 2, 1])] == "F_3"
+    assert table[Poly.make(F9, [1, 2, 1])] == "F_9"
+    assert repr(p3) == "Poly(field=F_3, coeffs=(1, 2, 1))"
+    assert repr(Poly.zero(F9)) == "Poly(field=F_9, coeffs=())"
+    for write in (
+        lambda: setattr(p3, "coeffs", (1,)),
+        lambda: setattr(p3, "field", F9),
+        lambda: delattr(p9, "coeffs"),
+    ):
+        with pytest.raises(AttributeError):
+            write()
+    assert p3.coeffs == (1, 2, 1) and p3.field is F3
+
+
 # -- one factoring per polynomial ---------------------------------------------
 
 

@@ -489,6 +489,36 @@ def test_canonical_form_builds_no_unit_on_factored_input(monkeypatch):
     assert not calls and residues > 20
 
 
+def test_canonical_form_builds_no_residue_field_unit(monkeypatch):
+    """The scan reads each [u-bar] from u-bar's encoding, and a cold context
+    builds no unit either, so canonical_form makes no entry in the weak unit
+    table of any residue field F_q[t]/(P)."""
+    from mwk.fields import FFUnit, QuotientField
+
+    rng = random.Random(31)
+    inputs = [
+        (degree, x)
+        for rf in (rat_func_field(ff_build_q(3)), rat_func_field(ff_build_q(25)))
+        for degree in range(-1, 3)
+        for x in sampled_inputs(rf, rng, degree)
+    ]
+    built = []
+    new = FFUnit.__new__
+
+    def counting_new(cls, field, value):
+        if isinstance(field, QuotientField):
+            built.append((field, value))
+        return new(cls, field, value)
+
+    monkeypatch.setattr(FFUnit, "__new__", counting_new)
+    monkeypatch.setattr(valuation, "_CONTEXT_CACHE", {})
+    kappa_residues = 0
+    for degree, x in inputs:
+        residues = canonical_form(x, degree).residues
+        kappa_residues += sum(place.degree >= 2 for place in residues)
+    assert not built and kappa_residues >= 5
+
+
 def test_inhomogeneous_inputs_raise_in_every_degree():
     rf = rat_func_field(ff_build_q(5))
     t, t1 = rf.t_unit(), rf.from_poly(Poly.make(rf.base, [1, 1]))
