@@ -88,7 +88,7 @@ def cmd_verify(args):
     report = run_suite(args.suite, config)
     payload = report.to_json()
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _emit(payload, True)
     else:
         print(f"suite {payload['suite_id']}: {payload['paper_anchor']}")
         print(

@@ -21,12 +21,13 @@ exact and cheap.  Factoring is Cantor-Zassenhaus and irreducibility is
 Rabin's test; the residue field at a place P of degree >= 2 is F_q[t]/(P)
 (`QuotientField`), with no tables; its inverse is extended Euclid on
 coefficient tuples, and its reductions (`reduce_local`) return encodings.
+Places are interned per function field like the units, and a place keeps
+what is built for it; a function field is kept on its base field.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
 from weakref import WeakValueDictionary
@@ -82,6 +83,8 @@ class FiniteField:
     F_p itself is F_p[x]/(x), its own base.  Instances are cached by (p, d)
     and compared by identity.
     """
+
+    _rat_func_field = None  # F_q(t) over this field, once `rat_func_field` builds it
 
     def __init__(self, p, d, modulus):
         self.p = p
@@ -810,7 +813,7 @@ class RatFuncField:
 
     def __init__(self, base):
         self.base = base
-        self._residue_cache = {}
+        self._places = {}  # monic irreducible Poly, or None for infinity -> Place
         self._factored = {}  # Poly -> RatFuncUnit, at most FACTOR_MEMO_CAP
         self._unit_table = WeakValueDictionary()  # (const, factors) -> live unit
         self._one = RatFuncUnit(self, 1, ())  # held: else rebuilt for most inputs
@@ -853,26 +856,15 @@ class RatFuncField:
     def from_fraction(self, num, den):
         return self.from_poly(num).mul(self.from_poly(den).inv())
 
-    def residue_data(self, place):
-        found = self._residue_cache.get(place)
-        if found is None:
-            found = _ResidueData(self, place)
-            self._residue_cache[place] = found
-        return found
-
     def __repr__(self):
         return f"{self.base!r}(t)"
 
 
-_RF_CACHE = {}
-
-
 def rat_func_field(base):
-    f = _RF_CACHE.get(id(base))
-    if f is None:
-        f = RatFuncField(base)
-        _RF_CACHE[id(base)] = f
-    return f
+    """F_q(t) over a base field, built once and kept on the base."""
+    if base._rat_func_field is None:
+        base._rat_func_field = RatFuncField(base)
+    return base._rat_func_field
 
 
 def _factor_sort_key(item):
@@ -981,26 +973,43 @@ def expand_fraction(base, const, factors):
     return num, den
 
 
-@dataclass(frozen=True)
 class Place:
-    """A place of F_q(t): a monic irreducible polynomial, or infinity."""
+    """A place of F_q(t): a monic irreducible polynomial, or infinity (None).
+    Interned in rf's `_places`: the monic check and Rabin's test run when it
+    is first built, rf and poly are written once, and it keeps its residue
+    data and its standard context (`valuation.valuation_context`)."""
 
-    rf: RatFuncField
-    poly: object  # Poly or None (infinity)
+    __slots__ = ("rf", "poly", "_residue_data", "_context")
+    __delattr__ = FFUnit.__delattr__
 
-    def __post_init__(self):
-        if self.poly is not None:
-            if not self.poly.is_monic() or not _is_irreducible(self.poly.field, self.poly):
-                raise NotRegularAtPlace("places are monic irreducible polynomials")
+    def __new__(cls, rf, poly):
+        known = poly is None or poly in rf._places
+        if known or poly.is_monic() and _is_irreducible(poly.field, poly):
+            return Place._known(rf, poly)
+        raise NotRegularAtPlace("places are monic irreducible polynomials")
 
     @staticmethod
     def _known(rf, poly):
-        # poly: a monic irreducible the caller vouches for (a poly_factor
-        # factor), so the irreducibility test is not run again
-        place = object.__new__(Place)
-        object.__setattr__(place, "rf", rf)
-        object.__setattr__(place, "poly", poly)
+        # poly: a monic irreducible the caller vouches for (a poly_factor factor)
+        place = rf._places.get(poly)
+        if place is None:
+            place = rf._places[poly] = object.__new__(Place)
+            place.rf, place.poly, place._residue_data, place._context = rf, poly, None, None
         return place
+
+    def __setattr__(self, name, value):
+        if name in ("rf", "poly") and hasattr(self, name):
+            raise AttributeError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __repr__(self):
+        return f"Place(rf={self.rf!r}, poly={self.poly!r})"
+
+    def residue_data(self):
+        """The residue field and reduction map at this place, built once."""
+        if self._residue_data is None:
+            self._residue_data = _ResidueData(self)
+        return self._residue_data
 
     @property
     def degree(self):
@@ -1119,9 +1128,9 @@ class _ResidueData:
     at infinity and at places of degree 1, F_q[t]/(P) at a place P of
     degree >= 2."""
 
-    def __init__(self, rf, place):
+    def __init__(self, place):
         self.place = place
-        self.kappa = QuotientField(place.poly) if place.degree >= 2 else rf.base
+        self.kappa = QuotientField(place.poly) if place.degree >= 2 else place.rf.base
         self._images = {}  # monic irreducible Poly -> its encoding in kappa
 
     def _image(self, poly):

@@ -519,7 +519,7 @@ def _order_of(x, add, zero):
     return n
 
 
-def finite_abelian_invariants(elements, add, neg, zero):
+def finite_abelian_invariants(elements, add, zero):
     """Invariant factors d_1 | d_2 | ... of a finite abelian group.
 
     Splits off a maximal-order cyclic subgroup and recurses on the quotient,
@@ -548,11 +548,8 @@ def finite_abelian_invariants(elements, add, neg, zero):
     def q_add(a, b):
         return rep_of[add(cosets[a], cosets[b])]
 
-    def q_neg(a):
-        return rep_of[neg(cosets[a])]
-
     q_zero = rep_of[zero]
-    sub = finite_abelian_invariants(list(cosets), q_add, q_neg, q_zero)
+    sub = finite_abelian_invariants(list(cosets), q_add, q_zero)
     return sub + [e]
 
 
@@ -574,14 +571,10 @@ def group_structure_model(field, n):
             t = e.sub(one.scale(e.milnor))
             if t not in torsion:
                 raise SizeBound("rank splitting failed")  # pragma: no cover
-        facs = finite_abelian_invariants(
-            torsion, lambda a, b: a.add(b), lambda a: a.neg(), MWElem.zero(field, 0)
-        )
+        facs = finite_abelian_invariants(torsion, lambda a, b: a.add(b), MWElem.zero(field, 0))
         return [f for f in facs if f != 1] + [0]
     elems = model_elements(field, n)
-    facs = finite_abelian_invariants(
-        elems, lambda a, b: a.add(b), lambda a: a.neg(), MWElem.zero(field, n)
-    )
+    facs = finite_abelian_invariants(elems, lambda a, b: a.add(b), MWElem.zero(field, n))
     return [f for f in facs if f != 1]
 
 

@@ -11,12 +11,14 @@ Only the public constructor `SymExpr(field, terms)` merges like terms and
 drops zero coefficients.  The ring operations already produce distinct keys
 with nonzero coefficients, so, like `MWElem` arithmetic, they hand their
 merged dict over unchecked (`_of`), which keeps the dict it is given.
-Since nothing re-merges a result and `SymExpr` and `RatFuncUnit` cache their
-hashes, neither a term dict nor a unit may ever be changed in place.
+Since nothing re-merges a result, a `SymExpr` caches its hash and a
+`RatFuncUnit` is interned on its data (hashing by identity), neither a term
+dict nor a unit may ever be changed in place.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import product
 
 from .errors import DegreeBound, FieldMismatch, Inhomogeneous
@@ -363,7 +365,8 @@ def relation_generators(field, n, d_max, rng, per_family, sampler):
     space within EXHAUSTIVE_BOUND is enumerated completely; otherwise (and
     always over F_q(t)) per_family instances are drawn, with unit entries
     from the sampler.  Kinds are "steinberg", "twisted_tensor" and "witt".
-    """
+    Each (family, eta level) is a stream, and the streams take turns, so
+    that a caller who stops early still sees every family."""
     if n < 0:
         raise DegreeBound("relation generators need degree >= 0")
     finite = isinstance(field, FiniteField)
@@ -374,11 +377,7 @@ def relation_generators(field, n, d_max, rng, per_family, sampler):
     def exhaustive(count):
         return finite and (field.q - 1) ** max(count, 1) <= EXHAUSTIVE_BOUND
 
-    # Steinberg: adjacent pair (a, 1-a) somewhere in the tuple
-    for d in range(0, d_max + 1):
-        r = n + d
-        if r < 2:
-            continue
+    def steinberg(d, r):  # an adjacent pair (a, 1-a) somewhere in the tuple
         if exhaustive(r - 2):
             pairs = _ff_unit_pairs_summing_to_one(field)
             for i in range(r - 1):
@@ -396,11 +395,7 @@ def relation_generators(field, n, d_max, rng, per_family, sampler):
                 units = rest[:i] + pair + rest[i:]
                 yield "steinberg", steinberg_generator(d, units)
 
-    # twisted tensor: split one entry as a product b * b'
-    for d in range(0, d_max):
-        r = n + d
-        if r < 1:
-            continue
+    def twisted_tensor(d, r):  # split one entry as a product b * b'
         if exhaustive(r + 1):
             for i in range(r):
                 for rest in product(field.units(), repeat=r - 1):
@@ -417,11 +412,7 @@ def relation_generators(field, n, d_max, rng, per_family, sampler):
                     d, pre, sampler(), sampler(), suf
                 )
 
-    # Witt: twice an eta-level generator plus the -1-inserted one above it
-    for e in range(1, d_max):
-        r = n + e
-        if r < 1:
-            continue
+    def witt(e, r):  # twice an eta-level generator plus the -1-inserted one above it
         if exhaustive(r):
             for units in product(field.units(), repeat=r):
                 for pos in range(r + 1):
@@ -431,6 +422,16 @@ def relation_generators(field, n, d_max, rng, per_family, sampler):
                 units = units_for(r)
                 pos = rng.randrange(r + 1)
                 yield "witt", witt_generator(e, units, pos)
+
+    streams = deque(steinberg(d, n + d) for d in range(d_max + 1) if n + d >= 2)
+    streams.extend(twisted_tensor(d, n + d) for d in range(d_max) if n + d >= 1)
+    streams.extend(witt(e, n + e) for e in range(1, d_max) if n + e >= 1)
+    while streams:
+        stream = streams.popleft()
+        item = next(stream, None)
+        if item is not None:
+            yield item
+            streams.append(stream)
 
 
 def _sample_steinberg_pair(sampler):

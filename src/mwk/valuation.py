@@ -40,17 +40,13 @@ from .symbols import SymExpr, _of, power_symbol
 
 MAX_TERM_SIZE = 8
 
-_CONTEXT_CACHE = {}
-
 
 def valuation_context(place):
-    """The cached ValuationContext of a place with its standard uniformizer
-    (the rewrite caches persist across calls)."""
-    ctx = _CONTEXT_CACHE.get(place)
-    if ctx is None:
-        ctx = ValuationContext(place)
-        _CONTEXT_CACHE[place] = ctx
-    return ctx
+    """The ValuationContext of a place with its standard uniformizer, built
+    once and kept on the place (the rewrite caches persist across calls)."""
+    if place._context is None:
+        place._context = ValuationContext(place)
+    return place._context
 
 
 class ValuationContext:
@@ -67,7 +63,7 @@ class ValuationContext:
         self.rf = rf
         self.place = place
         self.pi = uniformizer
-        data = rf.residue_data(place)
+        data = place.residue_data()
         self.kappa, self.reduce_unit = data.kappa, data.reduce_unit
         self._reduce_local = data.reduce_local
         # pi over the standard uniformizer, reduced (1 for the standard one)

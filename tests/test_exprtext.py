@@ -168,7 +168,7 @@ def test_size_bound_env_override(monkeypatch):
     F3 = fields_mod.ff_build(3, 1)
     poly = fields_mod.first_monic_irreducible(F3, 7)
     rf = fields_mod.rat_func_field(F3)
-    data = rf.residue_data(fields_mod.Place(rf, poly))
+    data = fields_mod.Place(rf, poly).residue_data()
     kappa, reduce_unit = data.kappa, data.reduce_unit
     assert kappa.q == 3**7
     assert reduce_unit(rf.t_unit()).value == 3  # t, encoded as q

@@ -280,7 +280,7 @@ def test_residue_field_linear_place():
     F3 = ff_build(3, 1)
     rf = rat_func_field(F3)
     place = Place(rf, Poly.make(F3, [1, 1]))  # t + 1
-    data = rf.residue_data(place)
+    data = place.residue_data()
     kappa, reduce_unit = data.kappa, data.reduce_unit
     assert kappa is F3
     assert reduce_unit(rf.t_unit()).value == 2  # t -> -1 = 2
@@ -290,7 +290,7 @@ def test_residue_field_quadratic_place():
     F3 = ff_build(3, 1)
     rf = rat_func_field(F3)
     place = Place(rf, Poly.make(F3, [1, 0, 1]))
-    data = rf.residue_data(place)
+    data = place.residue_data()
     kappa, reduce_unit = data.kappa, data.reduce_unit
     assert kappa.q == 9
     theta = reduce_unit(rf.t_unit())
@@ -308,7 +308,7 @@ def test_residue_reduction_multiplicative():
         Place(rf, Poly.make(F3, [1, 0, 1])),
         Place(rf, None),
     ):
-        data = rf.residue_data(place)
+        data = place.residue_data()
         kappa, reduce_unit = data.kappa, data.reduce_unit
         for _ in range(30):
             units = []
@@ -327,7 +327,7 @@ def test_reduce_at_place_requires_regularity():
     F3 = ff_build(3, 1)
     rf = rat_func_field(F3)
     place = Place(rf, rf.var_poly())
-    reduce_unit = rf.residue_data(place).reduce_unit
+    reduce_unit = place.residue_data().reduce_unit
     with pytest.raises(NotRegularAtPlace):
         reduce_unit(rf.t_unit())
 
@@ -354,11 +354,52 @@ def test_support_places_skip_the_irreducibility_test(monkeypatch):
     assert calls
 
 
+def test_places_are_interned_and_own_what_is_built_for_them(monkeypatch):
+    import mwk.fields as fields_mod
+    from mwk.valuation import valuation_context
+
+    calls = []
+    test = fields_mod._is_irreducible
+    monkeypatch.setattr(
+        fields_mod, "_is_irreducible", lambda *args: calls.append(args) or test(*args)
+    )
+    for q in (3, 25):
+        rf = rat_func_field(ff_build_q(q))
+        F = rf.base
+        monkeypatch.setattr(rf, "_places", {})  # every place below is built here
+        polys = (rf.var_poly(), first_monic_irreducible(F, 2), None)
+        owned = set()
+        for poly in polys:
+            calls.clear()
+            place = Place(rf, poly)
+            assert Place(rf, poly) is place and Place._known(rf, poly) is place
+            assert len(calls) == (poly is not None), (q, poly)  # Rabin's test, once
+            data, ctx = place.residue_data(), valuation_context(place)
+            assert place.residue_data() is data and valuation_context(place) is ctx
+            assert data.place is place and ctx.place is place
+            owned.update((id(data), id(ctx)))
+            assert repr(place) == f"Place(rf={rf!r}, poly={poly!r})"
+            for name in ("rf", "poly"):
+                with pytest.raises(AttributeError):
+                    setattr(place, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(place, name)
+            assert place.rf is rf and place.poly is poly
+        assert len(owned) == 2 * len(polys)
+        square = Poly(F, (0, 0, 1))  # t^2: monic and reducible
+        for _ in range(2):
+            calls.clear()
+            with pytest.raises(NotRegularAtPlace):
+                Place(rf, square)
+            assert len(calls) == 1
+        assert list(rf._places) == list(polys)
+
+
 def test_infinity_place_reduction():
     F3 = ff_build(3, 1)
     rf = rat_func_field(F3)
     inf = Place(rf, None)
-    data = rf.residue_data(inf)
+    data = inf.residue_data()
     kappa, reduce_unit = data.kappa, data.reduce_unit
     assert kappa is F3
     # (2t^2 + ...)/(t^2 + ...) has valuation 0 at infinity; reduces to the
@@ -554,7 +595,7 @@ def test_residue_field_units_match_generator_powers():
             polys = monic_irreducibles(F, k)
             for poly in (polys[0], polys[-1]):
                 generator, exponents = RESIDUE_EXPONENTS[(q, format_poly(poly))]
-                data = rf.residue_data(Place(rf, poly))
+                data = Place(rf, poly).residue_data()
                 kappa, reduce_unit = data.kappa, data.reduce_unit
                 assert isinstance(kappa, QuotientField) and kappa.q == q**k
                 assert brute_order(kappa, generator) == kappa.q - 1
@@ -587,7 +628,7 @@ def test_residue_field_log_matches_power_table():
         F = ff_build_q(q)
         rf = rat_func_field(F)
         for poly in monic_irreducibles(F, k):
-            data = rf.residue_data(Place(rf, poly))
+            data = Place(rf, poly).residue_data()
             kappa, reduce_unit = data.kappa, data.reduce_unit
             assert isinstance(kappa, QuotientField) and kappa.q == q**k
             assert_power_table_matches_pow(kappa)
@@ -602,7 +643,7 @@ def test_residue_field_log_digit_by_digit(monkeypatch):
     rf = rat_func_field(F3)
     monkeypatch.setenv("MWK_SIZE_BOUND", "3")
     for poly in monic_irreducibles(F3, 4):
-        data = rf.residue_data(Place(rf, poly))
+        data = Place(rf, poly).residue_data()
         kappa, reduce_unit = data.kappa, data.reduce_unit
         assert kappa.q == 81
         assert_power_table_matches_pow(kappa)
@@ -629,7 +670,7 @@ def test_equal_units_are_one_object():
             assert u.mul(rf.t_unit()) is not u and u.mul(u.inv()) is rf.one_unit()
     F9 = ff_build(3, 2)
     F3 = rat_func_field(ff_build(3, 1))
-    kappa = F3.residue_data(Place(F3, first_monic_irreducible(F3.base, 2))).kappa
+    kappa = Place(F3, first_monic_irreducible(F3.base, 2)).residue_data().kappa
     for K in (F9, kappa):
         for a in range(1, K.q):
             x = K.unit(a)
@@ -668,7 +709,7 @@ def test_unit_tables_hold_only_live_units():
     copy = RatFuncUnit(rf, const, factors)
     assert again is copy and again == copy and hash(again) == hash(copy)
     assert terms[rf.t_unit().pow(3).mul(rf.from_poly(Poly.make(rf.base, [1, 1])))] == 1
-    kappa = rf.residue_data(Place(rf, first_monic_irreducible(rf.base, 3))).kappa
+    kappa = Place(rf, first_monic_irreducible(rf.base, 3)).residue_data().kappa
     start = len(kappa._unit_table)
     for a in range(1, kappa.q):
         kappa.unit(a).pow(7).inv()
@@ -718,7 +759,7 @@ def test_negate_changes_only_the_sign_of_the_constant():
 def test_polynomial_algorithms_over_residue_fields_raise_field_mismatch():
     F5 = ff_build(5, 1)
     rf = rat_func_field(F5)
-    kappa = rf.residue_data(Place(rf, first_monic_irreducible(F5, 2))).kappa
+    kappa = Place(rf, first_monic_irreducible(F5, 2)).residue_data().kappa
     f, g = Poly.make(kappa, [1, 0, 1, 0, 1]), Poly.make(kappa, [2, 1])
     calls = (
         lambda: poly_factor(f),
@@ -764,7 +805,7 @@ def test_reduce_unit_inverts_once_and_agrees_with_the_factor_by_factor_reduction
     for q in (3, 25):
         F = ff_build_q(q)
         rf = rat_func_field(F)
-        data = rf.residue_data(Place(rf, first_monic_irreducible(F, 2)))
+        data = Place(rf, first_monic_irreducible(F, 2)).residue_data()
         kappa = data.kappa
         pool = [f for f in (Poly.make(F, [rng.randrange(q) for _ in range(k)] + [1])
                             for k in (1, 1, 2, 2, 3, 3)) if not f.mod(data.place.poly).is_zero()]
@@ -794,7 +835,7 @@ def euler_is_square(kappa, value):
 
 
 def assert_square_classes_match_euler(rf, poly, values):
-    kappa = rf.residue_data(Place(rf, poly)).kappa
+    kappa = Place(rf, poly).residue_data().kappa
     for value in values:
         assert kappa.unit(value).is_square() == euler_is_square(kappa, value), (kappa, poly, value)
 
@@ -877,7 +918,7 @@ def test_polynomial_kernels_match_the_fields_own_arithmetic():
         assert _mulmod(F, (), (1, 1), (0, 1)) == ()
     F5 = ff_build(5, 1)
     rf = rat_func_field(F5)
-    kappa = rf.residue_data(Place(rf, first_monic_irreducible(F5, 2))).kappa
+    kappa = Place(rf, first_monic_irreducible(F5, 2)).residue_data().kappa
     for coeffs in ([1, 0, 1], [2, 1, 0, 1]):
         f = Poly.make(kappa, coeffs)
         with pytest.raises(FieldMismatch):
@@ -916,7 +957,7 @@ def test_mulmod_matches_the_remainder_of_the_product():
         rf = rat_func_field(F)
         for k in (2, 3):
             P = monic_irreducibles(F, k)[-1].coeffs
-            kappa = rf.residue_data(Place(rf, Poly(F, P))).kappa
+            kappa = Place(rf, Poly(F, P)).residue_data().kappa
 
             def ref_kappa_mul(x, y):
                 prod = ref_mul(F, kappa._decode(x), kappa._decode(y))
@@ -986,7 +1027,7 @@ def test_powmod_chain_matches_mulmod_per_bit_and_the_fields_own_pow():
     # the chain reads the tables first, so it stops over kappa on every input
     F5 = ff_build(5, 1)
     rf = rat_func_field(F5)
-    kappa = rf.residue_data(Place(rf, first_monic_irreducible(F5, 2))).kappa
+    kappa = Place(rf, first_monic_irreducible(F5, 2)).residue_data().kappa
     for a, e in (((1, 1), 5), ((2,), 1), ((), 3), ((1,), 0)):
         with pytest.raises(FieldMismatch):
             _powmod(kappa, a, e, (1, 0, 1))
@@ -1010,7 +1051,7 @@ def test_residue_field_inverse_matches_the_poly_euclid(q, k):
     first place of degree k."""
     F = ff_build_q(q)
     rf = rat_func_field(F)
-    kappa = rf.residue_data(Place(rf, first_monic_irreducible(F, k))).kappa
+    kappa = Place(rf, first_monic_irreducible(F, k)).residue_data().kappa
     for a in range(1, kappa.q):
         inv = kappa.inv(a)
         assert inv == poly_euclid_inverse(kappa, a), (q, k, a)

@@ -485,14 +485,13 @@ def test_smith_normal_form_random_vs_determinant():
 def test_finite_abelian_invariants():
     # Z/6 as residues with addition
     elems = list(range(6))
-    facs = finite_abelian_invariants(elems, lambda a, b: (a + b) % 6, lambda a: (-a) % 6, 0)
+    facs = finite_abelian_invariants(elems, lambda a, b: (a + b) % 6, 0)
     assert facs == [6]
     # Z/2 x Z/4
     elems = [(a, b) for a in range(2) for b in range(4)]
     facs = finite_abelian_invariants(
         elems,
         lambda x, y: ((x[0] + y[0]) % 2, (x[1] + y[1]) % 4),
-        lambda x: ((-x[0]) % 2, (-x[1]) % 4),
         (0, 0),
     )
     assert facs == [2, 4]

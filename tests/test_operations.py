@@ -886,7 +886,7 @@ def test_lemma75_computes_each_series_once(computed):
 
 
 def test_oracle_constants_are_lifts_of_the_base_constants():
-    kappa = RF.residue_data(Place(RF, first_monic_irreducible(F3, 2))).kappa
+    kappa = Place(RF, first_monic_irreducible(F3, 2)).residue_data().kappa
     for field in (F3, F9, kappa):
         oracle = ModelOracle(field)
         assert oracle.one() is MWElem.one(field)

@@ -1,15 +1,18 @@
 import ast
+import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from mwk import suites
-from mwk.errors import MWKError
+from mwk.errors import FieldMismatch, MWKError
+from mwk.exprtext import parse_field_spec
 from mwk.fields import ff_build, ff_build_q, rat_func_field
 from mwk.model import MW, model_elements, theory_torsion_test
 from mwk.operations import OpSequence, oracle_for
 from mwk.suites import SUITES, Report, SuiteConfig, run_suite
-from mwk.symbols import SymExpr
+from mwk.symbols import SymExpr, relation_generators, unit_sampler
 
 F3 = ff_build(3, 1)
 RF3 = rat_func_field(F3)
@@ -192,3 +195,44 @@ def test_sample_torsion_coeff_draws_from_the_h_torsion_coefficients(q):
         suites.sample_torsion_coeff(field, degree, rng)
         want = [a for a in model_elements(field, degree) if theory_torsion_test(a, "h", MW)]
         assert rng.cands == want, degree
+
+
+@pytest.mark.parametrize("trunc", [3, 8])
+def test_every_suite_passes_with_a_check_at_a_small_and_the_default_truncation(trunc):
+    for spec in ("3", "9", "5(t)"):
+        field = parse_field_spec(spec)
+        for suite_id in SUITES:
+            config = SuiteConfig(field=field, trials=2, seed=1, trunc=trunc)
+            try:
+                payload = run_suite(suite_id, config).to_json()
+            except FieldMismatch as exc:
+                assert "needs a rational function field" in str(exc), (suite_id, spec)
+                continue
+            assert payload["passed"] and payload["trials"] > 0, (suite_id, spec, payload)
+
+
+def test_relations34_checks_every_relation_family_within_its_trials(monkeypatch):
+    taken = []
+
+    def record(rep, oracle, a, theory, degree, label):
+        taken.append((label.split()[0], min(d for d, _ in a.terms), a))
+
+    monkeypatch.setattr(Report, "zero", record)
+    for q in (3, 5, 7, 9):
+        taken.clear()
+        run_suite("relations34", SuiteConfig(field=ff_build_q(q), trials=200))
+        kinds = Counter(kind for kind, _, _ in taken)
+        assert set(kinds) == {"steinberg", "twisted_tensor", "witt"}, (q, kinds)
+        if q > 3:
+            assert len(taken) == 200, q
+            continue
+        # over 3 every family is enumerated in full: the 129 generators, as
+        # many per family and eta level as when the families came one by one
+        assert Counter((kind, d) for kind, d, _ in taken) == {
+            ("steinberg", 1): 1, ("steinberg", 2): 4, ("steinberg", 3): 12,
+            ("twisted_tensor", 0): 4, ("twisted_tensor", 1): 16, ("twisted_tensor", 2): 48,
+            ("witt", 1): 12, ("witt", 2): 32,
+        }
+        rng = random.Random(0)
+        everything = relation_generators(F3, 1, 3, rng, 20, unit_sampler(F3, rng))
+        assert Counter(a for _, _, a in taken) == Counter(g for _, g in everything)

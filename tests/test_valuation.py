@@ -409,7 +409,8 @@ def test_canonical_form_computes_only_what_can_be_nonzero(monkeypatch):
             assert any(u.valuation(ctx.place) for u in units), (ctx.place, x)
         return residue_model(ctx, x, degree)
 
-    monkeypatch.setattr(valuation, "_CONTEXT_CACHE", {})
+    for q in (3, 5, 25):
+        monkeypatch.setattr(rat_func_field(ff_build_q(q)), "_places", {})
     monkeypatch.setattr(valuation, "valuation_context", counted_lookup)
     monkeypatch.setattr(ValuationContext, "__init__", counted_build)
     monkeypatch.setattr(ValuationContext, "specialize_model", counted_specialize)
@@ -482,7 +483,8 @@ def test_canonical_form_builds_no_unit_on_factored_input(monkeypatch):
         monkeypatch.setattr(
             RatFuncUnit, name, lambda u, v, method=method: calls.append(u) or method(u, v)
         )
-    monkeypatch.setattr(valuation, "_CONTEXT_CACHE", {})
+    for q in (3, 25):
+        monkeypatch.setattr(rat_func_field(ff_build_q(q)), "_places", {})
     residues = 0
     for _, degree, x in inputs:
         residues += len(canonical_form(x, degree).residues)
@@ -511,7 +513,8 @@ def test_canonical_form_builds_no_residue_field_unit(monkeypatch):
         return new(cls, field, value)
 
     monkeypatch.setattr(FFUnit, "__new__", counting_new)
-    monkeypatch.setattr(valuation, "_CONTEXT_CACHE", {})
+    for q in (3, 25):
+        monkeypatch.setattr(rat_func_field(ff_build_q(q)), "_places", {})
     kappa_residues = 0
     for degree, x in inputs:
         residues = canonical_form(x, degree).residues
