@@ -637,6 +637,13 @@ def _divmod(field, a, m):
     return tuple(_from_kernel(field, digits[n:])), _trim(_from_kernel(field, digits[:n]))
 
 
+def _rem(field, a, m):
+    """The remainder of `_divmod`, without converting the quotient back."""
+    digits = _to_kernel(field, a)
+    _kernel_reduce(field, digits, _kernel_modulus(field, m))
+    return _trim(_from_kernel(field, digits[: len(m) - 1]))
+
+
 def _mulmod(field, a, b, m):
     """a * b mod m for trimmed coefficient tuples, m of degree >= 1; trimmed.
     The product is reduced in the kernels' representation, so no quotient
@@ -661,7 +668,7 @@ def _powmod(field, a, e, m):
 def _gcd(field, a, b):
     """The monic gcd, as a Poly, of two coefficient tuples not both zero."""
     while b:
-        a, b = b, _divmod(field, a, b)[1]
+        a, b = b, _rem(field, a, b)
     return Poly(field, a).monic()
 
 
@@ -743,7 +750,7 @@ def _distinct_degree(f):
         if g.degree > 0:
             out.append((g, k))
             f = f.divmod(g)[0]
-            h = _divmod(field, h, f.coeffs)[1]
+            h = _rem(field, h, f.coeffs)
     if f.degree > 0:
         out.append((f, f.degree))
     return out
@@ -1104,7 +1111,7 @@ class QuotientField(FiniteField):
                 return not sign
             if da & 1:
                 sign ^= (dm & odd_half) ^ (not base.is_square(m[-1]))
-            a, m = _divmod(base, m, a)[1], a
+            a, m = _rem(base, m, a), a
 
     def embedding(self, big):
         raise FieldMismatch(f"no embeddings are defined for the residue field {self!r}")

@@ -20,7 +20,8 @@ vanish.  This is the authoritative equality oracle over F_q(t).  A component
 in a trivial group (the specialization from degree 2 on, the residues from
 degree 3 on) is read from the model as zero, and a term is scanned only at
 the places where one of its entries has nonzero valuation, read from the
-factored units.
+factored units.  A term of 3 or more entries is zero, as K^MW_3(F_q(t)) = 0,
+and the zero test never scans it.
 """
 
 from __future__ import annotations
@@ -328,12 +329,17 @@ def canonical_form(x, degree):
     residues (in K^MW_{n-1} of the residue fields) are read from the model as
     zero where those groups are trivial, and each term is scanned only at the
     places where one of its entries has nonzero valuation; at any other place
-    every step of its scan multiplies the residue 0."""
+    every step of its scan multiplies the residue 0.  A term eta^d [a_1, ...,
+    a_r] with r >= 3 is never scanned, after the homogeneity check: it lies
+    in eta^d K^MW_r(F_q(t)), and K^MW_r(F_q(t)) = 0 for r >= 3, since both
+    ends of the split sequence, K^MW_r(F_q) and K^MW_{r-1}(kappa(P)), vanish."""
     rf = x.field
     if not isinstance(rf, RatFuncField):
         raise FieldMismatch("canonical_form needs an expression over F_q(t)")
     if not x.is_structurally_zero() and x.degree() != degree:
         raise Inhomogeneous("stated degree does not match the expression")
+    # K^MW_3(F_q(t)) = 0, so a term with 3 or more entries is zero whatever its eta power
+    x = _of(rf, {key: c for key, c in x.terms.items() if len(key[1]) < 3})
     if theory_group_is_trivial(rf.base, MW, degree):
         base = MWElem.zero(rf.base, degree)  # kappa(t) = F_q
     else:

@@ -892,8 +892,9 @@ def ref_divmod(F, a, b):
 
 def test_polynomial_kernels_match_the_fields_own_arithmetic():
     """Plain ints over F_p, discrete logs over F_{p^d}: the multiply, the
-    division by a divisor that is not monic in general, and `_mulmod`."""
-    from mwk.fields import _mulmod
+    division by a divisor that is not monic in general, its remainder alone
+    (`_rem`), and `_mulmod`."""
+    from mwk.fields import _mulmod, _rem
 
     rng = random.Random(21)
     for q in (3, 5, 7, 11, 9, 25, 27, 49):
@@ -910,6 +911,7 @@ def test_polynomial_kernels_match_the_fields_own_arithmetic():
                     # b is not monic in general
                     quo, rem = Poly(F, tuple(a)).divmod(Poly(F, tuple(b)))
                     assert (quo.coeffs, rem.coeffs) == ref_divmod(F, a, b), (q, a, b)
+                    assert _rem(F, tuple(a), tuple(b)) == rem.coeffs, (q, a, b)
                     if db >= 1:
                         m = poly(db, monic=True)
                         want = ref_divmod(F, ref_mul(F, a, b), m)[1]

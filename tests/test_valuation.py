@@ -370,8 +370,10 @@ def sampled_inputs(rf, rng, degree):
 
 
 def test_canonical_form_equals_the_full_scan():
+    # the full scan sees the terms of 3 or more entries that canonical_form
+    # skips, in degrees <= 1 as well, where the specialization is scanned
     rng = random.Random(24)
-    compared = nonzero = 0
+    compared = nonzero = long_low = 0
     for q in (3, 5, 25):
         rf = rat_func_field(ff_build_q(q))
         for degree in range(-2, 6):
@@ -381,7 +383,8 @@ def test_canonical_form_equals_the_full_scan():
                 assert got.to_json() == want.to_json() and repr(got) == repr(want)
                 compared += 1
                 nonzero += not got.is_zero()
-    assert compared == 3 * 8 * 9 and nonzero > 40
+                long_low += degree <= 1 and any(len(units) >= 3 for _, units in x.terms)
+    assert compared == 3 * 8 * 9 and nonzero > 40 and long_low > 0
 
 
 def test_canonical_form_computes_only_what_can_be_nonzero(monkeypatch):
@@ -534,3 +537,93 @@ def test_inhomogeneous_inputs_raise_in_every_degree():
         for stated in (degree, degree + 1):
             with pytest.raises(Inhomogeneous):
                 canonical_form(mixed, stated)
+
+
+def long_terms(rf, rng, count):
+    """Seeded terms eta^d [a_1, ..., a_r] with r = 3 or 4 and d <= 3, so of
+    degree -1 to 4: entries drawn by the unit sampler, some repeated, and
+    one times a power of t, so that the scans meet repeated uniformizers."""
+    sampler = unit_sampler(rf, rng, max_degree=2)
+    out = []
+    for _ in range(count):
+        units = [sampler()]
+        for _ in range(rng.choice([2, 2, 3])):
+            units.append(rng.choice(units) if rng.random() < 0.3 else sampler())
+        i = rng.randrange(len(units))
+        units[i] = units[i].mul(rf.t_unit().pow(rng.randint(-2, 2)))
+        out.append((rng.randrange(4), tuple(units)))
+    return out
+
+
+def test_terms_of_three_or_more_entries_vanish_at_every_place():
+    # what canonical_form's length skip relies on: K^MW_r(F_q(t)) = 0 for
+    # r >= 3, read through the unskipped scan and the symbolic residue at t,
+    # at infinity and at every place of the term's support
+    rng = random.Random(32)
+    low = residues = 0
+    for q in (3, 5, 25):
+        rf = rat_func_field(ff_build_q(q))
+        fixed = [Place(rf, rf.var_poly()), Place(rf, None)]
+        for d, units in long_terms(rf, rng, 24):
+            x = SymExpr(rf, [((d, units), 1)])
+            degree = len(units) - d
+            low += degree <= 1
+            for place in dict.fromkeys(fixed + x.support_places()):
+                ctx = valuation_context(place)
+                s, r = ctx._scan_term(d, units)
+                assert s.is_zero() and r.is_zero(), (q, d, units, place)
+                assert eval_model(ctx.specialize(x), degree).is_zero(), (q, d, units, place)
+                # the rewriting expands each entry of nonzero valuation into 3 terms
+                if sum(bool(u.valuation(place)) for u in units) <= 3:
+                    assert eval_model(ctx.residue(x), degree - 1).is_zero(), (q, d, units, place)
+                    residues += 1
+    assert low >= 10 and residues >= 100
+
+
+def test_only_canonical_form_skips_terms_of_three_or_more_entries(monkeypatch):
+    scanned = []
+    scan_term = ValuationContext._scan_term
+
+    def recorded(ctx, d, units):
+        scanned.append(len(units))
+        return scan_term(ctx, d, units)
+
+    monkeypatch.setattr(ValuationContext, "_scan_term", recorded)
+    rng = random.Random(24)  # the inputs of test_canonical_form_equals_the_full_scan
+    inputs = [
+        (degree, x)
+        for q in (3, 5, 25)
+        for degree in range(-2, 6)
+        for x in sampled_inputs(rat_func_field(ff_build_q(q)), rng, degree)
+    ]
+    low_long = sum(len(units) >= 3 for degree, x in inputs if degree <= 1 for _, units in x.terms)
+    assert low_long > 0
+    for degree, x in inputs:
+        canonical_form(x, degree)
+    assert scanned and max(scanned) <= 2
+    # called directly, the scans see every term
+    del scanned[:]
+    for degree, x in inputs:
+        if degree <= 2 and any(len(units) >= 3 for _, units in x.terms):
+            ctx = valuation_context(Place(x.field, x.field.var_poly()))
+            ctx.residue_model(x, degree)
+            ctx.specialize_model(x, degree)
+    assert sum(n >= 3 for n in scanned) == 2 * sum(
+        len(units) >= 3 for degree, x in inputs if degree <= 2 for _, units in x.terms
+    )
+
+
+def test_homogeneity_is_checked_before_the_length_skip():
+    rf = rat_func_field(ff_build_q(5))
+    t, t1, t2 = (rf.from_poly(Poly.make(rf.base, c)) for c in ([0, 1], [1, 1], [2, 0, 1]))
+    long = SymExpr.bracket(t, t1, t2).eta_mul(2)  # degree 1, all of it zero by length
+    mixed = SymExpr.bracket(t).add(SymExpr.bracket(t, t1, t2).eta_mul())  # degrees 1 and 2
+    for stated in (1, 2):
+        with pytest.raises(Inhomogeneous):
+            canonical_form(mixed, stated)
+    for stated in (0, 2):
+        with pytest.raises(Inhomogeneous):
+            canonical_form(long, stated)
+    assert not long.is_structurally_zero() and long.degree() == 1
+    assert is_zero(long, 1) and canonical_form(long, 1).is_zero()
+    assert canonical_form(long, 1) == canonical_form(SymExpr.zero(rf), 1)
