@@ -32,7 +32,7 @@ cross-checking the closed-form groups.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress
 
 from .errors import (
     DegreeMismatch,
@@ -697,7 +697,10 @@ class _Presentation:
     relations the truncation at eta power d adds to the one at d - 1.
 
     A generator eta^d [a_1, ..., a_r] has r = n + d, so its unit tuple names
-    it.  A row over the m residual generators is packed into one int:
+    it, and the tuple's code reads the entries a_i - 1 as base-(q - 1)
+    digits, a_1 most significant: the order of product(units, repeat=r).
+    `_table(r)` lists the rewrites of the generators with r entries by code.
+    A row over the m residual generators is packed into one int:
     coefficient i sits in a signed field of `width` bits at offset width * i,
     so adding the ints adds the rows.  A rewrite at eta power d has L1 norm
     at most 3^d (each elimination is a sum of three rewrites at d - 1) and a
@@ -722,39 +725,47 @@ class _Presentation:
         self.units = list(range(1, field.q))  # unit encodings
         self.width = (2 * 3**d_max).bit_length() + 1
         # residual generators: eta^0 tuples, plus eta^1 singletons when n = 0
-        base = self._tuples(n)
+        self._tables = {n: [1 << (self.width * i) for i in range((field.q - 1) ** n)]}
         if n == 0 and d_max >= 1:
-            base = base + self._tuples(1)
-        self.m = len(base)
-        self._vecs = {tup: 1 << (self.width * i) for i, tup in enumerate(base)}
+            self._tables[1] = [1 << (self.width * i) for i in range(1, field.q)]
+        self.m = sum(map(len, self._tables.values()))
 
-    def _tuples(self, r):
-        return list(product(self.units, repeat=r))
-
-    def _vec(self, tup):
-        """The packed rewrite of a generator into the residual generators:
-        eta^d [b, b', ...] = eta^(d-1) ([bb', ...] - [b, ...] - [b', ...])."""
-        v = self._vecs.get(tup)
-        if v is None:
-            vec, rest = self._vec, tup[2:]
-            b, bp = tup[0], tup[1]
-            v = vec((self.field.mul(b, bp),) + rest) - vec((b,) + rest) - vec((bp,) + rest)
-            self._vecs[tup] = v
-        return v
+    def _table(self, r):
+        """The packed rewrites of the generators with r entries, by tuple
+        code: eta^d [b, b', ...] = eta^(d-1) ([bb', ...] - [b, ...] - [b', ...]),
+        one block of (q - 1)^(r - 2) rewrites per leading pair (b, b')."""
+        table = self._tables.get(r)
+        if table is None:
+            low, k, mul = self._table(r - 1), len(self.units) ** (r - 2), self.field.mul
+            table = []
+            for b in self.units:
+                x = low[(b - 1) * k : b * k]
+                for bp in self.units:
+                    c = mul(b, bp)
+                    a, y = low[(c - 1) * k : c * k], low[(bp - 1) * k : bp * k]
+                    table += [u - v - w for u, v, w in zip(a, x, y)]
+            self._tables[r] = table
+        return table
 
     def packed_rows(self, d):
         """The relations of level d as packed rows, zero rows and repeats
         included: the Steinberg relations at eta power d, the twisted-tensor
         relations at e = d - 1 except the pivots at position 0 (which define
         the elimination) and the zero rows at positions 1..e, and the Witt
-        relations at e."""
-        F, units, vec = self.field, self.units, self._vec
-        # Steinberg relations: adjacent entries summing to 1
+        relations at e.  Each family is read from contiguous or strided
+        slices of the tables, in (tuple, position) order."""
+        F, units, Q = self.field, self.units, len(self.units)
+        # Steinberg relations: adjacent entries summing to 1.  The mask of
+        # the tuples with such a pair grows one leading entry at a time.
         r = self.n + d
         if r >= 2:
-            for tup in self._tuples(r):
-                if any(F.add(a, b) == 1 for a, b in zip(tup, tup[1:])):
-                    yield vec(tup)
+            pairs = [(a - 1) * Q + F.add(1, F.neg(a)) - 1 for a in units if a != 1]
+            mask = bytearray(Q)
+            for s in range(2, r + 1):
+                mask, k = mask * Q, Q ** (s - 2)
+                for p in pairs:
+                    mask[p * k : (p + 1) * k] = b"\1" * k
+            yield from compress(self._table(r), mask)
         e, r = d - 1, r - 1
         # Twisted tensor relations at positions i > e; those at 1 <= i <= e
         # rewrite to the zero row.  Proof: the rewrite of eta^e [a_0, .., a_e, s]
@@ -767,22 +778,28 @@ class _Presentation:
         # A(bb') - A(b) - A(b') - N.  So the relation
         # V(bb') - V(b) - V(b') - (A(bb') - A(b) - A(b') - N) is N - N - N + N = 0.
         for i in range(e + 1, r if e >= 0 else 0):
-            sufs = self._tuples(r - 1 - i)
-            for pre in self._tuples(i):
-                # the eta^e rewrites [pre, c, suf], looked up once per prefix
-                low = {c: [vec(pre + (c,) + suf) for suf in sufs] for c in units}
+            low, high, k = self._table(r), self._table(r + 1), Q ** (r - 1 - i)
+            for pre in range(0, Q ** (i + 1), Q):  # prefix code times Q
                 for b in units:
+                    x = low[(pre + b - 1) * k : (pre + b) * k]
                     for bp in units:
-                        a, x, y = low[F.mul(b, bp)], low[b], low[bp]
-                        for j, suf in enumerate(sufs):
-                            yield a[j] - x[j] - y[j] - vec(pre + (b, bp) + suf)
-        # Witt relations: 2 eta^e [tuple] + eta^{e+1} [tuple with -1 inserted]
+                        c, h = F.mul(b, bp), ((pre + b - 1) * Q + bp - 1) * k
+                        a = low[(pre + c - 1) * k : (pre + c) * k]
+                        y = low[(pre + bp - 1) * k : (pre + bp) * k]
+                        yield from [u - v - w - z for u, v, w, z in zip(a, x, y, high[h : h + k])]
+        # Witt relations: 2 eta^e [tuple] + eta^{e+1} [tuple with -1 inserted];
+        # the tuples with -1 inserted at pos, in tuple order, are the slices
+        # of high whose digit pos is that of -1
         if e >= 1:
-            minus_one = F.neg(1)
-            for tup in self._tuples(r):
-                twice = 2 * vec(tup)
-                for pos in range(r + 1):
-                    yield twice + vec(tup[:pos] + (minus_one,) + tup[pos:])
+            low, high = self._table(r), self._table(r + 1)
+            digit = F.neg(1) - 1
+            gathers = [
+                [w for s in range(digit * k, len(high), Q * k) for w in high[s : s + k]]
+                for k in (Q**j for j in range(r, -1, -1))  # k = Q^(r - pos)
+            ]
+            for v, ws in zip(low, zip(*gathers)):
+                v *= 2
+                yield from [v + w for w in ws]
 
     def relation_rows(self):
         """The distinct nonzero relation rows, level by level, as (level,

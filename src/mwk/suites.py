@@ -354,12 +354,17 @@ def lambda_wd(rep, config, rng, oracle):
     base = oracle.base
     sampler = unit_sampler(field, rng, max_degree=2)
 
-    generators = []
+    # the trials read the first config.trials generators, the negative
+    # control the first 12 Witt ones: stop pulling once both are held
+    generators, witt = [], 0
     for kind, gen in relation_generators(
         field, n, d_max=2, sampler=sampler, rng=rng, per_family=max(10, config.trials // 3)
     ):
         if gen.max_term_size() <= 5:
             generators.append((kind, gen))
+            witt += kind == "witt"
+            if len(generators) >= config.trials and witt >= 12:
+                break
 
     for trial in range(config.trials if generators else 0):
         kind, gen = generators[trial % len(generators)]

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -12,6 +13,7 @@ from mwk.fields import (
     ff_build_q,
     first_monic_irreducible,
     rat_func_field,
+    size_bound,
 )
 from mwk.model import (
     INTERN_CAP,
@@ -627,6 +629,7 @@ def test_snf_oracle_matches_the_level_by_level_reference():
 
 def test_packed_relation_rows_are_the_distinct_reference_rows_in_order():
     cases = [(q, n) for q in (3, 5, 7, 9) for n in (0, 1, 2) if (q, n) not in ((7, 2), (9, 2))]
+    cases += [(11, 0), (11, 1)]  # q - 1 = 10: tuple codes of two or more digits
     for q, n in cases:
         field = ff_build_q(q)
         for d_max in range((4 if n == 0 else 3) + 1):
@@ -641,6 +644,26 @@ def test_packed_relation_rows_are_the_distinct_reference_rows_in_order():
                         want.append((level, row))
             assert pres.m == len(ref.base_gens), (q, n, d_max)
             assert got == want, (q, n, d_max)
+
+
+def test_presentation_tables_are_the_reference_rewrites_by_tuple_code():
+    # _table(r)[code] is the packed rewrite of the tuple whose entries a - 1
+    # are the base-(q - 1) digits of code, first entry most significant
+    for q in (3, 5, 9):
+        field = ff_build_q(q)
+        for n in (0, 1, 2):
+            d_max = max(d for d in range(4) if (q - 1) ** (n + d) <= size_bound())
+            pres = _Presentation(field, n, d_max)
+            ref = ReferencePresentation(field, n, d_max)
+            for r in range(n, n + d_max + 1):
+                want = [
+                    sum(
+                        c << (pres.width * ref.base_index[base])
+                        for base, c in ref.rewrite((r - n, tup)).items()
+                    )
+                    for tup in product(range(1, q), repeat=r)
+                ]
+                assert pres._table(r) == want, (q, n, d_max, r)
 
 
 def test_twisted_tensor_rows_inside_the_eta_window_are_zero():
