@@ -23,6 +23,7 @@ from .errors import ParseError
 from .fields import (
     Poly,
     RatFuncField,
+    _axpy,
     check_expansion,
     expand_fraction,
     ff_build,
@@ -107,12 +108,7 @@ def _product_ops(base):
     def add(a, b):
         (na, da), (nb, db) = fraction(a), fraction(b)
         if da is db is one:
-            if len(na) < len(nb):
-                na, nb = nb, na
-            for i, c in enumerate(nb):
-                if c:
-                    na[i] = base.add(na[i], c)
-            return na
+            return list(_axpy(base, na, nb, 1))
         na, nb = (Poly._trimmed(base, n) if type(n) is list else n for n in (na, nb))
         return 1, 0, ((na.mul(db).add(nb.mul(da)), 1), (da.mul(db), -1))
 

@@ -12,13 +12,15 @@ and one division loop, over F_p on plain integers reduced mod p and over
 F_{p^d} with d > 1 on discrete logarithms with Zech addition; the multiply
 mod m (`_mulmod`) and the whole square-and-multiply chain of a power mod m
 (`_powmod`) run in that representation, converted once in and once out.
-A Poly is a tuple and hashes in C.
+Every linear step (sum, difference, negation, scaling) is one loop,
+`_axpy`.  A Poly is a tuple and hashes in C.
 
 Units of F_q(t) are kept in fully factored form: a constant of the base field
 times a product of monic irreducible polynomials with integer exponents.
 Unique factorization makes equality, valuations and residue-field reductions
-exact and cheap.  Factoring is Cantor-Zassenhaus and irreducibility is
-Rabin's test; the residue field at a place P of degree >= 2 is F_q[t]/(P)
+exact and cheap.  Factoring is Cantor-Zassenhaus on coefficient tuples,
+with a Poly built only for each factor, and irreducibility is Rabin's
+test; the residue field at a place P of degree >= 2 is F_q[t]/(P)
 (`QuotientField`), with no tables; its inverse is extended Euclid on
 coefficient tuples, and its reductions (`reduce_local`) return encodings.
 Places are interned per function field like the units, and a place keeps
@@ -422,21 +424,13 @@ class Poly(NamedTuple):
         return self.coeffs[-1]
 
     def add(self, other):
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return Poly._trimmed(F, out)
+        return Poly(self.field, _axpy(self.field, self.coeffs, other.coeffs, 1))
 
     def neg(self):
-        F = self.field
-        return Poly(F, tuple(F.neg(c) for c in self.coeffs))
+        return self.scale(self.field.neg(1))
 
     def sub(self, other):
-        return self.add(other.neg())
+        return Poly(self.field, _axpy(self.field, self.coeffs, other.coeffs, self.field.neg(1)))
 
     def mul(self, other):
         return Poly(self.field, _mul(self.field, self.coeffs, other.coeffs))
@@ -455,25 +449,18 @@ class Poly(NamedTuple):
             square = square.mul(square)
 
     def scale(self, c):
-        F = self.field
-        if c == 0:
-            return Poly.zero(F)
-        return Poly(F, tuple(F.mul(c, x) for x in self.coeffs))
+        return Poly(self.field, _axpy(self.field, (), self.coeffs, c))
 
     def divmod(self, other):
-        if other.is_zero():
-            raise ZeroPolynomial("division by the zero polynomial")
         F = self.field
         quo, rem = _divmod(F, self.coeffs, other.coeffs)
         return Poly(F, quo), Poly(F, rem)
 
     def mod(self, other):
-        return self.divmod(other)[1]
+        return Poly(self.field, _rem(self.field, self.coeffs, other.coeffs))
 
     def monic(self):
-        if self.is_zero():
-            raise ZeroPolynomial("cannot normalize the zero polynomial")
-        lead = self.coeffs[-1]
+        lead = self.lead()
         return self if lead == 1 else self.scale(self.field.inv(lead))
 
     def evaluate(self, point):
@@ -524,6 +511,24 @@ def _trim(coeffs):
     return tuple(coeffs)
 
 
+def _axpy(field, a, b, c):
+    """a + c * b for coefficient tuples, c an encoding, trimmed: the one loop
+    of every linear step (sum, difference, negation, scaling)."""
+    out = list(a)
+    if c:
+        out += [0] * (len(b) - len(a))
+        if field.d == 1:
+            p = field.p
+            for i, y in enumerate(b):
+                out[i] = (out[i] + c * y) % p
+        else:
+            add, mul = field.add, field.mul
+            for i, y in enumerate(b):
+                if y:
+                    out[i] = add(out[i], mul(c, y))
+    return _trim(out)
+
+
 def _kernel_mul(field, a, b):
     """The product of two digit lists in the kernels' representation: over
     F_p plain ints, the product not yet reduced mod p; over F_{p^d} the
@@ -553,8 +558,10 @@ def _kernel_mul(field, a, b):
 
 
 def _kernel_modulus(field, m):
-    """m, nonzero and trimmed, as `_kernel_reduce` reads it: n = deg m, the
-    kernel digit of 1 / lead(m), and the nonzero (index, digit) of -m below."""
+    """m, trimmed, as `_kernel_reduce` reads it: n = deg m, the kernel digit
+    of 1 / lead(m), and the nonzero (index, digit) of -m below."""
+    if not m:
+        raise ZeroPolynomial("division by the zero polynomial")
     n = len(m) - 1
     if field.d == 1:
         p = field.p
@@ -666,19 +673,10 @@ def _powmod(field, a, e, m):
 
 
 def _gcd(field, a, b):
-    """The monic gcd, as a Poly, of two coefficient tuples not both zero."""
+    """The monic gcd of two coefficient tuples not both zero."""
     while b:
         a, b = b, _rem(field, a, b)
-    return Poly(field, a).monic()
-
-
-def _sub(field, a, b):
-    """a - b for coefficient tuples, trimmed."""
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        if c:
-            out[i] = field.sub(out[i], c)
-    return _trim(out)
+    return _axpy(field, (), a, field.inv(a[-1]))
 
 
 def _is_irreducible(field, f):
@@ -695,68 +693,60 @@ def _is_irreducible(field, f):
     if frob[n] != (0, 1):
         return False
     return all(
-        _gcd(field, f.coeffs, _sub(field, frob[n // r], (0, 1))).is_one() for r in factorint(n)
+        _gcd(field, f.coeffs, _axpy(field, frob[n // r], (0, 1), field.neg(1))) == (1,)
+        for r in factorint(n)
     )
 
 
-def _derivative(f):
-    field = f.field
-    p = field.p
-    return Poly._trimmed(field, [field.mul(i % p, c) for i, c in enumerate(f.coeffs) if i])
+def _derivative(field, f):
+    return _trim([field.mul(i % field.p, c) for i, c in enumerate(f) if i])
 
 
-def _pth_root(f):
+def _pth_root(field, f):
     """g with g^p = f, for f a polynomial in t^p."""
-    field = f.field
     e = field.q // field.p  # c^(1/p) = c^(q/p) in F_q
-    return Poly._trimmed(field, [field.pow(c, e) for c in f.coeffs[:: field.p]])
+    return _trim([field.pow(c, e) for c in f[:: field.p]])
 
 
-def _square_free(f):
+def _square_free(field, f):
     """[(g, m)] with f = prod g^m, the g monic, square-free, pairwise prime
-    (f monic of degree >= 1)."""
-    field = f.field
-    df = _derivative(f)
-    if df.is_zero():
-        return [(g, m * field.p) for g, m in _square_free(_pth_root(f))]
-    c = _gcd(field, f.coeffs, df.coeffs)
-    if c.is_one():
+    (f monic of degree >= 1); coefficient tuples throughout."""
+    df = _derivative(field, f)
+    if not df:
+        return [(g, m * field.p) for g, m in _square_free(field, _pth_root(field, f))]
+    c = _gcd(field, f, df)
+    if c == (1,):
         return [(f, 1)]
-    out = []
-    w = f.divmod(c)[0]
-    i = 1
-    while w.degree > 0:
-        y = _gcd(field, w.coeffs, c.coeffs)
-        fac = w.divmod(y)[0]
-        if fac.degree > 0:
+    out, w, i = [], _divmod(field, f, c)[0], 1
+    while len(w) > 1:
+        y = _gcd(field, w, c)
+        fac = _divmod(field, w, y)[0]
+        if len(fac) > 1:
             out.append((fac, i))
-        w, c, i = y, c.divmod(y)[0], i + 1
-    if c.degree > 0:
-        out.extend((g, m * field.p) for g, m in _square_free(_pth_root(c)))
+        w, c, i = y, _divmod(field, c, y)[0], i + 1
+    if len(c) > 1:
+        out.extend((g, m * field.p) for g, m in _square_free(field, _pth_root(field, c)))
     return out
 
 
-def _distinct_degree(f):
+def _distinct_degree(field, f):
     """[(g, k)]: g the product of the irreducible factors of degree k of a
     monic square-free f."""
-    field = f.field
-    out = []
-    h = (0, 1)
-    k = 0
-    while f.degree >= 2 * (k + 1):
+    out, h, k = [], (0, 1), 0  # h = t^(q^k) mod f
+    while len(f) > 2 * (k + 1):
         k += 1
-        h = _powmod(field, h, field.q, f.coeffs)
-        g = _gcd(field, f.coeffs, _sub(field, h, (0, 1)))
-        if g.degree > 0:
+        h = _powmod(field, h, field.q, f)
+        g = _gcd(field, f, _axpy(field, h, (0, 1), field.neg(1)))
+        if len(g) > 1:
             out.append((g, k))
-            f = f.divmod(g)[0]
-            h = _rem(field, h, f.coeffs)
-    if f.degree > 0:
-        out.append((f, f.degree))
+            f = _divmod(field, f, g)[0]
+            h = _rem(field, h, f)
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
     return out
 
 
-def _equal_degree(g, k):
+def _equal_degree(field, g, k):
     """The irreducible factors of a monic g whose irreducible factors are
     distinct and all of degree k (Cantor-Zassenhaus, q odd).
 
@@ -766,21 +756,22 @@ def _equal_degree(g, k):
     theorem gives some a of degree < deg g that is 1 mod g1 and a non-square
     mod g2, and its monic multiple splits off g1 through
     gcd(g, a^((q^k - 1)/2) - 1)."""
-    if g.degree == k:
+    n = len(g) - 1
+    if n == k:
         return [g]
-    field = g.field
     e = (field.q**k - 1) // 2
-    for deg in range(1, g.degree):
+    for deg in range(1, n):
         for a in _candidate_polys(field, deg):
-            d = _gcd(field, g.coeffs, _sub(field, _powmod(field, a.coeffs, e, g.coeffs), (1,)))
-            if 0 < d.degree < g.degree:
-                return _equal_degree(d, k) + _equal_degree(g.divmod(d)[0], k)
+            d = _gcd(field, g, _axpy(field, _powmod(field, a.coeffs, e, g), (1,), field.neg(1)))
+            if 1 < len(d) <= n:
+                rest = _divmod(field, g, d)[0]
+                return _equal_degree(field, d, k) + _equal_degree(field, rest, k)
     raise AssertionError("no split candidate: g is not a product of distinct degree-k factors")
 
 
-def _listing_order(poly):
+def _listing_order(coeffs):
     # the order of monic_irreducibles: by degree, then by the candidate index
-    return (poly.degree, poly.coeffs[::-1])
+    return (len(coeffs), coeffs[::-1])
 
 
 def poly_factor(f):
@@ -797,17 +788,18 @@ def poly_factor(f):
         raise DegreeBound(
             f"degree {f.degree} exceeds factorization cap {DEFAULT_DEGREE_BOUND}"
         )
-    lead = f.field.unit(f.lead())
+    field = f.field
+    lead = field.unit(f.lead())
     if f.degree == 0:
         return lead, {}
     if f.degree == 1:
         return lead, {f.monic(): 1}
     out = {}
-    for g, m in _square_free(f.monic()):
-        for h, k in _distinct_degree(g):
-            for irreducible in _equal_degree(h, k):
+    for g, m in _square_free(field, f.monic().coeffs):
+        for h, k in _distinct_degree(field, g):
+            for irreducible in _equal_degree(field, h, k):
                 out[irreducible] = m
-    return lead, {g: out[g] for g in sorted(out, key=_listing_order)}
+    return lead, {Poly(field, g): out[g] for g in sorted(out, key=_listing_order)}
 
 
 # ---------------------------------------------------------------------------
@@ -1056,11 +1048,10 @@ class QuotientField(FiniteField):
         self._unit_table = WeakValueDictionary()  # weak: q is unbounded over all P
 
     def add(self, a, b):
-        base = self.base
-        return self._encode(Poly(base, self._decode(a)).add(Poly(base, self._decode(b))).coeffs)
+        return self._encode(_axpy(self.base, self._decode(a), self._decode(b), 1))
 
     def neg(self, a):
-        return self._encode(Poly(self.base, self._decode(a)).neg().coeffs)
+        return self._encode(_axpy(self.base, (), self._decode(a), self.base.neg(1)))
 
     def mul(self, a, b):
         if a == 1 or b == 1:
@@ -1075,9 +1066,8 @@ class QuotientField(FiniteField):
         r0, r1, s0, s1 = self.modulus, self._decode(a), (), (1,)
         while len(r1) > 1:
             quo, rem = _divmod(base, r0, r1)
-            r0, r1, s0, s1 = r1, rem, s1, _sub(base, s0, _mul(base, quo, s1))
-        c = base.inv(r1[0])
-        return self._encode([base.mul(c, x) for x in s1])
+            r0, r1, s0, s1 = r1, rem, s1, _axpy(base, s0, _mul(base, quo, s1), base.neg(1))
+        return self._encode(_axpy(base, (), s1, base.inv(r1[0])))
 
     def pow(self, a, e):
         if a == 0:

@@ -545,11 +545,11 @@ class OpSequence:
             self.source, self.target, self.n, self.m - self.n, self.field, out
         )
 
-    def shifted(self, plus, minus, minus_first=True):
+    def shifted(self, plus, minus):
+        """Shifted `minus` times negatively, then `plus` times positively."""
         self.require_admissible()
-        signs = [-1] * minus + [+1] * plus
         seq = self
-        for sign in signs if minus_first else signs[::-1]:
+        for sign in [-1] * minus + [+1] * plus:
             seq = seq.shift(sign)
         return seq
 

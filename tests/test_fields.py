@@ -249,6 +249,12 @@ def test_poly_factor_errors():
         poly_factor(Poly.zero(F3))
     with pytest.raises(DegreeBound):
         poly_factor(Poly.make(F3, [1] + [0] * 12 + [1]))
+    # the division kernels refuse a zero divisor for both Poly divisions
+    for divide in (Poly.divmod, Poly.mod):
+        with pytest.raises(ZeroPolynomial):
+            divide(Poly.make(F3, [1, 1]), Poly.zero(F3))
+    with pytest.raises(ZeroPolynomial):
+        Poly.zero(F3).monic()
 
 
 def test_unit_normalize_cancellation():
@@ -873,6 +879,15 @@ def ref_mul(F, a, b):
     return tuple(out)
 
 
+def ref_axpy(F, a, b, c):
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] = F.add(out[i], F.mul(c, y))
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
 def ref_divmod(F, a, b):
     rem, quo = list(a), [0] * max(len(a) - len(b) + 1, 0)
     inv_lead = F.inv(b[-1])
@@ -893,10 +908,12 @@ def ref_divmod(F, a, b):
 def test_polynomial_kernels_match_the_fields_own_arithmetic():
     """Plain ints over F_p, discrete logs over F_{p^d}: the multiply, the
     division by a divisor that is not monic in general, its remainder alone
-    (`_rem`), and `_mulmod`."""
-    from mwk.fields import _mulmod, _rem
+    (`_rem`), and `_mulmod`; and the linear kernel `_axpy` under sums,
+    differences, negation and scaling."""
+    from mwk.fields import _axpy, _mulmod, _rem
 
     rng = random.Random(21)
+    linear = random.Random(34)  # its own stream: the draws above stay as they were
     for q in (3, 5, 7, 11, 9, 25, 27, 49):
         F = ff_build_q(q)
 
@@ -916,6 +933,17 @@ def test_polynomial_kernels_match_the_fields_own_arithmetic():
                         m = poly(db, monic=True)
                         want = ref_divmod(F, ref_mul(F, a, b), m)[1]
                         assert _mulmod(F, tuple(a), tuple(b), tuple(m)) == want, (q, a, b, m)
+                    pa, pb, c = Poly(F, tuple(a)), Poly(F, tuple(b)), linear.randrange(q)
+                    minus_one = F.neg(1)
+                    assert pa.add(pb).coeffs == ref_axpy(F, a, b, 1), (q, a, b)
+                    assert pa.sub(pb).coeffs == ref_axpy(F, a, b, minus_one), (q, a, b)
+                    assert pb.neg().coeffs == ref_axpy(F, (), b, minus_one), (q, b)
+                    for k in (0, 1, c):
+                        assert pb.scale(k).coeffs == ref_axpy(F, (), b, k), (q, b, k)
+                    assert _axpy(F, tuple(a), tuple(b), c) == ref_axpy(F, a, b, c), (q, a, b, c)
+                    # differences that cancel: all of it, and the top digits of a longer a
+                    assert pa.sub(pa).coeffs == () and _axpy(F, tuple(b), tuple(b), minus_one) == ()
+                    assert pa.add(pb).sub(pa) == pb and pb.add(pa).sub(pa) == pb, (q, a, b)
         assert Poly(F, (1, 2)).mul(Poly.zero(F)).is_zero()
         assert _mulmod(F, (), (1, 1), (0, 1)) == ()
     F5 = ff_build(5, 1)
