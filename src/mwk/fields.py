@@ -11,7 +11,7 @@ field needs a discrete logarithm.  Polynomial arithmetic has one multiply
 and one division loop, over F_p on plain integers reduced mod p and over
 F_{p^d} with d > 1 on discrete logarithms with Zech addition; the multiply
 mod m (`_mulmod`) and the whole square-and-multiply chain of a power mod m
-(`_powmod`) run in that representation, converted once in and once out.
+(`_powmod`) run there on a modulus prepared once, converted once in and out.
 Every linear step (sum, difference, negation, scaling) is one loop,
 `_axpy`.  A Poly is a tuple and hashes in C.
 
@@ -94,6 +94,7 @@ class FiniteField:
         self.q = p**d
         self.modulus = modulus  # coefficient tuple over F_p, low to high, monic
         self.base = self if d == 1 else ff_build(p, 1)
+        self._prepared = _kernel_modulus(self.base, modulus)  # as the kernels read it
         self._unit_table = {}  # value -> FFUnit: at most q - 1 units, like the log tables
         self._irreducibles = {}  # degree -> list of monic irreducible Polys
         self._embeddings = {}  # id(bigger field) -> encoding map list
@@ -118,10 +119,10 @@ class FiniteField:
         return out
 
     def _mul(self, x, y):
-        return _mulmod(self.base, x, y, self.modulus)
+        return _mulmod(self.base, x, y, self._prepared)
 
     def _pow(self, x, e):
-        return _powmod(self.base, x, e, self.modulus)
+        return _powmod(self.base, x, e, self._prepared)
 
     def _smallest_generator(self):
         """The smallest encoding of multiplicative order q - 1."""
@@ -651,18 +652,18 @@ def _rem(field, a, m):
     return _trim(_from_kernel(field, digits[: len(m) - 1]))
 
 
-def _mulmod(field, a, b, m):
-    """a * b mod m for trimmed coefficient tuples, m of degree >= 1; trimmed.
-    The product is reduced in the kernels' representation, so no quotient
-    is kept and no log is read back before the remainder."""
+def _mulmod(field, a, b, modulus):
+    """a * b mod m for trimmed coefficient tuples, m of degree >= 1 prepared by
+    `_kernel_modulus`; trimmed.  The product is reduced in the kernels'
+    representation, so no quotient is kept and no log is read back first."""
     a, b = _to_kernel(field, a), _to_kernel(field, b)
-    return _trim(_from_kernel(field, _kernel_mulmod(field, a, b, _kernel_modulus(field, m))))
+    return _trim(_from_kernel(field, _kernel_mulmod(field, a, b, modulus)))
 
 
-def _powmod(field, a, e, m):
-    """a^e mod m (e >= 0) for coefficient tuples, m monic of degree >= 1, by a
-    square-and-multiply chain in the kernels' representation."""
-    a, result, modulus = _to_kernel(field, a), _to_kernel(field, (1,)), _kernel_modulus(field, m)
+def _powmod(field, a, e, modulus):
+    """a^e mod m (e >= 0) for coefficient tuples, m monic of degree >= 1 as
+    `_kernel_modulus` prepares it, by a square-and-multiply chain on digits."""
+    a, result = _to_kernel(field, a), _to_kernel(field, (1,))
     while e:
         if e & 1:
             result = _kernel_mulmod(field, result, a, modulus)
@@ -687,9 +688,9 @@ def _is_irreducible(field, f):
         return False
     if n == 1:
         return True
-    frob = [(0, 1)]  # t^(q^i) mod f
+    frob, modulus = [(0, 1)], _kernel_modulus(field, f.coeffs)  # t^(q^i) mod f
     for _ in range(n):
-        frob.append(_powmod(field, frob[-1], field.q, f.coeffs))
+        frob.append(_powmod(field, frob[-1], field.q, modulus))
     if frob[n] != (0, 1):
         return False
     return all(
@@ -735,7 +736,7 @@ def _distinct_degree(field, f):
     out, h, k = [], (0, 1), 0  # h = t^(q^k) mod f
     while len(f) > 2 * (k + 1):
         k += 1
-        h = _powmod(field, h, field.q, f)
+        h = _powmod(field, h, field.q, _kernel_modulus(field, f))
         g = _gcd(field, f, _axpy(field, h, (0, 1), field.neg(1)))
         if len(g) > 1:
             out.append((g, k))
@@ -759,10 +760,10 @@ def _equal_degree(field, g, k):
     n = len(g) - 1
     if n == k:
         return [g]
-    e = (field.q**k - 1) // 2
+    e, modulus = (field.q**k - 1) // 2, _kernel_modulus(field, g)
     for deg in range(1, n):
         for a in _candidate_polys(field, deg):
-            d = _gcd(field, g, _axpy(field, _powmod(field, a.coeffs, e, g), (1,), field.neg(1)))
+            d = _gcd(field, g, _axpy(field, _powmod(field, a.coeffs, e, modulus), (1,), field.neg(1)))
             if 1 < len(d) <= n:
                 rest = _divmod(field, g, d)[0]
                 return _equal_degree(field, d, k) + _equal_degree(field, rest, k)
@@ -1042,6 +1043,7 @@ class QuotientField(FiniteField):
         base = poly.field
         self.base = base
         self.modulus = poly.coeffs  # P over F_q, low to high, monic
+        self._prepared = _kernel_modulus(base, self.modulus)  # read by mul and pow
         self.p = base.p
         self.d = base.d * poly.degree
         self.q = base.q**poly.degree

@@ -10,7 +10,8 @@ things: the lift of a base-field value (`from_base`), brackets of units
 twists [-1]^k are lifts of the base's constants.  Operations evaluate an
 expression in the presentation generators (a presentation sum_i [a_i] -
 sum_j [b_j] is one) to a value, which is then multiplied by the lift of a
-coefficient living over the base field.
+coefficient living over the base field.  Nothing is computed where K^MW
+vanishes (degree >= 2 over F_q, >= 3 over F_q(t)): there, values are zero.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .model import (
     minus_one_power,
     model_to_sym,
     theory_elements,
+    theory_group_is_trivial,
     theory_torsion_test,
 )
 from .symbols import SymExpr, _unit_sort_key, embed_expr
@@ -200,6 +202,17 @@ def _factor_series(oracle, symbol_value, n, exponent, trunc):
     return _series_pow(inv, -exponent, trunc)
 
 
+def _check_input(x, n, oracle):
+    """n >= 1, x over the oracle's field, and every term of x of degree n."""
+    if n < 1:
+        raise NotAdmissible("source degree must be >= 1")
+    if x.field is not oracle.field:
+        raise FieldMismatch("expression over the wrong field")
+    for d, units in x.terms:
+        if len(units) - d != n:
+            raise Inhomogeneous(f"term eta^{d} of length {len(units)} is not of degree {n}")
+
+
 def lambda_series(x, n, trunc, oracle):
     """Coefficients of the divided-power generating series of x (before the
     action on a coefficient), as {l: value} for every l = 0..trunc; a
@@ -208,19 +221,16 @@ def lambda_series(x, n, trunc, oracle):
     x is an expression in the presentation generators: every term is
     eta^d [a_1, ..., a_{d+n}] with d >= 0.  Each term of multiplicity m
     contributes, per subset J of its first d+1 entries, a factor
-    (1 + [prod_J, tail] t)^((-1)^(d+1-|J|) m).
+    (1 + [prod_J, tail] t)^((-1)^(d+1-|J|) m).  Only indices up to the last
+    one, top, with K^MW_{top*n} nonzero over the oracle's field are computed.
     """
-    if n < 1:
-        raise NotAdmissible("source degree must be >= 1")
-    if x.field is not oracle.field:
-        raise FieldMismatch("expression over the wrong field")
+    _check_input(x, n, oracle)
+    top = trunc
+    while theory_group_is_trivial(oracle.field, MW, top * n):
+        top -= 1
     series = {0: oracle.one()}
     term_order = lambda kv: (kv[0][0], tuple(_unit_sort_key(u) for u in kv[0][1]))
     for (d, units), mult in sorted(x.terms.items(), key=term_order):
-        if len(units) - d != n:
-            raise Inhomogeneous(
-                f"term eta^{d} of length {len(units)} is not of degree {n}"
-            )
         head, tail = units[: d + 1], units[d + 1 :]
         if any(u.is_one() for u in tail):
             continue  # every factor contains a [1] entry and collapses to 1
@@ -233,8 +243,8 @@ def lambda_series(x, n, trunc, oracle):
                     continue
                 exponent = mult if (d + 1 - size) % 2 == 0 else -mult
                 value = oracle.bracket((prod,) + tail)
-                factor = _factor_series(oracle, value, n, exponent, trunc)
-                series = _series_mul(series, factor, trunc)
+                factor = _factor_series(oracle, value, n, exponent, top)
+                series = _series_mul(series, factor, top)
     return {
         l: series[l] if l in series else oracle.zero(l * n) for l in range(trunc + 1)
     }
@@ -510,8 +520,11 @@ class OpSequence:
         return self.evaluate(x, oracle)
 
     def evaluate(self, x, oracle):
-        """apply() without the admissibility check, for sequences that are
-        evaluated to show what goes wrong when they are not admissible."""
+        """apply() without the admissibility check, to show inadmissible sequences
+        fail; where K^MW_m vanishes, the oracle's zero after the input checks."""
+        if theory_group_is_trivial(oracle.field, MW, self.m):
+            _check_input(x, self.n, oracle)
+            return oracle.zero(self.m)
         sig = oracle.sigma_series(x, self.n, self.trunc)
         acc = oracle.zero(self.m)
         for l, a in enumerate(self.coeffs):

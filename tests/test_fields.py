@@ -910,7 +910,7 @@ def test_polynomial_kernels_match_the_fields_own_arithmetic():
     division by a divisor that is not monic in general, its remainder alone
     (`_rem`), and `_mulmod`; and the linear kernel `_axpy` under sums,
     differences, negation and scaling."""
-    from mwk.fields import _axpy, _mulmod, _rem
+    from mwk.fields import _axpy, _kernel_modulus, _mulmod, _rem
 
     rng = random.Random(21)
     linear = random.Random(34)  # its own stream: the draws above stay as they were
@@ -932,7 +932,8 @@ def test_polynomial_kernels_match_the_fields_own_arithmetic():
                     if db >= 1:
                         m = poly(db, monic=True)
                         want = ref_divmod(F, ref_mul(F, a, b), m)[1]
-                        assert _mulmod(F, tuple(a), tuple(b), tuple(m)) == want, (q, a, b, m)
+                        got = _mulmod(F, tuple(a), tuple(b), _kernel_modulus(F, tuple(m)))
+                        assert got == want, (q, a, b, m)
                     pa, pb, c = Poly(F, tuple(a)), Poly(F, tuple(b)), linear.randrange(q)
                     minus_one = F.neg(1)
                     assert pa.add(pb).coeffs == ref_axpy(F, a, b, 1), (q, a, b)
@@ -945,7 +946,7 @@ def test_polynomial_kernels_match_the_fields_own_arithmetic():
                     assert pa.sub(pa).coeffs == () and _axpy(F, tuple(b), tuple(b), minus_one) == ()
                     assert pa.add(pb).sub(pa) == pb and pb.add(pa).sub(pa) == pb, (q, a, b)
         assert Poly(F, (1, 2)).mul(Poly.zero(F)).is_zero()
-        assert _mulmod(F, (), (1, 1), (0, 1)) == ()
+        assert _mulmod(F, (), (1, 1), _kernel_modulus(F, (0, 1))) == ()
     F5 = ff_build(5, 1)
     rf = rat_func_field(F5)
     kappa = Place(rf, first_monic_irreducible(F5, 2)).residue_data().kappa
@@ -957,13 +958,16 @@ def test_polynomial_kernels_match_the_fields_own_arithmetic():
             is_irreducible(f)
 
 
-def test_mulmod_matches_the_remainder_of_the_product():
+def test_mulmod_matches_the_remainder_of_the_product(monkeypatch):
     """`_mulmod` reduces the product in the kernels' own representation.  It
     agrees with the remainder of the product by the two kernels one after
     the other, and with the field's own add and mul (which share no loop
     with the kernels), for a monic m of degree 1-5 and any a, b: zero,
-    shorter or longer than m, and products that cancel under Zech addition."""
-    from mwk.fields import _divmod, _mul, _mulmod
+    shorter or longer than m, and products that cancel under Zech addition.
+    kappa's multiply and power prepare no modulus: P is prepared once, when
+    kappa is built."""
+    from mwk import fields
+    from mwk.fields import _divmod, _kernel_modulus, _mul, _mulmod
 
     rng = random.Random(28)
     for q in (3, 5, 9, 25, 27, 49):
@@ -980,8 +984,11 @@ def test_mulmod_matches_the_remainder_of_the_product():
                 a, b = poly(rng.randrange(-1, dm + 3)), poly(rng.randrange(-1, dm + 3))
                 want = _divmod(F, _mul(F, a, b), m)[1]
                 assert want == ref_divmod(F, ref_mul(F, a, b), m)[1], (q, a, b, m)
-                assert _mulmod(F, a, b, m) == want, (q, a, b, m)
-    # kappa = F_q[t]/(P) multiplies and powers through `_mulmod`
+                assert _mulmod(F, a, b, _kernel_modulus(F, m)) == want, (q, a, b, m)
+    # kappa = F_q[t]/(P) multiplies and powers through `_mulmod`, with P
+    # prepared once, when kappa is built
+    prepared = []
+    monkeypatch.setattr(fields, "_kernel_modulus", lambda F, m: prepared.append(m) or _kernel_modulus(F, m))
     for q in (5, 9, 25):
         F = ff_build_q(q)
         rf = rat_func_field(F)
@@ -994,6 +1001,7 @@ def test_mulmod_matches_the_remainder_of_the_product():
                 return kappa._encode(ref_divmod(F, prod, P)[1])
 
             for _ in range(40):
+                prepared.clear()
                 x, y = rng.randrange(kappa.q), rng.randrange(kappa.q)
                 assert kappa.mul(x, y) == ref_kappa_mul(x, y), (q, P, x, y)
                 e = rng.randrange(2 * kappa.q)
@@ -1003,6 +1011,7 @@ def test_mulmod_matches_the_remainder_of_the_product():
                         want = ref_kappa_mul(want, square)
                     square, n = ref_kappa_mul(square, square), n >> 1
                 assert kappa.pow(x, e) == want, (q, P, x, e)
+                assert prepared == [], (q, P, x, y, e)
                 if x:
                     assert kappa.mul(kappa.pow(x, -e), want) == 1
 
@@ -1013,7 +1022,7 @@ def test_powmod_chain_matches_mulmod_per_bit_and_the_fields_own_pow():
     same chain through the field's own add and mul, and with the field's own
     pow: at m = t - c through the value at c, and at m = the field's modulus
     through the encoding of the power."""
-    from mwk.fields import _mulmod, _powmod
+    from mwk.fields import _kernel_modulus, _mulmod, _powmod
 
     def chain(mulmod, a, e, m):
         result = (1,)
@@ -1040,10 +1049,11 @@ def test_powmod_chain_matches_mulmod_per_bit_and_the_fields_own_pow():
         for dm in range(1, 6):
             for _ in range(4):
                 m = tuple([rng.randrange(q) for _ in range(dm)] + [1])
+                prepared = _kernel_modulus(F, m)
                 for e in (0, 1, 2, q, q * q, (q**dm - 1) // 2):
                     a = poly(rng.randrange(-1, dm + 2))
-                    got = _powmod(F, a, e, m)
-                    assert got == chain(lambda x, y, z: _mulmod(F, x, y, z), a, e, m), (q, a, e, m)
+                    got = _powmod(F, a, e, prepared)
+                    assert got == chain(lambda x, y, _: _mulmod(F, x, y, prepared), a, e, m), (q, a, e, m)
                     assert got == chain(ref_mulmod, a, e, m), (q, a, e, m)
                     if dm == 1:  # m = t - c
                         v = F.pow(Poly(F, a).evaluate(F.neg(m[0])), e)
@@ -1053,14 +1063,16 @@ def test_powmod_chain_matches_mulmod_per_bit_and_the_fields_own_pow():
             for x in range(q):
                 for e in (0, 1, 2, q, (q - 1) // 2):
                     want = F._decode(F.pow(x, e))
-                    assert _powmod(base, F._decode(x), e, F.modulus) == want, (q, x, e)
+                    assert _powmod(base, F._decode(x), e, _kernel_modulus(base, F.modulus)) == want, (q, x, e)
     # the chain reads the tables first, so it stops over kappa on every input
     F5 = ff_build(5, 1)
     rf = rat_func_field(F5)
     kappa = Place(rf, first_monic_irreducible(F5, 2)).residue_data().kappa
+    with pytest.raises(FieldMismatch):
+        _kernel_modulus(kappa, (1, 0, 1))
     for a, e in (((1, 1), 5), ((2,), 1), ((), 3), ((1,), 0)):
         with pytest.raises(FieldMismatch):
-            _powmod(kappa, a, e, (1, 0, 1))
+            _powmod(kappa, a, e, _kernel_modulus(F5, (1, 0, 1)))
 
 
 def poly_euclid_inverse(kappa, a):

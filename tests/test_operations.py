@@ -25,6 +25,7 @@ from mwk.model import (
     model_elements,
     model_to_sym,
     theory_elements,
+    theory_group_is_trivial,
     theory_torsion_test,
 )
 from mwk.operations import (
@@ -32,8 +33,10 @@ from mwk.operations import (
     ModelOracle,
     OpSequence,
     ValuationOracle,
+    _factor_series,
     _g_map_table,
     _g_map_weights,
+    _series_mul,
     admissible,
     allowed_coefficients,
     coefficient_allowed,
@@ -55,7 +58,7 @@ from mwk.suites import (
     thm84_sequences,
     unit_sampler,
 )
-from mwk.symbols import SymExpr, embed_expr
+from mwk.symbols import SymExpr, _unit_sort_key, embed_expr
 
 F3 = ff_build(3, 1)
 F9 = ff_build(3, 2)
@@ -826,6 +829,53 @@ def test_cached_series_equal_a_fresh_computation_at_every_truncation(spec, L):
             assert len(oracle._series) == 1
 
 
+def full_series(x, n, trunc, oracle):
+    """The product of lambda_series's factor series, in its order, built with
+    `_factor_series` and `_series_mul` at the full trunc: the reference that
+    lambda_series truncates at the last degree with a nonzero group."""
+    series = {0: oracle.one()}
+    order = lambda kv: (kv[0][0], tuple(_unit_sort_key(u) for u in kv[0][1]))
+    for (d, us), mult in sorted(x.terms.items(), key=order):
+        head, tail = us[: d + 1], us[d + 1 :]
+        if any(u.is_one() for u in tail):
+            continue
+        for size in range(1, d + 2):
+            for J in combinations(range(d + 1), size):
+                prod = head[J[0]]
+                for idx in J[1:]:
+                    prod = prod.mul(head[idx])
+                if not prod.is_one():
+                    exponent = mult if (d + 1 - size) % 2 == 0 else -mult
+                    factor = _factor_series(oracle, oracle.bracket((prod,) + tail), n, exponent, trunc)
+                    series = _series_mul(series, factor, trunc)
+    return series
+
+
+@pytest.mark.parametrize("spec", ["3", "9", "3(t)", "5(t)"])
+def test_series_coefficients_in_vanishing_degrees_are_zero_without_computation(spec):
+    """K^MW_l*n vanishes from l*n = 2 on over F_q and from 3 on over F_q(t).
+    lambda_series returns the oracle's structural zero at every such index,
+    and every lower index equals the reference product at the full
+    truncation, whose higher coefficients the oracle calls zero.  Over
+    F_q(t) some compared coefficient of degree 2 is nonzero, so a
+    truncation one index too early fails here."""
+    field, L = parse_field_spec(spec), 5
+    oracle = oracle_for(field)
+    nonzero_in_degree_2 = 0
+    for x, n in series_inputs(field, random.Random(35)):
+        got, want = lambda_series(x, n, L, oracle), full_series(x, n, L, oracle)
+        for l in range(L + 1):
+            degree = l * n
+            full = want.get(l, oracle.zero(degree))
+            if theory_group_is_trivial(field, MW, degree):
+                assert got[l].is_structurally_zero(), (spec, x, n, l)
+                assert oracle.is_zero(full, MW, degree), (spec, x, n, l)
+            else:
+                assert got[l] == full, (spec, x, n, l)
+                nonzero_in_degree_2 += degree == 2 and not oracle.is_zero(full, MW, degree)
+    assert nonzero_in_degree_2 or "(t)" not in spec
+
+
 @pytest.fixture
 def computed(monkeypatch):
     """Counts the calls of the uncached step, lambda_series, per (x, n)."""
@@ -862,9 +912,16 @@ def test_a_presentation_and_its_expression_share_one_entry(computed):
 
 
 def test_invalid_input_raises_on_a_cold_and_a_warm_oracle():
-    for oracle in (ModelOracle(F3), ValuationOracle(RF)):
+    """The series raise on invalid input, and so does an operation value,
+    the same in a degree m where K^MW_m vanishes (where it computes
+    nothing) as in the degree below, where it does not."""
+    for oracle, vanishing in ((ModelOracle(F3), 2), (ValuationOracle(RF), 3)):
         m1 = oracle.field.minus_one()
         x = of_symbols(1, (m1,))
+        seqs = [
+            OpSequence(MW, MW, 1, m, F3, [MWElem.zero(F3, m - l) for l in range(3)])
+            for m in (vanishing, vanishing - 1)
+        ]
         for warm in (False, True):
             if warm:
                 oracle.sigma_series(x, 1, 4)
@@ -878,12 +935,55 @@ def test_invalid_input_raises_on_a_cold_and_a_warm_oracle():
                 oracle.sigma_series(SymExpr.bracket(m1, m1), 1, 2)
             with pytest.raises(FieldMismatch):
                 oracle.sigma_series(SymExpr.bracket(F9.minus_one()), 1, 2)
+            for seq in seqs:
+                for value in (seq.apply, seq.evaluate):
+                    with pytest.raises(FieldMismatch):
+                        value(SymExpr.bracket(F9.minus_one()), oracle)
+                    with pytest.raises(Inhomogeneous):  # degrees 1 and 2
+                        value(x.add(SymExpr.bracket(m1, m1)), oracle)
+                    with pytest.raises(Inhomogeneous):  # degree 2 for n = 1
+                        value(SymExpr.bracket(m1, m1), oracle)
             assert len(oracle._series) == warm
 
 
 def test_lemma75_computes_each_series_once(computed):
     assert run_suite("lemma75", SuiteConfig(F3)).passed
     assert computed and set(computed.values()) == {1}, computed.most_common(3)
+
+
+@pytest.mark.parametrize("spec", ["3", "9", "3(t)", "5(t)"])
+def test_values_in_vanishing_degrees_compute_no_series(spec, computed):
+    """apply and evaluate into the first two degrees m where K^MW_m vanishes
+    (from 2 on over F_q, from 3 on over F_q(t)) return the oracle's zero
+    and make no lambda_series call."""
+    field = parse_field_spec(spec)
+    oracle, rng = oracle_for(field), random.Random(36)
+    first = next(m for m in range(5) if theory_group_is_trivial(field, MW, m))
+    for x, n in series_inputs(field, rng):
+        for m in (first, first + 1):
+            seq = sample_sequence(oracle.base, MW, MW, n, m, 4, rng)
+            assert seq.apply(x, oracle) == oracle.zero(m), (spec, x, n, m)
+            assert seq.evaluate(x, oracle) == oracle.zero(m), (spec, x, n, m)
+    assert not computed and not oracle._series
+
+
+def test_lemma93_computes_series_only_for_its_degree_0_correction(computed, monkeypatch):
+    """lemma93 over 3 at its defaults (n = 1, m = 2) applies its sequences
+    into degree 2, where K^MW_2(F_3) = 0, and computes no series for them.
+    The only series it computes are those of its correction term, whose
+    twice-shifted sequence lies in degree 0."""
+    per_degree = Counter()
+    evaluate = OpSequence.evaluate
+
+    def recording(seq, x, oracle):
+        before = sum(computed.values())
+        value = evaluate(seq, x, oracle)
+        per_degree[seq.m] += sum(computed.values()) - before
+        return value
+
+    monkeypatch.setattr(OpSequence, "evaluate", recording)
+    assert run_suite("lemma93", SuiteConfig(F3)).passed
+    assert sorted(per_degree) == [0, 2] and per_degree[2] == 0 and per_degree[0] > 0
 
 
 # -- an oracle is a lift, a bracket and a zero test -------------------------------
