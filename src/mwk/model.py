@@ -583,19 +583,69 @@ def group_structure_model(field, n):
 # ---------------------------------------------------------------------------
 
 
-def smith_normal_form(rows, ncols=None):
-    """Diagonal invariant factors d_1 | d_2 | ... of an integer matrix.
+def smith_normal_form(rows, ncols):
+    """Diagonal invariant factors d_1 | d_2 | ... of the integer matrix with
+    the given sparse rows ({column: nonzero entry}) over columns 0..ncols-1;
+    entries in later columns are ignored.  Returns min(len(rows), ncols)
+    entries in divisibility order, zeros last.
 
-    Exact textbook algorithm: pick the smallest nonzero entry as pivot,
+    Every +-1 entry is split off first: its row clears the entry's column
+    in the other rows, and the row and column are dropped with a factor 1.
+    This is exact, since the cleared column lets column operations zero the
+    rest of the pivot row.  What is left goes through `_smith_dense`.
+    """
+    mat, cols = {}, {}  # row id -> row, column -> ids of the rows using it
+    for i, row in enumerate(rows):
+        row = {j: v for j, v in row.items() if j < ncols}
+        if row:
+            mat[i] = row
+            for j in row:
+                cols.setdefault(j, set()).add(i)
+    units = 0
+    todo = sorted(mat, reverse=True)
+    while todo:
+        i = todo.pop()
+        pivot = mat.get(i)
+        if pivot is None:
+            continue
+        js = [j for j, v in pivot.items() if v == 1 or v == -1]
+        if not js:
+            continue
+        j = min(js, key=lambda j: len(cols[j]))  # the least fill-in
+        del mat[i]
+        for jj in pivot:
+            cols[jj].discard(i)
+        for k in cols.pop(j):
+            row = mat[k]
+            f = row[j] * pivot[j]
+            for jj, v in pivot.items():
+                x = row.get(jj, 0) - f * v
+                if x:
+                    if jj not in row:
+                        cols[jj].add(k)
+                    row[jj] = x
+                else:
+                    del row[jj]
+                    if jj != j:
+                        cols[jj].discard(k)
+            if row:
+                todo.append(k)
+            else:
+                del mat[k]
+        units += 1
+    left = sorted(j for j, ids in cols.items() if ids)
+    dense = [[row.get(j, 0) for j in left] for row in mat.values()]
+    diag = [1] * units + [d for d in _smith_dense(dense, len(left)) if d]
+    return diag + [0] * (min(len(rows), ncols) - len(diag))
+
+
+def _smith_dense(rows, ncols):
+    """The invariant factors of dense rows (lists of ncols entries), by the
+    exact textbook algorithm: pick the smallest nonzero entry as pivot,
     reduce its row and column by floor division (remainders strictly shrink
     the pivot), then repair divisibility of the remaining block.  Returns
-    min(nrows, ncols) entries in divisibility order, zeros last.
-    """
+    min(nrows, ncols) entries in divisibility order, zeros last."""
     mat = [list(r) for r in rows]
-    if ncols is None:
-        ncols = max((len(r) for r in mat), default=0)
-    for r in mat:
-        r.extend([0] * (ncols - len(r)))
     nrows = len(mat)
     size = min(nrows, ncols)
     t = 0
@@ -653,41 +703,48 @@ def smith_normal_form(rows, ncols=None):
 
 
 def _insert_row(basis, row):
-    """Insert an integer row into an echelon lattice basis (dict: lead -> row).
+    """Insert a sparse integer row ({column: nonzero}) into an echelon
+    lattice basis (dict: lead -> sparse row), touching nonzeros only.  The
+    basis takes the row over: it is reduced in place.
 
     Row operations only (subtraction and swap), so the Z-row-span is
     preserved; snf_oracle holds its relation lattice in one such basis.
     """
-    while True:
-        lead = None
-        for j, v in enumerate(row):
-            if v:
-                lead = j
-                break
-        if lead is None:
-            return
+    while row:
+        lead = min(row)
         held = basis.get(lead)
         if held is None:
-            basis[lead] = row if row[lead] > 0 else [-v for v in row]
+            basis[lead] = row if row[lead] > 0 else {j: -v for j, v in row.items()}
             return
-        a, c = held[lead], row[lead]
-        q = c // a
+        q = row[lead] // held[lead]
         if q:
-            row = [x - q * y for x, y in zip(row, held)]
-        if row[lead]:
-            basis[lead] = row
-            row = held
+            get = row.get
+            for j, v in held.items():
+                x = get(j, 0) - q * v
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+        if lead in row:
+            basis[lead], row = row, held
 
 
-def _unpack(packed, width, m):
-    """The m signed coefficients of a packed row (see _Presentation)."""
+def _unpack(packed, width):
+    """The nonzero signed coefficients of a packed row (see _Presentation)
+    as a sparse row {column: coefficient}.  The lowest set bit lies in the
+    field of the lowest nonzero coefficient, so each run of zero fields is
+    skipped in one shift."""
     half, mask = 1 << (width - 1), (1 << width) - 1
-    row = []
-    for _ in range(m):
+    row, i = {}, 0
+    while packed:
+        skip = ((packed & -packed).bit_length() - 1) // width
+        packed >>= skip * width
+        i += skip
         c = ((packed + half) & mask) - half
-        row.append(c)
+        row[i] = c
         packed = (packed - c) >> width
-    return tuple(row)
+        i += 1
+    return row
 
 
 class _Presentation:
@@ -803,13 +860,13 @@ class _Presentation:
 
     def relation_rows(self):
         """The distinct nonzero relation rows, level by level, as (level,
-        row) with the row a tuple."""
+        row) with the row sparse: {column: nonzero coefficient}."""
         seen = {0}
         for d in range(self.d_max + 1):
             for packed in self.packed_rows(d):
                 if packed not in seen:
                     seen.add(packed)
-                    yield d, _unpack(packed, self.width, self.m)
+                    yield d, _unpack(packed, self.width)
 
 
 def snf_oracle(field, n, d_max):
@@ -835,11 +892,14 @@ def snf_oracle(field, n, d_max):
         free = width - sum(1 for d in diag if d != 0)
         return sorted(d for d in diag if d not in (0, 1)) + [0] * free
 
+    unit = 0  # the leads 0..unit-1 are 1; a lead of 1 is never replaced
     for level, row in pres.relation_rows():
         while len(per_d) < level:
             per_d.append(factors())
         _insert_row(basis, row)
-        if len(basis) == m and all(basis[j][j] == 1 for j in range(m)):
+        while unit in basis and basis[unit][unit] == 1:
+            unit += 1
+        if unit == m:
             per_d.extend([] for _ in range(len(per_d), d_max + 1))
             break
     while len(per_d) <= d_max:

@@ -65,11 +65,12 @@ class _Oracle:
 
     The oracle also keeps the sigma-series cache, mapping (expr, n) to
     [L, lambda values, sigma values or None].  lambda is computed once, at
-    the largest truncation L asked for so far (a larger L computes it
-    again), and sigma lazily from it.  A smaller truncation reads a slice,
-    which is exact: a coefficient of a truncated series product depends only
-    on lower indices.  Only a valid input is stored, so a miss runs
-    lambda_series with all its checks.  The cache lives as long as the
+    the largest truncation L asked for so far, and sigma lazily from it.  A
+    larger L computes lambda again only when it moves `_top`; otherwise it
+    appends the oracle's zeros and drops sigma.  A smaller truncation reads
+    a slice, which is exact: a coefficient of a truncated series product
+    depends only on lower indices.  Only a valid input is stored, so a miss
+    runs lambda_series with all its checks.  The cache lives as long as the
     oracle, which is one per suite run.
     """
 
@@ -94,7 +95,13 @@ class _Oracle:
         key = (x, n)
         entry = self._series.get(key)
         if entry is None or entry[0] < L:
-            values = tuple(lambda_series(x, n, L, self).values())
+            if entry is not None and _top(self.field, n, entry[0]) == _top(self.field, n, L):
+                # every new coefficient lies above top, where lambda_series
+                # computes nothing and returns the oracle's zero
+                zeros = (self.zero(l * n) for l in range(entry[0] + 1, L + 1))
+                values = entry[1] + tuple(zeros)
+            else:
+                values = tuple(lambda_series(x, n, L, self).values())
             entry = self._series[key] = [L, values, None]
         return entry
 
@@ -213,6 +220,14 @@ def _check_input(x, n, oracle):
             raise Inhomogeneous(f"term eta^{d} of length {len(units)} is not of degree {n}")
 
 
+def _top(field, n, trunc):
+    """The last index l <= trunc with K^MW_{l*n} of the field nonzero."""
+    top = trunc
+    while theory_group_is_trivial(field, MW, top * n):
+        top -= 1
+    return top
+
+
 def lambda_series(x, n, trunc, oracle):
     """Coefficients of the divided-power generating series of x (before the
     action on a coefficient), as {l: value} for every l = 0..trunc; a
@@ -225,9 +240,7 @@ def lambda_series(x, n, trunc, oracle):
     one, top, with K^MW_{top*n} nonzero over the oracle's field are computed.
     """
     _check_input(x, n, oracle)
-    top = trunc
-    while theory_group_is_trivial(oracle.field, MW, top * n):
-        top -= 1
+    top = _top(oracle.field, n, trunc)
     series = {0: oracle.one()}
     term_order = lambda kv: (kv[0][0], tuple(_unit_sort_key(u) for u in kv[0][1]))
     for (d, units), mult in sorted(x.terms.items(), key=term_order):

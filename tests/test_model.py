@@ -26,6 +26,7 @@ from mwk.model import (
     MWElem,
     _insert_row,
     _Presentation,
+    _smith_dense,
     _unpack,
     base_change,
     eval_model,
@@ -46,6 +47,11 @@ F3 = ff_build(3, 1)
 F5 = ff_build(5, 1)
 F7 = ff_build(7, 1)
 F9 = ff_build(3, 2)
+
+
+def sparse(row):
+    """A dense integer row as the sparse row {column: nonzero} of the oracle."""
+    return {j: v for j, v in enumerate(row) if v}
 
 
 def rand_expr(F, rng, degree, max_terms=2):
@@ -453,9 +459,9 @@ def test_model_to_sym_roundtrip():
 
 
 def test_smith_normal_form_examples():
-    assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
-    assert smith_normal_form([[0, 0], [0, 0]]) == [0, 0]
-    assert smith_normal_form([[2, 0], [0, 2]]) == [2, 2]
+    assert smith_normal_form([sparse(r) for r in [[2, 0], [0, 3]]], 2) == [1, 6]
+    assert smith_normal_form([sparse(r) for r in [[0, 0], [0, 0]]], 2) == [0, 0]
+    assert smith_normal_form([sparse(r) for r in [[2, 0], [0, 2]]], 2) == [2, 2]
 
 
 def test_smith_normal_form_random_vs_determinant():
@@ -472,7 +478,7 @@ def test_smith_normal_form_random_vs_determinant():
     for _ in range(60):
         m = [[rng.randrange(-4, 5) for _ in range(3)] for _ in range(3)]
         d = abs(det3(m))
-        diag = smith_normal_form(m)
+        diag = smith_normal_form([sparse(r) for r in m], 3)
         prod = 1
         for v in diag:
             prod *= v
@@ -482,6 +488,26 @@ def test_smith_normal_form_random_vs_determinant():
             assert prod == d
             for i in range(len(diag) - 1):
                 assert diag[i + 1] % diag[i] == 0
+
+
+def test_unit_pivot_split_matches_the_dense_textbook_loop():
+    # smith_normal_form splits off the +-1 pivots and runs the textbook loop
+    # on what is left; _smith_dense runs that loop on the whole dense matrix
+    rng = random.Random(36)
+    entries = (0, 0, 0, 1, -1, 2, -2, 3, -4, 6)
+    for trial in range(400):
+        nrows, ncols = rng.randrange(0, 9), rng.randrange(0, 7)
+        if trial % 4 == 0:
+            nrows = ncols + rng.randrange(1, 4)  # more rows than columns
+        m = [[rng.choice(entries) for _ in range(ncols)] for _ in range(nrows)]
+        for row in m:
+            if rng.random() < 0.2:
+                row[:] = [0] * ncols  # all-zero rows
+        want = _smith_dense(m, ncols)
+        assert smith_normal_form([sparse(r) for r in m], ncols) == want, m
+        # entries in columns past ncols are ignored
+        wide = [r + [rng.choice(entries) for _ in range(2)] for r in m]
+        assert smith_normal_form([sparse(r) for r in wide], ncols) == want, wide
 
 
 def test_finite_abelian_invariants():
@@ -607,7 +633,7 @@ def reference_snf_factors(field, n, d_max):
         for level in range(d + 1):
             for row in pres.level_rows(level):
                 if any(row):
-                    _insert_row(basis, row)
+                    _insert_row(basis, sparse(row))
         m = len(pres.base_gens)
         diag = smith_normal_form(list(basis.values()), m)
         free = m - sum(1 for x in diag if x != 0)
@@ -641,7 +667,7 @@ def test_packed_relation_rows_are_the_distinct_reference_rows_in_order():
                 for row in ref.level_rows(level):
                     if any(row) and row not in seen:
                         seen.add(row)
-                        want.append((level, row))
+                        want.append((level, sparse(row)))
             assert pres.m == len(ref.base_gens), (q, n, d_max)
             assert got == want, (q, n, d_max)
 
@@ -693,14 +719,48 @@ def test_packed_width_holds_the_largest_coefficient():
         for _ in range(20):
             row = tuple(rng.choice((-big, big, rng.randint(-big, big), 0)) for _ in range(9))
             packed = sum(c << (width * i) for i, c in enumerate(row))
-            assert _unpack(packed, width, len(row)) == row, (d_max, row)
-        assert _unpack(big << width, width, 2) == (0, big)
-        assert _unpack(-big << width, width, 2) == (0, -big)
+            assert _unpack(packed, width) == sparse(row), (d_max, row)
+        assert _unpack(big << width, width) == sparse((0, big))
+        assert _unpack(-big << width, width) == sparse((0, -big))
+
+
+def test_unpack_reads_only_the_nonzero_fields():
+    rng = random.Random(108)
+    width = _Presentation(F9, 4, 0).width
+    m = 4096
+    # a level-0 Steinberg row of degree 4 over F_9: one nonzero in 4096 fields
+    for i in (0, 1, 2047, m - 1):
+        for c in (1, -1):
+            assert _unpack(c << (width * i), width) == {i: c}
+    # negative coefficients next to runs of zero fields
+    width = _Presentation(F3, 0, 3).width
+    big = 2 * 3**3
+    for _ in range(50):
+        row = [0] * m
+        for i in rng.sample(range(m), rng.randrange(1, 6)):
+            row[i] = -rng.randint(1, big)
+            if i + 1 < m and rng.random() < 0.5:
+                row[i + 1] = rng.choice((-big, -1, 1, big))
+        packed = sum(c << (width * i) for i, c in enumerate(row))
+        assert _unpack(packed, width) == sparse(row)
 
 
 def test_snf_oracle_deep_truncation_over_f3():
     # level 13 is the deepest the size bound allows for degree 0 over F_3
     assert snf_oracle(F3, 0, 13)["final"] == group_structure_model(F3, 0)
+
+
+def test_snf_oracle_reaches_large_level_zero_presentations():
+    # at d_max = 0 the relations are the Steinberg generators themselves, so
+    # the group is free on the unit tuples with no adjacent pair summing to 1
+    for q, n in ((9, 4), (7, 4), (13, 3)):
+        field = ff_build_q(q)
+        tuples = list(product(range(1, q), repeat=n))
+        steinberg = sum(
+            any(field.add(t[i], t[i + 1]) == 1 for i in range(n - 1)) for t in tuples
+        )
+        assert snf_oracle(field, n, 0)["final"] == [0] * (len(tuples) - steinberg), (q, n)
+    assert snf_oracle(F5, 5, 1)["final"] == group_structure_model(F5, 5)
 
 
 def test_snf_oracle_stops_once_the_relations_span_everything(monkeypatch):

@@ -37,6 +37,7 @@ from mwk.operations import (
     _g_map_table,
     _g_map_weights,
     _series_mul,
+    _top,
     admissible,
     allowed_coefficients,
     coefficient_allowed,
@@ -810,23 +811,30 @@ def series_inputs(field, rng):
 
 
 @pytest.mark.parametrize("spec,L", [("3", 5), ("9", 5), ("5(t)", 3)])
-def test_cached_series_equal_a_fresh_computation_at_every_truncation(spec, L):
+def test_cached_series_equal_a_fresh_computation_at_every_truncation(spec, L, monkeypatch):
     field = parse_field_spec(spec)
     fresh = oracle_for(field)
+    computed = []
+    monkeypatch.setattr(
+        operations, "lambda_series", lambda *args: computed.append(args) or lambda_series(*args)
+    )
     for x, n in series_inputs(field, random.Random(21)):
         want_lambda = [lambda_series(x, n, l, fresh) for l in range(L + 1)]
         want_sigma = [
             sigma_operator_values(s, n, l, fresh) for l, s in enumerate(want_lambda)
         ]
-        # small truncations first (each a recomputation), then large first
-        # (every later truncation a slice)
-        for order in (range(L + 1), range(L, -1, -1)):
+        # small truncations first (computed again only where top moves,
+        # else extended by zeros), then large first (every later one a slice)
+        tops = len({_top(field, n, l) for l in range(L + 1)})
+        for order, calls in ((range(L + 1), tops), (range(L, -1, -1), 1)):
             oracle = oracle_for(field)
+            computed.clear()
             for l in order:
                 lam, sig = oracle.lambda_values(x, n, l), oracle.sigma_series(x, n, l)
                 assert list(lam) == list(want_lambda[l].values()), (spec, x, n, l)
                 assert list(sig) == list(want_sigma[l].values()), (spec, x, n, l)
             assert len(oracle._series) == 1
+            assert len(computed) == calls, (spec, x, n)
 
 
 def full_series(x, n, trunc, oracle):
