@@ -40,7 +40,7 @@ from .errors import (
     Inhomogeneous,
     SizeBound,
 )
-from .fields import FFUnit, FiniteField, RatFuncField, size_bound
+from .fields import FFUnit, FiniteField, RatFuncField, factorint, size_bound
 from .symbols import SymExpr, embed_expr
 
 MW = "MW"
@@ -511,46 +511,37 @@ def theory_group_is_trivial(field, theory, degree):
 # ---------------------------------------------------------------------------
 
 
-def _order_of(x, add, zero):
-    n, acc = 1, x
-    while acc != zero:
-        acc = add(acc, x)
-        n += 1
-    return n
+def _times(m, x, add):
+    """m x for m >= 1, by double-and-add."""
+    out = x if m & 1 else None
+    while m > 1:
+        m >>= 1
+        x = add(x, x)
+        if m & 1:
+            out = x if out is None else add(out, x)
+    return out
 
 
 def finite_abelian_invariants(elements, add, zero):
-    """Invariant factors d_1 | d_2 | ... of a finite abelian group.
+    """Invariant factors d_1 | d_2 | ... of a finite abelian group, none 1.
 
-    Splits off a maximal-order cyclic subgroup and recurses on the quotient,
-    representing quotient elements as frozensets of coset members.
+    They are read off the sizes of the p-power torsion subgroups (structure
+    theorem): for p^e exactly dividing |G|, |G[p^k]| / |G[p^(k-1)]| = p^(r_k)
+    with r_k the number of factors divisible by p^k, so the i-th largest
+    factor has p-part p^#{k : r_k > i}.  An element once killed stays
+    killed, so this makes about |G| sum_p e log2(p) additions.
     """
-    elements = list(elements)
-    if len(elements) <= 1:
-        return []
-    best = max(elements, key=lambda x: _order_of(x, add, zero))
-    e = _order_of(best, add, zero)
-    cyclic = []
-    acc = zero
-    for _ in range(e):
-        cyclic.append(acc)
-        acc = add(acc, best)
-    cyc_set = set(cyclic)
-    cosets = {}
-    for x in elements:
-        coset = frozenset(add(x, c) for c in cyc_set)
-        cosets[coset] = x
-    rep_of = {}
-    for coset in cosets:
-        for member in coset:
-            rep_of[member] = coset
-
-    def q_add(a, b):
-        return rep_of[add(cosets[a], cosets[b])]
-
-    q_zero = rep_of[zero]
-    sub = finite_abelian_invariants(list(cosets), q_add, q_zero)
-    return sub + [e]
+    elements, factors = list(elements), {}  # i -> the i-th largest factor
+    for p, e in factorint(len(elements)).items():
+        alive, killed, steps = elements, 1, []  # steps[k - 1] = p^(r_k)
+        for _ in range(e):
+            alive = [y for y in (_times(p, x, add) for x in alive) if y != zero]
+            steps.append((len(elements) - len(alive)) // killed)
+            killed = len(elements) - len(alive)
+        for i in range(e):
+            if steps[0] > p**i:
+                factors[i] = factors.get(i, 1) * p ** sum(s > p**i for s in steps)
+    return [factors[i] for i in sorted(factors, reverse=True)]
 
 
 def group_structure_model(field, n):
@@ -572,10 +563,9 @@ def group_structure_model(field, n):
             if t not in torsion:
                 raise SizeBound("rank splitting failed")  # pragma: no cover
         facs = finite_abelian_invariants(torsion, lambda a, b: a.add(b), MWElem.zero(field, 0))
-        return [f for f in facs if f != 1] + [0]
+        return facs + [0]
     elems = model_elements(field, n)
-    facs = finite_abelian_invariants(elems, lambda a, b: a.add(b), MWElem.zero(field, n))
-    return [f for f in facs if f != 1]
+    return finite_abelian_invariants(elems, lambda a, b: a.add(b), MWElem.zero(field, n))
 
 
 # ---------------------------------------------------------------------------

@@ -64,13 +64,13 @@ class _Oracle:
     `minus_one_power(k)` = [-1]^k, which are lifts of the base's constants.
 
     The oracle also keeps the sigma-series cache, mapping (expr, n) to
-    [L, lambda values, sigma values or None].  lambda is computed once, at
-    the largest truncation L asked for so far, and sigma lazily from it.  A
-    larger L computes lambda again only when it moves `_top`; otherwise it
-    appends the oracle's zeros and drops sigma.  A smaller truncation reads
-    a slice, which is exact: a coefficient of a truncated series product
-    depends only on lower indices.  Only a valid input is stored, so a miss
-    runs lambda_series with all its checks.  The cache lives as long as the
+    [lambda values, sigma values], a function of (expr, n) alone: both are
+    computed once, up to `_top`, the last index whose group is nonzero.  A
+    larger truncation L appends the oracle's zeros to both once, since every
+    group above top is trivial.  A smaller truncation reads a slice, which
+    is exact: a coefficient of a truncated series product depends only on
+    lower indices.  Only a valid input is stored, so a miss runs
+    lambda_series with all its checks.  The cache lives as long as the
     oracle, which is one per suite run.
     """
 
@@ -92,29 +92,25 @@ class _Oracle:
         return self.is_zero(a.sub(b), theory, degree)
 
     def _series_entry(self, x, n, L):
-        key = (x, n)
-        entry = self._series.get(key)
-        if entry is None or entry[0] < L:
-            if entry is not None and _top(self.field, n, entry[0]) == _top(self.field, n, L):
-                # every new coefficient lies above top, where lambda_series
-                # computes nothing and returns the oracle's zero
-                zeros = (self.zero(l * n) for l in range(entry[0] + 1, L + 1))
-                values = entry[1] + tuple(zeros)
-            else:
-                values = tuple(lambda_series(x, n, L, self).values())
-            entry = self._series[key] = [L, values, None]
+        entry = self._series.get((x, n))
+        if entry is None:
+            top = _top(self.field, n)
+            lam = tuple(lambda_series(x, n, top, self).values())
+            sig = tuple(sigma_operator_values(lam, n, top, self).values())
+            entry = self._series[x, n] = [lam, sig]
+        if len(entry[0]) <= L:
+            zeros = tuple(self.zero(l * n) for l in range(len(entry[0]), L + 1))
+            entry[0] += zeros
+            entry[1] += zeros
         return entry
 
     def lambda_values(self, x, n, L):
         """(lambda_0(x), ..., lambda_L(x)), before the coefficient action."""
-        return self._series_entry(x, n, L)[1][: L + 1]
+        return self._series_entry(x, n, L)[0][: L + 1]
 
     def sigma_series(self, x, n, L):
         """(sigma_0(x), ..., sigma_L(x)), before the coefficient action."""
-        entry = self._series_entry(x, n, L)
-        if entry[2] is None:
-            entry[2] = tuple(sigma_operator_values(entry[1], n, entry[0], self).values())
-        return entry[2][: L + 1]
+        return self._series_entry(x, n, L)[1][: L + 1]
 
 
 class ModelOracle(_Oracle):
@@ -210,9 +206,7 @@ def _factor_series(oracle, symbol_value, n, exponent, trunc):
 
 
 def _check_input(x, n, oracle):
-    """n >= 1, x over the oracle's field, and every term of x of degree n."""
-    if n < 1:
-        raise NotAdmissible("source degree must be >= 1")
+    """x over the oracle's field, and every term of x of degree n."""
     if x.field is not oracle.field:
         raise FieldMismatch("expression over the wrong field")
     for d, units in x.terms:
@@ -220,11 +214,14 @@ def _check_input(x, n, oracle):
             raise Inhomogeneous(f"term eta^{d} of length {len(units)} is not of degree {n}")
 
 
-def _top(field, n, trunc):
-    """The last index l <= trunc with K^MW_{l*n} of the field nonzero."""
-    top = trunc
-    while theory_group_is_trivial(field, MW, top * n):
-        top -= 1
+def _top(field, n):
+    """The last index l with K^MW_{l*n} of the field nonzero; every group
+    above it is zero.  Below n = 1 no such index exists."""
+    if n < 1:
+        raise NotAdmissible("source degree must be >= 1")
+    top = 0
+    while not theory_group_is_trivial(field, MW, (top + 1) * n):
+        top += 1
     return top
 
 
@@ -239,8 +236,8 @@ def lambda_series(x, n, trunc, oracle):
     (1 + [prod_J, tail] t)^((-1)^(d+1-|J|) m).  Only indices up to the last
     one, top, with K^MW_{top*n} nonzero over the oracle's field are computed.
     """
+    top = min(trunc, _top(oracle.field, n))
     _check_input(x, n, oracle)
-    top = _top(oracle.field, n, trunc)
     series = {0: oracle.one()}
     term_order = lambda kv: (kv[0][0], tuple(_unit_sort_key(u) for u in kv[0][1]))
     for (d, units), mult in sorted(x.terms.items(), key=term_order):

@@ -59,7 +59,7 @@ from .symbols import (
     unit_sampler,
     witt_generator,
 )
-from .valuation import ValuationContext, canonical_form
+from .valuation import ValuationContext, canonical_form, valuation_context
 
 
 @dataclass
@@ -707,8 +707,7 @@ def seq37(rep, config, rng, oracle):
     if not isinstance(rf, RatFuncField):
         raise FieldMismatch("the seq37 suite needs a rational function field")
     base = rf.base
-    t_place = Place(rf, rf.var_poly())
-    ctx = ValuationContext(t_place)
+    ctx = valuation_context(Place(rf, rf.var_poly()))
     sampler = unit_sampler(rf, rng, max_degree=2)
     base_oracle = oracle_for(base)
 
@@ -749,12 +748,12 @@ def prop36(rep, config, rng, oracle):
     t_poly = rf.var_poly()
     t_place = Place(rf, t_poly)
     t_unit = rf.t_unit()
-    ctx_t = ValuationContext(t_place)
+    ctx_t = valuation_context(t_place)
     base_oracle = oracle_for(base)
 
     for trial in range(config.trials):
         place = t_place if trial % 2 == 0 else Place(rf, Poly.make(base, [1, 1]))
-        ctx = ValuationContext(place)
+        ctx = valuation_context(place)
         kappa = ctx.kappa
         res_oracle = oracle_for(kappa)
         deg = rng.choice([1, 2])

@@ -525,6 +525,44 @@ def test_finite_abelian_invariants():
     assert facs == [2, 4]
 
 
+def cyclic_product(moduli):
+    """Z/m_1 x ... x Z/m_k as (elements, add, zero)."""
+    elems = list(product(*(range(m) for m in moduli)))
+    add = lambda x, y: tuple((a + b) % m for a, b, m in zip(x, y, moduli))
+    return elems, add, (0,) * len(moduli)
+
+
+def test_finite_abelian_invariants_match_the_smith_form_of_the_moduli():
+    """The invariant factors of Z/m_1 x ... x Z/m_k are the factors other
+    than 1 of the Smith normal form of diag(m_1, ..., m_k)."""
+    rng = random.Random(37)
+    for _ in range(30):
+        moduli = [rng.randint(1, 30) for _ in range(rng.randint(1, 3))]
+        diag = [{i: m} for i, m in enumerate(moduli)]
+        want = [d for d in smith_normal_form(diag, len(moduli)) if d != 1]
+        assert finite_abelian_invariants(*cyclic_product(moduli)) == want, moduli
+
+
+def test_finite_abelian_invariants_make_near_linear_work():
+    """Z/2000 takes fewer than 40 additions per element (the quotient
+    recursion made millions in all)."""
+    elems, add, zero = cyclic_product([2000])
+    calls = 0
+
+    def counting(x, y):
+        nonlocal calls
+        calls += 1
+        return add(x, y)
+
+    assert finite_abelian_invariants(elems, counting, zero) == [2000]
+    assert calls < 40 * len(elems)
+
+
+def test_group_structure_model_of_a_large_prime_field():
+    # took about a minute when orders were found by repeated addition
+    assert group_structure_model(ff_build_q(4001), 1) == [4000]
+
+
 def test_snf_oracle_matches_model():
     for F, n, d_max in [(F3, 1, 3), (F3, 2, 3), (F5, 1, 3), (F5, 2, 2), (F3, 0, 3)]:
         rep = snf_oracle(F, n, d_max)

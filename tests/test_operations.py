@@ -810,31 +810,42 @@ def series_inputs(field, rng):
     return out
 
 
-@pytest.mark.parametrize("spec,L", [("3", 5), ("9", 5), ("5(t)", 3)])
+@pytest.mark.parametrize("spec,L", [("3", 5), ("9", 5), ("3(t)", 3), ("5(t)", 3), ("25(t)", 3)])
 def test_cached_series_equal_a_fresh_computation_at_every_truncation(spec, L, monkeypatch):
+    """One lambda_series call per (x, n), small truncations first or large
+    first.  Every value up to top equals a fresh computation; above top the
+    cache holds the oracle's structural zero, where a fresh sigma over
+    F_q(t) can be a nonzero expression that is zero in its group."""
     field = parse_field_spec(spec)
     fresh = oracle_for(field)
     computed = []
     monkeypatch.setattr(
         operations, "lambda_series", lambda *args: computed.append(args) or lambda_series(*args)
     )
+    zero_in_group = 0
     for x, n in series_inputs(field, random.Random(21)):
+        top = _top(field, n)
         want_lambda = [lambda_series(x, n, l, fresh) for l in range(L + 1)]
         want_sigma = [
             sigma_operator_values(s, n, l, fresh) for l, s in enumerate(want_lambda)
         ]
-        # small truncations first (computed again only where top moves,
-        # else extended by zeros), then large first (every later one a slice)
-        tops = len({_top(field, n, l) for l in range(L + 1)})
-        for order, calls in ((range(L + 1), tops), (range(L, -1, -1), 1)):
+        for order in (range(L + 1), range(L, -1, -1)):
             oracle = oracle_for(field)
             computed.clear()
             for l in order:
                 lam, sig = oracle.lambda_values(x, n, l), oracle.sigma_series(x, n, l)
-                assert list(lam) == list(want_lambda[l].values()), (spec, x, n, l)
-                assert list(sig) == list(want_sigma[l].values()), (spec, x, n, l)
+                assert len(lam) == len(sig) == l + 1
+                for i in range(l + 1):
+                    for got, want in ((lam[i], want_lambda[l][i]), (sig[i], want_sigma[l][i])):
+                        if i <= top:
+                            assert got == want, (spec, x, n, l, i)
+                        else:
+                            assert got.is_structurally_zero(), (spec, x, n, l, i)
+                            assert oracle.is_zero(want, MW, i * n), (spec, x, n, l, i)
+                            zero_in_group += not want.is_structurally_zero()
             assert len(oracle._series) == 1
-            assert len(computed) == calls, (spec, x, n)
+            assert len(computed) == 1, (spec, x, n)
+    assert (zero_in_group > 0) == ("(t)" in spec)
 
 
 def full_series(x, n, trunc, oracle):
