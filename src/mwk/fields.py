@@ -51,7 +51,14 @@ FACTOR_MEMO_CAP = 4096
 
 
 def size_bound():
-    return int(os.environ.get("MWK_SIZE_BOUND", DEFAULT_SIZE_BOUND))
+    """MWK_SIZE_BOUND, a non-negative integer, or DEFAULT_SIZE_BOUND where it
+    is unset; any other value raises SizeBound."""
+    text = os.environ.get("MWK_SIZE_BOUND")
+    if text is None:
+        return DEFAULT_SIZE_BOUND
+    if not (text.isascii() and text.isdigit()):
+        raise SizeBound(f"MWK_SIZE_BOUND={text!r} is not a non-negative integer")
+    return int(text)
 
 
 def factorint(n):

@@ -16,7 +16,6 @@ vanishes (degree >= 2 over F_q, >= 3 over F_q(t)): there, values are zero.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -63,12 +62,12 @@ class _Oracle:
     `equal`, and the constants `one`, `zero(degree)` and
     `minus_one_power(k)` = [-1]^k, which are lifts of the base's constants.
 
-    The oracle also keeps the sigma-series cache, mapping (expr, n) to
-    [lambda values, sigma values], a function of (expr, n) alone: both are
-    computed once, up to `_top`, the last index whose group is nonzero.  A
-    larger truncation L appends the oracle's zeros to both once, since every
-    group above top is trivial.  A smaller truncation reads a slice, which
-    is exact: a coefficient of a truncated series product depends only on
+    The oracle also keeps the series cache, mapping (expr, n) to one tuple
+    of lambda values, a function of (expr, n) alone: it is computed once,
+    up to `_top`, the last index whose group is nonzero.  A larger
+    truncation L extends it with the oracle's zeros once, since every group
+    above top is trivial.  A smaller truncation reads a slice, which is
+    exact: a coefficient of a truncated series product depends only on
     lower indices.  Only a valid input is stored, so a miss runs
     lambda_series with all its checks.  The cache lives as long as the
     oracle, which is one per suite run.
@@ -91,26 +90,24 @@ class _Oracle:
     def equal(self, a, b, theory, degree):
         return self.is_zero(a.sub(b), theory, degree)
 
-    def _series_entry(self, x, n, L):
-        entry = self._series.get((x, n))
-        if entry is None:
-            top = _top(self.field, n)
-            lam = tuple(lambda_series(x, n, top, self).values())
-            sig = tuple(sigma_operator_values(lam, n, top, self).values())
-            entry = self._series[x, n] = [lam, sig]
-        if len(entry[0]) <= L:
-            zeros = tuple(self.zero(l * n) for l in range(len(entry[0]), L + 1))
-            entry[0] += zeros
-            entry[1] += zeros
-        return entry
-
     def lambda_values(self, x, n, L):
         """(lambda_0(x), ..., lambda_L(x)), before the coefficient action."""
-        return self._series_entry(x, n, L)[0][: L + 1]
+        series = self._series.get((x, n))
+        if series is None:
+            top = _top(self.field, n)
+            series = self._series[x, n] = tuple(lambda_series(x, n, top, self).values())
+        if len(series) <= L:
+            series = self._series[x, n] = series + tuple(
+                self.zero(l * n) for l in range(len(series), L + 1)
+            )
+        return series[: L + 1]
 
     def sigma_series(self, x, n, L):
-        """(sigma_0(x), ..., sigma_L(x)), before the coefficient action."""
-        return self._series_entry(x, n, L)[1][: L + 1]
+        """(sigma_0(x), ..., sigma_L(x)), before the coefficient action.
+        These are the lambda values: sigma_l = lambda_l for l <= 2
+        (sigma_operator_values), every group above `_top` is trivial, and
+        `_top` is at most 2 on every field `oracle_for` takes."""
+        return self.lambda_values(x, n, L)
 
 
 class ModelOracle(_Oracle):
@@ -287,16 +284,18 @@ def _act(value, y, oracle):
 
 
 def twisted_sum(terms, n, minus_one_power):
-    """sum_i c_i [-1]^{ni} v_i over an iterable of (i, c_i, v_i) that starts
-    at i = 0, with [-1]^k = minus_one_power(k).  A term whose twist is zero
-    ([-1]^k = 0 for k >= 2) is left out.  Every conversion between the
-    divided powers lambda, sigma and f is a sum of this shape."""
+    """sum_i c_i [-1]^{ni} v_i over an iterable of (i, c_i, v_i) with i
+    ascending from 0, with [-1]^k = minus_one_power(k).  The sum ends at the
+    first zero twist: [-1]^k = 0 for every k >= 2, so every later twist is
+    zero too, and the terms after it are never computed.  Every conversion
+    between the divided powers lambda, sigma and f is a sum of this
+    shape."""
     acc = None
     for i, c, v in terms:
         if i:
             twist = minus_one_power(n * i)
             if twist.is_structurally_zero():
-                continue
+                break
             term = twist.mul(v)
         else:
             term = v
@@ -423,39 +422,25 @@ def allowed_coefficients(field, source, target, n, l, degree):
 
 
 @lru_cache(maxsize=None)
-def _g_map_table(L, minus_first):
-    """Row l: the pairs (k, c) with c shift paths from index k to position 0
-    in g_map's entry l, walked back from 0: OpSequence.shift fills position j
-    from j+1, and from j+2 (the twist) where j's parity matches the sign."""
+def _g_map_weights(field, n, L, minus_first):
+    """Row l: the weight w_l of a_(l+1) in g_map's entry l, or None where it
+    is zero and at l = L.  Walk back from position 0 through the entry's
+    shifts, the last-applied first: OpSequence.shift fills position j from
+    j+1, and from j+2 with the twist tau = [-1]^n where j is odd at a plus
+    shift, even at a minus one.  A walk with two twists carries tau^2, of
+    degree 2n >= 2, where the model is zero.  A walk with one twist, taken
+    at step t after t one-index steps, stands at j = t and ends at l+1; so
+    w_l = c_l tau, where c_l counts the steps t < l whose parity admits
+    the twist."""
+    tau = minus_one_power(field, n)
     rows = []
     for l in range(L + 1):
-        signs = [-1] * (l // 2) + [+1] * ((l + 1) // 2)  # as in OpSequence.shifted
-        reach = Counter({0: 1})
-        for sign in signs[::-1] if minus_first else signs:
-            back = Counter()
-            for j, c in reach.items():
-                back[j + 1] += c
-                if j % 2 == (sign == +1):
-                    back[j + 2] += c
-            reach = back
-        rows.append(tuple(sorted((k, c) for k, c in reach.items() if k <= L)))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _g_map_weights(field, n, L, minus_first):
-    """Row l: the pairs (k, c tau^(k-l)) for the pairs (k, c) of
-    _g_map_table's row l, tau = [-1]^n, so tau^(k-l) = [-1]^(n(k-l)); each
-    weight is computed once.  A weight the model computes as zero is left
-    out."""
-    rows = []
-    for l, row in enumerate(_g_map_table(L, minus_first)):
-        weights = []
-        for k, c in row:
-            w = minus_one_power(field, n * (k - l)).scale(c)
-            if not w.is_zero():
-                weights.append((k, w))
-        rows.append(tuple(weights))
+        # walked back first: the plus shifts (odd t) after minus-first, else
+        # the minus shifts (even t); then the other sign, other parity
+        first, parity = ((l + 1) // 2, 1) if minus_first else (l // 2, 0)
+        c = len(range(parity, first, 2)) + len(range(first + (first + parity + 1) % 2, l, 2))
+        w = tau.scale(c)
+        rows.append(None if l == L or w.is_zero() else w)
     return tuple(rows)
 
 
@@ -582,20 +567,17 @@ class OpSequence:
         times negatively (evaluation at 0 reads off the 0-th coefficient).
 
         A shift is linear: position j takes j+1, plus tau = [-1]^n times j+2
-        where the sign's parity admits it.  So entry l is the sum of
-        c_lk tau^(k-l) a_k over k = l..min(2l, L): c_lk counts the l-step paths
-        from index k to 0 (_g_map_table), each two-index step taking one tau.
-        The weights c_lk tau^(k-l) are computed once (_g_map_weights).
+        where the sign's parity admits it.  Every path of l steps from index
+        k to 0 takes k-l twists, and tau^2 = 0 in the model, so entry l is
+        a_l + w_l a_(l+1), with the weight w_l = c_l tau computed once
+        (_g_map_weights).
         """
         self.require_admissible()
-        out = []
-        for l, row in enumerate(_g_map_weights(self.field, self.n, self.trunc, minus_first)):
-            acc = None  # every row holds (l, 1)
-            for k, w in row:
-                term = w.mul(self.coeffs[k])
-                acc = term if acc is None else acc.add(term)
-            out.append(acc)
-        return out
+        weights = _g_map_weights(self.field, self.n, self.trunc, minus_first)
+        return [
+            a if w is None else a.add(w.mul(self.coeffs[l + 1]))
+            for l, (a, w) in enumerate(zip(self.coeffs, weights))
+        ]
 
     def roundtrip_ok(self):
         """Whether g_map in both orders gives back every coefficient."""

@@ -758,8 +758,6 @@ def prop36(rep, config, rng, oracle):
         res_oracle = oracle_for(kappa)
         deg = rng.choice([1, 2])
         x = sample_expr(rf, deg, rng, max_terms=2, max_eta=1, sampler=sampler)
-        if x.max_term_size() > 5:
-            continue
         # a local unit at the place
         while True:
             u = sampler()

@@ -301,8 +301,6 @@ def eta_reduce(expr):
     stack = [((d, units), c) for (d, units), c in expr.terms.items()]
     while stack:
         (d, units), c = stack.pop()
-        if not c:
-            continue
         if d == 0:
             out[(0, units)] = out.get((0, units), 0) + c
             continue

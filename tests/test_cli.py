@@ -209,6 +209,21 @@ def test_a_field_beyond_the_size_bound_exits_2_at_once(spec):
     assert len(proc.stderr) < 200
 
 
+@pytest.mark.parametrize("value", ["abc", "1e4", ""])
+@pytest.mark.parametrize(
+    "argv", [["group", "--q", "3", "--n", "1"], ["eval", "[2]", "--field", "3"]]
+)
+def test_a_malformed_size_bound_exits_2(argv, value):
+    env = dict(os.environ, PYTHONPATH=str(SRC), MWK_SIZE_BOUND=value)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mwk.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: SizeBound"), proc.stderr
+    assert "MWK_SIZE_BOUND" in proc.stderr
+
+
 def test_verify_command(capsys):
     code, out = run(
         capsys, "verify", "--suite", "lemma32", "--field", "3", "--trials", "50", "--json"

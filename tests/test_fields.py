@@ -2,6 +2,7 @@ import functools
 import gc
 import itertools
 import random
+import re
 from math import isqrt
 
 import pytest
@@ -170,6 +171,13 @@ def test_size_bound(monkeypatch):
     monkeypatch.setenv("MWK_SIZE_BOUND", "8")
     with pytest.raises(SizeBound):
         ff_build(3, 2)
+
+
+@pytest.mark.parametrize("value", ["abc", "1e4", "", "-1", " 10", "10.0"])
+def test_a_malformed_size_bound_raises_size_bound(value, monkeypatch):
+    monkeypatch.setenv("MWK_SIZE_BOUND", value)
+    with pytest.raises(SizeBound, match=re.escape(f"MWK_SIZE_BOUND={value!r}")):
+        size_bound()
 
 
 def test_square_classes_by_enumeration():

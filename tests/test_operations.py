@@ -34,7 +34,6 @@ from mwk.operations import (
     OpSequence,
     ValuationOracle,
     _factor_series,
-    _g_map_table,
     _g_map_weights,
     _series_mul,
     _top,
@@ -587,27 +586,20 @@ def test_g_map_makes_no_shift_step(monkeypatch):
 
 
 def test_a_warm_g_map_reads_its_weights(monkeypatch):
-    # each weight is c tau^(k-l) for a pair (k, c) of _g_map_table, here by
-    # repeated multiplication with [-1] and repeated addition; the model's
-    # zeros are left out
+    # each weight is c tau for the c walks of entry l ending at l + 1, here
+    # by repeated addition of tau; the model's zeros are None
     for field, n, L, minus_first in product((F3, F9), (1, 2, 3), (0, 1, 4, 8), (True, False)):
-        m1 = MWElem.from_unit(field.minus_one())
-        table = _g_map_table(L, minus_first)
+        tau = MWElem.from_unit(field.minus_one())
+        for _ in range(n - 1):
+            tau = tau.mul(MWElem.from_unit(field.minus_one()))
         weights = _g_map_weights(field, n, L, minus_first)
-        assert len(weights) == len(table)
-        for l, (row, got) in enumerate(zip(table, weights)):
-            want = []
-            for k, c in row:
-                power = MWElem.one(field)
-                for _ in range(n * (k - l)):
-                    power = power.mul(m1)
-                w = MWElem.zero(field, n * (k - l))
-                for _ in range(c):
-                    w = w.add(power)
-                if not w.is_zero():
-                    want.append((k, w))
-            assert list(got) == want, (field, n, L, minus_first, l)
-            assert got[0] == (l, MWElem.one(field))
+        assert len(weights) == L + 1
+        for l, got in enumerate(weights):
+            w = MWElem.zero(field, n)
+            for _ in range(entry_walks(l, minus_first).get(l + 1, 0)):
+                w = w.add(tau)
+            want = None if l == L or w.is_zero() else w
+            assert got == want, (field, n, L, minus_first, l)
     rng = random.Random(31)
     seqs = [
         seq
@@ -651,18 +643,32 @@ def counted_paths(signs, L):
     return tuple(sorted(ends.items()))
 
 
+def entry_walks(l, minus_first):
+    """counted_paths of g_map's entry l, every end index kept."""
+    plus, minus = [+1] * ((l + 1) // 2), [-1] * (l // 2)
+    return dict(counted_paths(minus + plus if minus_first else plus + minus, 2 * l))
+
+
 def test_g_map_table_shape():
-    for L, minus_first in product(range(13), (True, False)):
-        rows = _g_map_table(L, minus_first)
-        assert len(rows) == L + 1
-        for l, row in enumerate(rows):
-            assert row[0] == (l, 1), (L, minus_first, l)
-            assert all(l <= k <= min(2 * l, L) and c > 0 for k, c in row), (L, l, row)
-    assert _g_map_table(8, True)[3:5] == (((3, 1), (4, 2)), ((4, 1), (5, 2), (6, 2)))
-    for L, minus_first in product((8, 12), (True, False)):
-        for l, row in enumerate(_g_map_table(L, minus_first)):
-            plus, minus = [+1] * ((l + 1) // 2), [-1] * (l // 2)
-            assert row == counted_paths(minus + plus if minus_first else plus + minus, L)
+    # one weight per entry: the walks that end two or more indices down
+    # carry tau^(k-l) = 0, and those ending at l + 1 give the weight
+    walks = {
+        (l, minus_first): entry_walks(l, minus_first)
+        for l, minus_first in product(range(13), (True, False))
+    }
+    assert walks[3, True] == {3: 1, 4: 2} and walks[4, True] == {4: 1, 5: 2, 6: 2}
+    for field, n in product((F3, F9), (1, 2, 3)):
+        tau = minus_one_power(field, n)
+        for L, minus_first in product(range(13), (True, False)):
+            weights = _g_map_weights(field, n, L, minus_first)
+            assert len(weights) == L + 1
+            for l, w in enumerate(weights):
+                ends = walks[l, minus_first]
+                assert ends[l] == 1
+                assert all(minus_one_power(field, n * (k - l)).is_zero() for k in ends if k >= l + 2)
+                want = tau.scale(ends.get(l + 1, 0))
+                want = None if l == L or want.is_zero() else want
+                assert w == want, (field, n, L, minus_first, l)
 
 
 def test_g_map_of_an_inadmissible_sequence_raises():
@@ -846,6 +852,14 @@ def test_cached_series_equal_a_fresh_computation_at_every_truncation(spec, L, mo
             assert len(oracle._series) == 1
             assert len(computed) == 1, (spec, x, n)
     assert (zero_in_group > 0) == ("(t)" in spec)
+
+
+@pytest.mark.parametrize("spec", ["3", "9", "3(t)", "25(t)"])
+def test_every_series_tops_out_by_index_two(spec):
+    # sigma_series reads the lambda values, exact while sigma_l = lambda_l,
+    # which holds for l <= 2
+    field = parse_field_spec(spec)
+    assert all(_top(field, n) <= 2 for n in range(1, 5))
 
 
 def full_series(x, n, trunc, oracle):
