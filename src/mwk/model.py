@@ -553,15 +553,10 @@ def group_structure_model(field, n):
     if field.q > size_bound():
         raise SizeBound(f"q = {field.q} exceeds the enumeration bound")
     if n == 0:
-        # the rank splits off a free summand; the complement is the finite
-        # torsion subgroup {pairs of rank 0}, enumerated exhaustively
-        one = MWElem.one(field)
-        elems = model_elements(field, 0, rank_window=4)
-        torsion = [e for e in elems if e.milnor == 0]
-        for e in elems:
-            t = e.sub(one.scale(e.milnor))
-            if t not in torsion:
-                raise SizeBound("rank splitting failed")  # pragma: no cover
+        # the rank splits off a free summand (e - r.1 has rank 0 for every
+        # pair (r, delta)); the complement is the torsion subgroup of the
+        # pairs of rank 0
+        torsion = model_elements(field, 0, rank_window=0)
         facs = finite_abelian_invariants(torsion, lambda a, b: a.add(b), MWElem.zero(field, 0))
         return facs + [0]
     elems = model_elements(field, n)

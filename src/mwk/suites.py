@@ -673,11 +673,33 @@ def prop83(rep, config, rng, oracle):
 
 @_suite("thm84", "coefficient recovery: reading shifted operations at zero is inverse to assembly")
 def thm84(rep, config, rng, oracle):
+    """Every windowed tuple round-trips through g_map; every 25th also
+    reads back through the shift chain itself (_reads_back).  The stride
+    is odd: the tuples where a wrong twist shows recur with the
+    power-of-two periods of the product order."""
+    top = min(config.trunc, 4)  # the window ends at index 4
     count = 0
     for seq in thm84_sequences(oracle.base, config.trunc):
-        rep.check(seq.roundtrip_ok(), f"roundtrip failed (n={seq.n}, m={seq.m}, #{count})")
+        ok = seq.roundtrip_ok() and (count % 25 != 0 or _reads_back(seq, top))
+        rep.check(ok, f"roundtrip failed (n={seq.n}, m={seq.m}, #{count})")
         count += 1
     rep.note(f"exhausted {count} admissible windowed coefficient tuples")
+
+
+def _reads_back(seq, top):
+    """Whether a_l, for each l <= top, is the value at 0 of seq shifted
+    ceil(l/2) times positively and floor(l/2) times negatively, in both
+    orders.  The chain runs on the prefix a_0..a_(2 top): position 0 after
+    l shifts reads nothing beyond index 2l."""
+    prefix = OpSequence._admitted(
+        seq.source, seq.target, seq.n, seq.m, seq.field, seq.coeffs[: 2 * top + 1]
+    )
+    for l in range(top + 1):
+        plus, minus = (l + 1) // 2, l // 2
+        for chain in (prefix.shifted(plus, minus), prefix.shifted(plus, 0).shifted(0, minus)):
+            if chain.coeff(0) != seq.coeffs[l]:
+                return False
+    return True
 
 
 def thm84_sequences(field, L):

@@ -34,7 +34,6 @@ from mwk.operations import (
     OpSequence,
     ValuationOracle,
     _factor_series,
-    _g_map_weights,
     _series_mul,
     _top,
     admissible,
@@ -221,6 +220,12 @@ def test_sigma_instantiations():
             assert sig[3] == series[3].add(minus_one_power(F3, n).mul(series[2]))
             # sigma_1 = lambda_1 = id
             assert sigma_eval(n, 1, y, x, OM) == lambda_eval(n, 1, y, x, OM)
+
+
+def test_f_eval_at_zero_is_the_lift_of_y():
+    y = h_torsion_y()
+    for oracle, x in ((OM, of_symbols(1, units(2))), (ValuationOracle(RF), of_symbols(1, (RF.t_unit(),)))):
+        assert oracle.equal(f_eval(1, 0, y, x, oracle), oracle.from_base(y), MW, y.degree)
 
 
 def test_f_eval_conversion_matches_direct():
@@ -540,8 +545,8 @@ def full_support_sequences(field, n, m, trunc, rng, count):
 
 
 def test_g_map_reads_the_shifted_sequences():
-    # windowed sequences as in thm84, then full-support ones whose table
-    # terms reach beyond thm84's degree window
+    # windowed sequences as in thm84, then full-support ones whose shift
+    # chains reach beyond thm84's degree window
     rng = random.Random(12)
     seqs = []
     for field in (F3, F9):
@@ -569,8 +574,8 @@ def test_g_map_reads_the_shifted_sequences():
 
 
 def test_g_map_makes_no_shift_step(monkeypatch):
-    # g_map sums each entry from the path table; the shift chain is only its
-    # reference (test_g_map_reads_the_shifted_sequences)
+    # g_map returns the coefficients; the shift chain is only its reference
+    # (test_g_map_reads_the_shifted_sequences)
     calls = [0]
     step = OpSequence.shift
 
@@ -585,21 +590,8 @@ def test_g_map_makes_no_shift_step(monkeypatch):
     assert calls[0] == 0
 
 
-def test_a_warm_g_map_reads_its_weights(monkeypatch):
-    # each weight is c tau for the c walks of entry l ending at l + 1, here
-    # by repeated addition of tau; the model's zeros are None
-    for field, n, L, minus_first in product((F3, F9), (1, 2, 3), (0, 1, 4, 8), (True, False)):
-        tau = MWElem.from_unit(field.minus_one())
-        for _ in range(n - 1):
-            tau = tau.mul(MWElem.from_unit(field.minus_one()))
-        weights = _g_map_weights(field, n, L, minus_first)
-        assert len(weights) == L + 1
-        for l, got in enumerate(weights):
-            w = MWElem.zero(field, n)
-            for _ in range(entry_walks(l, minus_first).get(l + 1, 0)):
-                w = w.add(tau)
-            want = None if l == L or w.is_zero() else w
-            assert got == want, (field, n, L, minus_first, l)
+def test_a_warm_g_map_does_no_model_arithmetic(monkeypatch):
+    # no scale and no [-1]^k: the entries are the coefficients
     rng = random.Random(31)
     seqs = [
         seq
@@ -649,26 +641,19 @@ def entry_walks(l, minus_first):
     return dict(counted_paths(minus + plus if minus_first else plus + minus, 2 * l))
 
 
-def test_g_map_table_shape():
-    # one weight per entry: the walks that end two or more indices down
-    # carry tau^(k-l) = 0, and those ending at l + 1 give the weight
-    walks = {
-        (l, minus_first): entry_walks(l, minus_first)
-        for l, minus_first in product(range(13), (True, False))
-    }
-    assert walks[3, True] == {3: 1, 4: 2} and walks[4, True] == {4: 1, 5: 2, 6: 2}
-    for field, n in product((F3, F9), (1, 2, 3)):
-        tau = minus_one_power(field, n)
-        for L, minus_first in product(range(13), (True, False)):
-            weights = _g_map_weights(field, n, L, minus_first)
-            assert len(weights) == L + 1
-            for l, w in enumerate(weights):
-                ends = walks[l, minus_first]
-                assert ends[l] == 1
-                assert all(minus_one_power(field, n * (k - l)).is_zero() for k in ends if k >= l + 2)
-                want = tau.scale(ends.get(l + 1, 0))
-                want = None if l == L or want.is_zero() else want
-                assert w == want, (field, n, L, minus_first, l)
+def test_g_map_rests_on_even_walks_and_2tau_zero():
+    # entry l of g_map is a_l plus, per walk ending at k >= l + 1, tau^(k-l)
+    # a_k: the walks ending two or more indices down carry tau^2 = 0, and
+    # the c_l walks ending at l + 1 give c_l tau, zero as c_l is even and
+    # 2 tau = 0 in the model
+    assert entry_walks(3, True) == {3: 1, 4: 2} and entry_walks(4, True) == {4: 1, 5: 2, 6: 2}
+    for l, minus_first in product(range(13), (True, False)):
+        ends = entry_walks(l, minus_first)
+        assert ends[l] == 1 and min(ends) == l
+        assert ends.get(l + 1, 0) % 2 == 0, (l, minus_first)
+    for q, n in product((3, 5, 9, 25, 27), (1, 2, 3)):
+        tau = minus_one_power(ff_build_q(q), n)
+        assert tau.scale(2).is_zero() and tau.mul(tau).is_zero(), (q, n)
 
 
 def test_g_map_of_an_inadmissible_sequence_raises():
@@ -780,6 +765,15 @@ def test_built_sequences_are_admissible_when_decided_afresh():
             assert admissible(seq.source, seq.target, seq.n, seq.m, field, seq.coeffs), seq
             count += 1
         assert count > 100
+
+
+def test_admissible_is_false_where_no_sequence_can_be_built():
+    # the predicate answers False, and raises nothing, where the constructor
+    # refuses: source degree 0, a row the table lacks, a wrong degree
+    a0 = MWElem.zero(F3, 2)
+    assert admissible(MW, MW, 0, 2, F3, [a0]) is False
+    assert admissible(MILNOR, MOD2, 1, 2, F3, [a0]) is False
+    assert admissible(MW, MW, 1, 2, F3, [MWElem.one(F3)]) is False
 
 
 def test_an_unknown_row_raises_not_admissible():

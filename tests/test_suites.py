@@ -93,6 +93,18 @@ def test_thm84_reads_through_the_public_g_map(monkeypatch):
     assert calls[0] == 2 * payload["trials"]
 
 
+def test_thm84_sees_a_wrong_shift_twist(monkeypatch):
+    # a shift of the other sign is shift with its twist parity flipped;
+    # thm84 reads the shift chain on a sample of tuples and must fail.
+    # Over F_9, where -1 is a square, [-1]^n kills every coefficient
+    # thm84 admits from index 2 on, so the wrong twist cannot show there
+    shift = OpSequence.shift
+    monkeypatch.setattr(OpSequence, "shift", lambda self, sign: shift(self, -sign))
+    payload = run_suite("thm84", SuiteConfig(field=F3)).to_json()
+    assert not payload["passed"] and payload["failure_count"] > 0
+    assert run_suite("thm84", SuiteConfig(field=ff_build(3, 2))).to_json()["passed"]
+
+
 def test_reports_deterministic():
     config = SuiteConfig(field=RF3, trials=10, seed=21)
     a = run_suite("prop36", config).to_json()
